@@ -15,10 +15,30 @@ from .scalars import Field, FieldMismatchError, Scalar
 from .words import EMPTY_WORD, Alphabet, Word
 
 
+# Deepest parenthesis nesting the recursive-descent parsers accept; each
+# level costs a few interpreter frames, so this keeps them far from
+# Python's recursion limit.
+MAX_NESTING = 100
+
+
 class ParseError(ValueError):
     def __init__(self, message, pos=None):
         super().__init__(message if pos is None else f"{message} (at column {pos + 1})")
         self.pos = pos
+
+
+def _acc(terms: dict, key, c, f: Field):
+    """terms[key] += c, dropping zeros; c must be a raw value of f."""
+    old = terms.get(key)
+    if old is None:
+        if not f.is_zero(c):
+            terms[key] = c
+        return
+    s = f.add(old, c)
+    if f.is_zero(s):
+        del terms[key]
+    else:
+        terms[key] = s
 
 
 class FreeElement:
@@ -60,11 +80,7 @@ class FreeElement:
         f = self.field
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = f.add(terms.get(w, f.zero), c)
-            if f.is_zero(s):
-                terms.pop(w, None)
-            else:
-                terms[w] = s
+            _acc(terms, w, c, f)
         out = FreeElement(self.alphabet, f)
         out.terms = terms
         return out
@@ -98,12 +114,7 @@ class FreeElement:
         terms = {}
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                w = u * v
-                s = f.add(terms.get(w, f.zero), f.mul(cu, cv))
-                if f.is_zero(s):
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
+                _acc(terms, u * v, f.mul(cu, cv), f)
         out = FreeElement(self.alphabet, f)
         out.terms = terms
         return out
@@ -211,6 +222,7 @@ class _Parser:
     def __init__(self, tokens, alphabet, field):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.alphabet = alphabet
         self.field = field
 
@@ -294,8 +306,12 @@ class _Parser:
                 letters = letters[:-1] + [letters[-1]] * n
             return FreeElement.from_word(alphabet, f, alphabet.word(letters))
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             e = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "^":
                 self.take()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .freealg import ParseError, parse_element
+from .freealg import MAX_NESTING, ParseError, parse_element
 from .quotient import Presentation, TruncatedAlgebra
 from .scalars import Field
 from .words import EMPTY_WORD, Alphabet
@@ -168,6 +168,7 @@ class _WreathParser:
     def __init__(self, tokens, wa: WreathAlgebra, gamma):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.wa = wa
         self.gamma = gamma
 
@@ -240,8 +241,12 @@ class _WreathParser:
         kind, val, pos = self.take()
         wa = self.wa
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return self._maybe_power(e)
         if kind != "name":
             raise ParseError(f"unexpected token {val!r}", pos)

@@ -6,23 +6,34 @@ row is its greatest key, and rows are fully inter-reduced so no row contains
 another row's pivot.  That makes reduction a single pass and dimensions,
 membership, and pivot bookkeeping deterministic.
 
+A row holds no key above its own pivot: the pivot is the row's greatest key
+when it is inserted, and back-reduction by a later row only brings in keys at
+or below that row's pivot.  So a new pivot can occur only in rows whose pivot
+is greater, and `insert` visits just those, found by bisecting the ascending
+list of pivot keys.  In the sparse regime (pivots arriving in increasing
+order, as in degree-by-degree span closure) no row is visited at all.
+
 `dense_rank` is a deliberately independent second route (dense rows,
 first-column pivoting) used to cross-check ranks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .scalars import Field
 
 
 class Echelon:
-    __slots__ = ("field", "rows", "pivots", "reps")
+    __slots__ = ("field", "rows", "pivots", "reps", "_order", "_ordered_rows")
 
     def __init__(self, field: Field):
         self.field = field
         self.rows = []  # list[dict key -> raw], pivot coefficient normalized to 1
         self.pivots = {}  # key -> row index
         self.reps = []  # payloads of the inserts that increased rank
+        self._order = []  # pivot keys, ascending
+        self._ordered_rows = []  # the rows, in the same order as _order
 
     @property
     def dim(self) -> int:
@@ -55,7 +66,9 @@ class Echelon:
         pivot = max(v)
         inv = f.inv(v[pivot])
         row = {k: f.mul(inv, c) for k, c in v.items()}
-        for other in self.rows:
+        order, ordered_rows = self._order, self._ordered_rows
+        at = bisect_right(order, pivot)
+        for other in ordered_rows[at:]:
             c = other.get(pivot)
             if c is None:
                 continue
@@ -67,6 +80,8 @@ class Echelon:
                     other[key] = s
         self.pivots[pivot] = len(self.rows)
         self.rows.append(row)
+        order.insert(at, pivot)
+        ordered_rows.insert(at, row)
         self.reps.append(payload)
         return True
 

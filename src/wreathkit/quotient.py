@@ -31,7 +31,7 @@ truncations, and no flag is raised.
 
 from __future__ import annotations
 
-from .freealg import FreeElement
+from .freealg import FreeElement, _acc
 from .linalg import Echelon
 from .scalars import Field, FieldMismatchError, Scalar
 from .words import EMPTY_WORD, Alphabet, Word
@@ -111,7 +111,6 @@ class TruncatedAlgebra:
         self._basis = [[] for _ in range(truncation_degree + 1)]
         self._normal = set()
         self._reduction = {}  # pivot candidate word -> normal-form expansion
-        self._kernels = [None] * (truncation_degree + 1)
         self._pair_cache = {}  # (basis word, basis word) -> (nf vector, escaped)
         self._build(by_degree)
         self._zero_above = self._zero_certificate()
@@ -123,6 +122,10 @@ class TruncatedAlgebra:
         alphabet = self.alphabet
         gens = range(len(alphabet))
         N = self.truncation_degree
+        # kernels[e]: the degree-e eliminant, kept only while a later degree
+        # d = e + deg(g) still extends it on the right
+        kernels = [None] * (N + 1)
+        span = max(alphabet.degrees, default=1)
         for d in range(1, N + 1):
             candidates = [alphabet.gen(g) for g in gens if alphabet.degrees[g] == d]
             for g in gens:
@@ -134,7 +137,7 @@ class TruncatedAlgebra:
             for r in relations_by_degree.get(d, ()):
                 ech.insert(self._free_to_candidates(r))
             for e in range(1, d):
-                kernel = self._kernels[e]
+                kernel = kernels[e]
                 if kernel is None:
                     continue
                 for g in gens:
@@ -142,7 +145,9 @@ class TruncatedAlgebra:
                         continue
                     for row in kernel.rows:
                         ech.insert(self._extend_right(row, g))
-            self._kernels[d] = ech
+            kernels[d] = ech
+            if d > span:
+                kernels[d - span] = None
             pivots = ech.pivot_keys()
             self._basis[d] = sorted(w for w in candidates if w not in pivots)
             self._normal.update(self._basis[d])
@@ -377,14 +382,6 @@ class TruncatedAlgebra:
             f"TruncatedAlgebra({self.alphabet!r}, N={self.truncation_degree}, "
             f"dims={[len(self._basis[d]) for d in range(1, self.truncation_degree + 1)]})"
         )
-
-
-def _acc(vec: dict, key, c, f: Field):
-    s = f.add(vec.get(key, f.zero), c)
-    if f.is_zero(s):
-        vec.pop(key, None)
-    else:
-        vec[key] = s
 
 
 class AlgElement:

@@ -36,7 +36,7 @@ def _is_prime(n: int) -> bool:
 class Field:
     """The ground field: the rationals or GF(p) for a prime p < 2**31."""
 
-    __slots__ = ("kind", "characteristic")
+    __slots__ = ("kind", "characteristic", "zero", "one")
 
     def __init__(self, kind: str, characteristic: int = 0):
         if kind == "rational":
@@ -52,6 +52,9 @@ class Field:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.characteristic = characteristic
+        # raw constants, built once: the hot loops read them on every term
+        self.zero = Fraction(0) if kind == "rational" else 0
+        self.one = Fraction(1) if kind == "rational" else 1
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -63,14 +66,6 @@ class Field:
 
     # -- raw-value arithmetic ------------------------------------------
     # Raw values: Fraction over the rationals, int in [0, p) over GF(p).
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "rational" else 1
 
     def from_int(self, n: int):
         if self.kind == "rational":

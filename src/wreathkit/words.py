@@ -135,29 +135,31 @@ class Alphabet:
         """Split an identifier into generator indices (longest match first).
 
         `xy` over generators x, y gives [x, y]; `x1x2` over x1, x2 works the
-        same way.  Raises if no segmentation exists.
+        same way.  Raises if no segmentation exists.  Among several
+        segmentations the first one in longest-match-first search order wins.
         """
         by_len = sorted(range(len(self.names)), key=lambda i: -len(self.names[i]))
         n = len(token)
-        dead = set()
-
-        def walk(pos):
-            if pos == n:
-                return []
-            if pos in dead:
-                return None
-            for i in by_len:
-                name = self.names[i]
-                if token.startswith(name, pos):
-                    rest = walk(pos + len(name))
-                    if rest is not None:
-                        return [i] + rest
-            dead.add(pos)
-            return None
-
-        out = walk(0)
-        if out is None:
+        # pick[pos]: the generator the longest-first search takes at pos, or
+        # None when token[pos:] cannot be read; filled right to left, and
+        # pick[n] marks the end of the token
+        pick = [None] * n + [-1]
+        for pos in range(n - 1, -1, -1):
+            pick[pos] = next(
+                (
+                    i
+                    for i in by_len
+                    if token.startswith(self.names[i], pos)
+                    and pick[pos + len(self.names[i])] is not None
+                ),
+                None,
+            )
+        if pick[0] is None:
             raise KeyError(f"cannot read {token!r} as a product of generators")
+        out, pos = [], 0
+        while pos < n:
+            out.append(pick[pos])
+            pos += len(self.names[pick[pos]])
         return out
 
     def format_word(self, w: Word) -> str:

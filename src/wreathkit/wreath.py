@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .freealg import _acc
 from .linalg import Echelon
-from .quotient import AlgElement, Subspace, TruncatedAlgebra, _acc
+from .quotient import AlgElement, Subspace, TruncatedAlgebra
 from .scalars import FieldMismatchError, Scalar
 from .words import EMPTY_WORD, Word
 

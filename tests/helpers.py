@@ -1,5 +1,6 @@
 """Shared builders for randomized tests: algebras, elements, matrices, maps."""
 
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from wreathkit import (
@@ -85,3 +86,12 @@ def commutative_dim(m, d):
 
 def enumerate_words(m, d):
     return list(product(range(m), repeat=d))
+
+
+def assert_raw(field, c):
+    """c is a stored coefficient: nonzero, a Fraction over Q, a residue over GF(p)."""
+    assert not field.is_zero(c), "a zero coefficient is stored"
+    if field.kind == "rational":
+        assert isinstance(c, Fraction)
+    else:
+        assert isinstance(c, int) and 0 <= c < field.characteristic

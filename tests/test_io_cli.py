@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from wreathkit import BasisIndexing, Field, TruncatedAlgebra, WreathAlgebra
+from wreathkit import BasisIndexing, Field, ParseError, TruncatedAlgebra, WreathAlgebra
+from wreathkit.freealg import MAX_NESTING
 from wreathkit.io import (
     FileFormatError,
     gamma_to_text,
@@ -120,6 +121,16 @@ def test_wreath_expression_parsing(gamma_env):
     assert sq.s == wa.matrix_unit(1, 1, a_alg.gen("z") * a_alg.gen("z"))
 
 
+def test_wreath_expression_nesting_limit(gamma_env):
+    idx, a_alg = gamma_env
+    wa = WreathAlgebra(idx.host, a_alg, idx)
+    ok = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_wreath_expression(ok, wa) == parse_wreath_expression("x", wa)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_wreath_expression("(" * depth + "x" + ")" * depth, wa)
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 
@@ -171,6 +182,19 @@ def test_cli_exit_codes(tmp_path):
     out = run_cli("growth", "-p", str(tmp_path / "nope.pres"), "-N", "3")
     assert out.returncode == 1
     assert "error:" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "rel",
+    ["(" * 3000 + "x*y" + ")" * 3000 + " - y*x", "xy" * 2500 + " - yx"],
+    ids=["deep-parentheses", "long-word"],
+)
+def test_cli_deep_or_long_relation_is_a_clean_error(tmp_path, rel):
+    pres = tmp_path / "big.pres"
+    pres.write_text(FREE2 + f"rel {rel}\n")
+    out = run_cli("build", "-p", str(pres), "-N", "3")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
 
 def test_cli_gs_check():

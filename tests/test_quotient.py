@@ -19,7 +19,7 @@ from wreathkit import (
 )
 from wreathkit.linalg import dense_rank
 
-from helpers import commutative_dim, killed_above, make_algebra, random_element
+from helpers import assert_raw, commutative_dim, killed_above, make_algebra, random_element
 
 Q = Field.rationals()
 GF5 = Field.prime(5)
@@ -269,3 +269,21 @@ def test_growth_inexact_beyond_truncation():
     dims = growth_dims(alg, [alg.gen("x"), alg.gen("y")], 5)
     assert dims[2] == (14, True)
     assert dims[3][1] is False  # products of 4 factors escaped N=3
+
+
+@pytest.mark.parametrize(
+    "field", [Field.rationals(), Field.prime(2), Field.prime(2147483647)], ids=repr
+)
+def test_products_cancel_and_store_clean_coefficients(field):
+    rng = random.Random(41)
+    alg = make_algebra(field, ["x", "y"], ["x*y - y*x"], n=4, unital=True)
+    x, y = alg.gen("x"), alg.gen("y")
+    assert not (x * y - y * x).terms  # xy and yx meet on one normal word
+    for _ in range(40):
+        a, b, c = (random_element(alg, rng, max_degree=2, unit=True) for _ in range(3))
+        assert not (a + (-a)).terms and not (a * b - b * a).terms
+        left, right = a * (b + c), a * b + a * c
+        assert left == right
+        for e in (left, a + b, a - b, a * b):
+            for v in e.terms.values():
+                assert_raw(field, v)

@@ -3,8 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathkit import Alphabet, EMPTY_WORD, Field, FreeElement, ParseError, parse_element
+from wreathkit.freealg import MAX_NESTING
+
+from helpers import assert_raw
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -139,6 +144,24 @@ def test_parser_errors():
         parse_element("", XY, Q)
 
 
+def test_parser_nesting_limit():
+    ok = "(" * MAX_NESTING + "x*y" + ")" * MAX_NESTING
+    assert parse_element(ok, XY, Q) == parse_element("x*y", XY, Q)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_element("(" * depth + "x" + ")" * depth, XY, Q)
+
+
+def test_segment_long_and_backtracking_tokens():
+    assert XY.segment("xy" * 2500) == [0, 1] * 2500
+    # longest match first, backing off when the rest cannot be read
+    ab = Alphabet([("a", 1), ("ab", 1), ("bc", 1)])
+    assert ab.segment("abc") == [0, 2]
+    assert ab.segment("abab") == [1, 1]
+    with pytest.raises(KeyError):
+        ab.segment("abcb")
+
+
 def test_format_round_trip():
     rng = random.Random(3)
     for _ in range(100):
@@ -160,3 +183,60 @@ def test_format_round_trip_gf():
             terms[XY.word(letters)] = gf.sample(rng)
         e = FreeElement(XY, gf, terms)
         assert parse_element(e.format(), XY, gf) == e
+
+
+# -- accumulation: cancellation and stored coefficients ------------------------
+
+ACC_FIELDS = [Q, GF2, Field.prime(2147483647)]
+ACC_WORDS = [XY.word(t) for d in (0, 1, 2) for t in product(range(2), repeat=d)]
+
+
+@st.composite
+def free_elements(draw, field):
+    coeff = (
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        if field.kind == "rational"
+        else st.integers(0, field.characteristic - 1)
+    )
+    support = draw(st.lists(st.sampled_from(ACC_WORDS), max_size=5, unique=True))
+    return FreeElement(XY, field, {w: draw(coeff) for w in support})
+
+
+def reference_terms(field, pairs):
+    """Sum of (word, coefficient) pairs by plain accumulation from zero."""
+    out = {}
+    for w, c in pairs:
+        out[w] = field.add(out.get(w, field.zero), c)
+    return {w: c for w, c in out.items() if not field.is_zero(c)}
+
+
+def assert_stored(e):
+    for c in e.terms.values():
+        assert_raw(e.field, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_free_sums_and_products_store_clean_coefficients(data):
+    f = data.draw(st.sampled_from(ACC_FIELDS))
+    a, b = data.draw(free_elements(f)), data.draw(free_elements(f))
+    total, prod = a + b, a * b
+    assert total.terms == reference_terms(f, [*a.terms.items(), *b.terms.items()])
+    assert prod.terms == reference_terms(
+        f, [(u * v, f.mul(cu, cv)) for u, cu in a.terms.items() for v, cv in b.terms.items()]
+    )
+    assert not (a + (-a)).terms and not (a - a).terms
+    for e in (total, prod, a - b, a * b - b * a):
+        assert_stored(e)
+
+
+@pytest.mark.parametrize("field", ACC_FIELDS, ids=repr)
+def test_free_cancellation_examples(field):
+    one = FreeElement(XY, field, {EMPTY_WORD: field.one})
+    x, y = gen(XY, field, "x"), gen(XY, field, "y")
+    # (1 + x)(1 - x) = 1 - x^2: the two x terms cancel inside one product
+    e = (one + x) * (one - x)
+    assert e == one - x * x
+    assert XY.gen(0) not in e.terms
+    assert not ((x + y) * x - x * x - y * x).terms
+    assert_stored(e)
