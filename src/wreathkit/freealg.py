@@ -20,6 +20,11 @@ from .words import EMPTY_WORD, Alphabet, Word
 # Python's recursion limit.
 MAX_NESTING = 100
 
+# Largest exponent `^n` the parsers accept.  A power is expanded as written
+# (a word of n letters, n multiplications) before any degree check, so an
+# unbounded n would cost memory and time in proportion to it.
+MAX_EXPONENT = 1000
+
 
 class ParseError(ValueError):
     def __init__(self, message, pos=None):
@@ -301,7 +306,7 @@ class _Parser:
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "^":
                 self.take()
-                n = self._power_exponent()
+                n = power_exponent(self.take())
                 # the power binds the last letter: x*y^2 == xy^2 == x y y
                 letters = letters[:-1] + [letters[-1]] * n
             return FreeElement.from_word(alphabet, f, alphabet.word(letters))
@@ -315,29 +320,34 @@ class _Parser:
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "^":
                 self.take()
-                n = self._power_exponent()
+                n = power_exponent(self.take())
                 if n == 0:
                     return FreeElement(alphabet, f, {EMPTY_WORD: f.one})
                 return e**n
             return e
         raise ParseError(f"unexpected token {val!r}", pos)
 
-    def _power_exponent(self) -> int:
-        kind, val, pos = self.take()
-        if kind != "num":
-            raise ParseError("expected an integer exponent", pos)
-        return int(val)
-
     def _maybe_power_scalar(self, raw):
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            n = self._power_exponent()
+            n = power_exponent(self.take())
             out = self.field.one
             for _ in range(n):
                 out = self.field.mul(out, raw)
             return out
         return raw
+
+
+def power_exponent(token) -> int:
+    """The exponent after a `^`, checked against `MAX_EXPONENT`."""
+    kind, val, pos = token
+    if kind != "num":
+        raise ParseError("expected an integer exponent", pos)
+    # lengths first: int() refuses a string of more than 4300 digits
+    if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+        raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}", pos)
+    return int(val)
 
 
 def parse_element(text: str, alphabet: Alphabet, field: Field) -> FreeElement:

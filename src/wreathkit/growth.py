@@ -105,30 +105,51 @@ class FiltrationSchedule:
         return k
 
     def faithful(self):
-        """Certified check of the analytic constraints; returns (bool, rows)."""
+        """Certified check of the analytic constraints; returns (bool, rows).
+
+        Both constraints are compared in log space: n_k > e**n_{k-1} iff
+        log n_k > n_{k-1}, and n_k > e**e**k iff log n_k > e**k, with log n_k
+        from `log_interval` and e**k from `exp_bounds`.  n_{k-1} = 0 and
+        n_k = 1 are decided exactly.  An enclosure that straddles its bound
+        is sharpened, up to a cap past which the comparison is given up.
+        """
         rows = []
         ok = True
         for k in range(1, len(self.thresholds) + 1):
-            n_k = Fraction(self.threshold(k))
-            lo1, hi1 = exp_bounds(Fraction(self.threshold(k - 1)))
-            cond1 = n_k > hi1 if n_k > hi1 or n_k <= lo1 else None
-            lo_e, hi_e = exp_bounds(Fraction(k))
-            lo2, hi2 = exp_bounds(lo_e)[0], exp_bounds(hi_e)[1]
-            cond2 = n_k > hi2 if n_k > hi2 or n_k <= lo2 else None
-            terms = 60
+            n_k, prev = self.threshold(k), self.threshold(k - 1)
+            cond1 = n_k > 1 if prev == 0 else None
+            cond2 = False if n_k == 1 else None
+            digits, terms = 60, 40
             while cond1 is None or cond2 is None:
-                # sharpen the enclosures until the integer comparison resolves
-                terms *= 2
-                lo1, hi1 = exp_bounds(Fraction(self.threshold(k - 1)), terms)
-                cond1 = True if n_k > hi1 else (False if n_k <= lo1 else None)
-                lo_e, hi_e = exp_bounds(Fraction(k), terms)
-                lo2, hi2 = exp_bounds(lo_e, terms)[0], exp_bounds(hi_e, terms)[1]
-                cond2 = True if n_k > hi2 else (False if n_k <= lo2 else None)
-                if terms > 10000:
+                if digits > _FAITHFUL_MAX_DIGITS:
                     raise RuntimeError("exponential comparison did not resolve")
-            rows.append((k, int(n_k), bool(cond1), bool(cond2)))
+                log_n = log_interval(n_k, digits)
+                if cond1 is None:
+                    cond1 = _exceeds(log_n, prev, prev)
+                if cond2 is None:
+                    cond2 = _exceeds(log_n, *exp_bounds(Fraction(k), terms))
+                # sharpen whatever did not resolve
+                digits *= 2
+                terms *= 2
+            rows.append((k, n_k, cond1, cond2))
             ok = ok and cond1 and cond2
         return ok, rows
+
+
+# Precision cap of the log-space comparison in `FiltrationSchedule.faithful`:
+# the last attempt uses 7680 digits, so an unresolved comparison means log n_k
+# lies within about 10**-7600 of its bound.
+_FAITHFUL_MAX_DIGITS = 10000
+
+
+def _exceeds(x: "RatInterval", lo, hi):
+    """Whether a value enclosed by x exceeds one enclosed by [lo, hi]; None
+    when the enclosures overlap."""
+    if x.lo > hi:
+        return True
+    if x.hi <= lo:
+        return False
+    return None
 
 
 # -- weighted image spans (the W chain) --------------------------------------
@@ -630,23 +651,33 @@ def _mpf_to_fraction(x) -> Fraction:
     return -f if sign else f
 
 
-_LOG_PAD = Fraction(1, 10**40)
+def _mpf_of_int(n: int):
+    """n as an mpf at the working precision.  An int longer than twice that
+    precision is cut to 2*prec bits first (a relative change under
+    2**-(2*prec), far below the rounding to prec bits that follows): mpmath's
+    pure-Python backend takes seconds to normalise a million-bit power of 2."""
+    shift = n.bit_length() - 2 * mpmath.mp.prec
+    if shift <= 0:
+        return mpmath.mpf(n)
+    return mpmath.ldexp(mpmath.mpf(n >> shift), shift)
 
 
-def log_interval(x) -> RatInterval:
+def log_interval(x, digits: int = 60) -> RatInterval:
     """A certified rational enclosure of log(x) for rational x > 0.
 
-    mpmath evaluates at 60 digits (error under one unit in the 59th place);
-    the enclosure pads by 10**-40, a margin millions of times wider than the
-    worst-case rounding error.
+    mpmath evaluates at `digits` digits (relative rounding error about
+    10**-digits); the enclosure pads by 10**-(digits - 20), a margin
+    millions of times wider than the worst-case rounding error for every
+    log(x) below 10**10.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log of a nonpositive value")
-    with mpmath.workdps(60):
-        v = mpmath.log(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
+    with mpmath.workdps(digits):
+        v = mpmath.log(_mpf_of_int(x.numerator) / _mpf_of_int(x.denominator))
     f = _mpf_to_fraction(v)
-    return RatInterval(f - _LOG_PAD, f + _LOG_PAD)
+    pad = Fraction(1, 10 ** (digits - 20))
+    return RatInterval(f - pad, f + pad)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .freealg import MAX_NESTING, ParseError, parse_element
+from .freealg import MAX_NESTING, ParseError, parse_element, power_exponent
 from .quotient import Presentation, TruncatedAlgebra
 from .scalars import Field
 from .words import EMPTY_WORD, Alphabet
@@ -290,10 +290,7 @@ class _WreathParser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            k, v, pos = self.take()
-            if k != "num":
-                raise ParseError("expected an integer exponent", pos)
-            return e ** int(v)
+            return e ** power_exponent(self.take())
         return e
 
     def _int_arg(self):

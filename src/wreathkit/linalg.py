@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over ordered coordinate keys.
 
 `Echelon` keeps a reduced-echelon collection of sparse vectors.  Keys can be
-any totally ordered hashables (words, matrix-entry tags, ...); the pivot of a
-row is its greatest key, and rows are fully inter-reduced so no row contains
-another row's pivot.  That makes reduction a single pass and dimensions,
-membership, and pivot bookkeeping deterministic.
+any totally ordered hashables (words, packed wreath coordinates, ...); the
+pivot of a row is its greatest key, and rows are fully inter-reduced so no row
+contains another row's pivot.  That makes reduction a single pass and
+dimensions, membership, and pivot bookkeeping deterministic.
 
 A row holds no key above its own pivot: the pivot is the row's greatest key
 when it is inserted, and back-reduction by a later row only brings in keys at
@@ -24,6 +24,42 @@ from bisect import bisect_right
 from .scalars import Field
 
 
+def _eliminate(v: dict, row: dict, c, p: int) -> None:
+    """v -= c * row in place, dropping the keys that cancel.
+
+    p is the field characteristic: raw residues mod p when p > 0, `Fraction`
+    values over the rationals when p == 0.  This is the elimination step of
+    every `Echelon` operation, so it does its own arithmetic instead of a
+    `Field` call per term.  c and the row entries are nonzero, so a key that
+    v lacks takes -c * val, which is never zero, with no subtraction.
+    """
+    get = v.get
+    if p:
+        m = p - c
+        for key, val in row.items():
+            x = get(key)
+            if x is None:
+                v[key] = m * val % p
+            else:
+                s = (x + m * val) % p
+                if s:
+                    v[key] = s
+                else:
+                    del v[key]
+    else:
+        m = -c
+        for key, val in row.items():
+            x = get(key)
+            if x is None:
+                v[key] = m * val
+            else:
+                s = x + m * val
+                if s:
+                    v[key] = s
+                else:
+                    del v[key]
+
+
 class Echelon:
     __slots__ = ("field", "rows", "pivots", "reps", "_order", "_ordered_rows")
 
@@ -41,43 +77,35 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after eliminating every pivot key.  Input not mutated."""
-        f = self.field
-        v = {k: c for k, c in vec.items() if not f.is_zero(c)}
-        hits = sorted((k for k in v if k in self.pivots), reverse=True)
-        for k in hits:
+        p = self.field.characteristic
+        v = {k: c for k, c in vec.items() if c}
+        pivots, rows = self.pivots, self.rows
+        # rows hold no other row's pivot, so eliminating one never adds a hit
+        for k in sorted((k for k in v if k in pivots), reverse=True):
             c = v.get(k)
-            if c is None or f.is_zero(c):
-                continue
-            row = self.rows[self.pivots[k]]
-            for key, val in row.items():
-                s = f.sub(v.get(key, f.zero), f.mul(c, val))
-                if f.is_zero(s):
-                    v.pop(key, None)
-                else:
-                    v[key] = s
+            if c:
+                _eliminate(v, rows[pivots[k]], c, p)
         return v
 
     def insert(self, vec: dict, payload=None) -> bool:
         """Add a vector; returns True when it increased the rank."""
-        f = self.field
         v = self.reduce(vec)
         if not v:
             return False
+        f = self.field
+        p = f.characteristic
         pivot = max(v)
         inv = f.inv(v[pivot])
-        row = {k: f.mul(inv, c) for k, c in v.items()}
+        if p:
+            row = {k: inv * c % p for k, c in v.items()}
+        else:
+            row = {k: inv * c for k, c in v.items()}
         order, ordered_rows = self._order, self._ordered_rows
         at = bisect_right(order, pivot)
         for other in ordered_rows[at:]:
             c = other.get(pivot)
-            if c is None:
-                continue
-            for key, val in row.items():
-                s = f.sub(other.get(key, f.zero), f.mul(c, val))
-                if f.is_zero(s):
-                    other.pop(key, None)
-                else:
-                    other[key] = s
+            if c is not None:
+                _eliminate(other, row, c, p)
         self.pivots[pivot] = len(self.rows)
         self.rows.append(row)
         order.insert(at, pivot)

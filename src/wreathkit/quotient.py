@@ -63,7 +63,10 @@ class Presentation:
             if not r:
                 raise PresentationError("zero relation")
             if not r.is_homogeneous():
-                raise PresentationError(f"inhomogeneous relation: {r.format()}")
+                text = r.format()
+                if len(text) > 80:
+                    text = text[:80] + "…"
+                raise PresentationError(f"inhomogeneous relation: {text}")
             if EMPTY_WORD in r.terms:
                 raise PresentationError("relations may not involve the empty word")
 

@@ -398,7 +398,7 @@ class GammaMap:
 class WreathAlgebra:
     """Factory and context for wreath elements over fixed hosts B and A."""
 
-    __slots__ = ("b_host", "a_host", "indexing")
+    __slots__ = ("b_host", "a_host", "indexing", "a_indexing")
 
     def __init__(self, b_host: TruncatedAlgebra, a_host: TruncatedAlgebra, indexing=None):
         if b_host.field != a_host.field:
@@ -408,6 +408,8 @@ class WreathAlgebra:
         self.indexing = indexing if indexing is not None else BasisIndexing(b_host)
         if self.indexing.host is not b_host:
             raise ValueError("indexing over a different host")
+        # A's basis words numbered once, for the packed span coordinates
+        self.a_indexing = BasisIndexing(a_host)
 
     @property
     def field(self):
@@ -529,13 +531,22 @@ class WreathElement:
 
 
 def wreath_coords(e: WreathElement) -> dict:
-    """Sparse coordinates of a wreath element for exact span computations."""
-    vec = {}
-    for w, c in e.b.terms.items():
-        vec[("b", w)] = c
+    """Sparse coordinates of a wreath element for exact span computations.
+
+    Keys are ints that sort like the tuples ("b", w) < ("s", i, j, w): a
+    b-part word is its B index 1..nB, and the A-word w of entry (i, j) is
+    nB + ((i-1)*nB + (j-1))*nA + idx_A(w).  Both indexings number the words
+    degree-major in deglex order, the order of `Word` itself, so pivots and
+    residuals come out as with the tuple keys, at the cost of int hashing.
+    """
+    wa = e.algebra
+    b_index, a_index = wa.indexing._index, wa.a_indexing._index
+    nb, na = len(b_index), len(a_index)
+    vec = {b_index[w]: c for w, c in e.b.terms.items()}
     for (i, j), a in e.s.entries.items():
+        base = nb + ((i - 1) * nb + (j - 1)) * na
         for w, c in a.terms.items():
-            vec[("s", i, j, w)] = c
+            vec[base + a_index[w]] = c
     return vec
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -398,6 +399,53 @@ def test_faithfulness_verdicts():
     # n_1 = 15 fails e**e** 1 ~ 15.15
     ok_edge, _ = FiltrationSchedule([15, 9_000_000]).faithful()
     assert not ok_edge
+
+
+def faithful_by_taylor(thresholds):
+    """Reference rows: e**x enclosed directly by `exp_bounds`, sharpened by
+    adding Taylor terms until every integer comparison resolves."""
+    rows = []
+    for k, n_k in enumerate(thresholds, start=1):
+        prev = thresholds[k - 2] if k > 1 else 0
+        terms = 40
+        while True:
+            lo1, hi1 = exp_bounds(Fraction(prev), terms)
+            lo_e, hi_e = exp_bounds(Fraction(k), terms)
+            lo2, hi2 = exp_bounds(lo_e, terms)[0], exp_bounds(hi_e, terms)[1]
+            if (n_k > hi1 or n_k <= lo1) and (n_k > hi2 or n_k <= lo2):
+                break
+            terms *= 2
+        rows.append((k, n_k, n_k > hi1, n_k > hi2))
+    return rows
+
+
+def test_faithful_log_space_matches_taylor_route():
+    rng = random.Random(5)
+    schedules = [[1], [1, 2, 3], [2, 4, 6], [3, 21], [3, 20], [15, 16], [16, 17, 20]]
+    for _ in range(30):
+        schedules.append(sorted(rng.sample(range(1, 400), rng.randint(1, 4))))
+    for thresholds in schedules:
+        ok, rows = FiltrationSchedule(thresholds).faithful()
+        assert rows == faithful_by_taylor(thresholds)
+        assert ok == all(c1 and c2 for _, _, c1, c2 in rows)
+
+
+def test_faithful_resolves_huge_thresholds_fast():
+    start = time.perf_counter()
+    ok, rows = FiltrationSchedule([1, 3, 30, 2000, 10**5, 10**7]).faithful()
+    assert time.perf_counter() - start < 1.0
+    assert not ok
+    assert rows == [
+        (1, 1, False, False),
+        (2, 3, True, False),
+        (3, 30, True, False),
+        (4, 2000, False, False),
+        (5, 10**5, False, False),
+        (6, 10**7, False, False),
+    ]
+    # a faithful schedule of the paper's size: log(2**14_000_000) ~ 9.7e6 > 9e6
+    ok, rows = FiltrationSchedule([16, 9_000_000, 2**14_000_000]).faithful()
+    assert ok and [r[2:] for r in rows] == [(True, True)] * 3
 
 
 def test_window_lookup():

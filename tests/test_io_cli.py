@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from wreathkit import BasisIndexing, Field, ParseError, TruncatedAlgebra, WreathAlgebra
-from wreathkit.freealg import MAX_NESTING
+from wreathkit.freealg import MAX_EXPONENT, MAX_NESTING
 from wreathkit.io import (
     FileFormatError,
     gamma_to_text,
@@ -131,6 +131,15 @@ def test_wreath_expression_nesting_limit(gamma_env):
             parse_wreath_expression("(" * depth + "x" + ")" * depth, wa)
 
 
+def test_wreath_expression_exponent_limit(gamma_env):
+    idx, a_alg = gamma_env
+    wa = WreathAlgebra(idx.host, a_alg, idx)
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse_wreath_expression(f"x^{MAX_EXPONENT + 1}", wa)
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse_wreath_expression("(x + e(1,1,z))^3000000", wa)
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 
@@ -195,6 +204,24 @@ def test_cli_deep_or_long_relation_is_a_clean_error(tmp_path, rel):
     out = run_cli("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def test_cli_huge_exponent_is_a_clean_error(tmp_path):
+    pres = tmp_path / "power.pres"
+    pres.write_text(FREE2 + "rel x^3000000\n")
+    out = run_cli("build", "-p", str(pres), "-N", "3")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "exceeds the limit" in out.stderr
+
+
+def test_cli_inhomogeneous_relation_message_is_short(tmp_path):
+    pres = tmp_path / "long.pres"
+    pres.write_text(FREE2 + "rel " + "xy" * 2500 + " - yx\n")
+    out = run_cli("build", "-p", str(pres), "-N", "3")
+    assert out.returncode == 1
+    first = out.stderr.splitlines()[0]
+    assert first.startswith("error: ") and "inhomogeneous relation" in first
+    assert len(first) < 200
 
 
 def test_cli_gs_check():

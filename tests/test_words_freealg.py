@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathkit import Alphabet, EMPTY_WORD, Field, FreeElement, ParseError, parse_element
-from wreathkit.freealg import MAX_NESTING
+from wreathkit.freealg import MAX_EXPONENT, MAX_NESTING
 
 from helpers import assert_raw
 
@@ -150,6 +150,16 @@ def test_parser_nesting_limit():
     for depth in (MAX_NESTING + 1, 3000):
         with pytest.raises(ParseError, match="nested deeper"):
             parse_element("(" * depth + "x" + ")" * depth, XY, Q)
+
+
+def test_parser_exponent_limit():
+    x = parse_element("x", XY, Q)
+    assert parse_element(f"x^{MAX_EXPONENT}", XY, Q).degree() == MAX_EXPONENT
+    assert parse_element("(x)^0003", XY, Q) == x * x * x
+    too_big = [f"x^{MAX_EXPONENT + 1}", "x^3000000", "(x+y)^3000000", "2^3000000", "x^" + "9" * 5000]
+    for text in too_big:
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_element(text, XY, Q)
 
 
 def test_segment_long_and_backtracking_tokens():

@@ -7,15 +7,19 @@ from wreathkit import (
     BasisIndexing,
     Field,
     GammaMap,
+    Scalar,
     ScalarMatrix,
     WreathAlgebra,
+    WreathSpan,
     left_mult_matrix,
     matrix_unit_generation_check,
     nilpotency_check,
     nilpotent_host_embedding_check,
     unipotent_inverse,
     unit_row_projection,
+    wreath_coords,
 )
+from wreathkit.linalg import Echelon, dense_rank
 from wreathkit.words import Alphabet
 from wreathkit.quotient import Presentation, TruncatedAlgebra
 
@@ -384,3 +388,72 @@ def test_generation_check_with_coefficients():
     gamma = {2: a_alg.gen("z"), 1: a_alg.unit()}
     rep = matrix_unit_generation_check(b_alg, a_alg, gamma, index_cap=2)
     assert rep.ok, rep.missing
+
+
+# -- packed span coordinates ----------------------------------------------------
+
+
+def tuple_coords(e):
+    """Reference coordinates: keys ("b", w) and ("s", i, j, w), ordered as tuples."""
+    vec = {("b", w): c for w, c in e.b.terms.items()}
+    for (i, j), a in e.s.entries.items():
+        for w, c in a.terms.items():
+            vec[("s", i, j, w)] = c
+    return vec
+
+
+def packed_cases(field):
+    """Wreath algebras over unital, non-unital and unipotent-indexed hosts."""
+    b_unital = make_algebra(field, ["x", "y"], ["x*y - y*x"], n=3, unital=True)
+    b_nil = make_algebra(field, ["x", "y"], ["x*x"], n=2)
+    a_unital = make_algebra(field, ["z", "w"], ["z*w"], n=3, unital=True)
+    a_nil = make_algebra(field, ["z"], ["z^3"], n=3)
+    return [
+        WreathAlgebra(b_unital, a_unital),
+        WreathAlgebra(b_nil, a_nil),
+        WreathAlgebra(b_unital, a_nil, BasisIndexing(b_unital, unipotent=True)),
+    ]
+
+
+def span_elements(wa, rng):
+    """Random elements plus sums and products of them, so that spans see
+    dependent vectors as well as independent ones."""
+    base = [
+        random_wreath(wa, rng, b_degree_cap=2, n_entries=4, row_degree_cap=2)
+        for _ in range(12)
+    ]
+    sums = [a + b.scale(Scalar(wa.field, wa.field.sample(rng))) for a, b in zip(base, base[3:])]
+    prods = [a * b for a, b in zip(base, base[1:6])]
+    return base + sums + prods + [sums[0] - base[0]]
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), Field.prime(101), Q], ids=repr)
+def test_packed_coords_sort_like_tuple_keys(field):
+    rng = random.Random(31)
+    for wa in packed_cases(field):
+        packed_of = {}
+        for e in span_elements(wa, rng):
+            packed, ref = wreath_coords(e), tuple_coords(e)
+            # both are built in the same order, key for key
+            assert list(packed.values()) == list(ref.values())
+            for key, int_key in zip(ref, packed):
+                assert packed_of.setdefault(key, int_key) == int_key
+        assert len(set(packed_of.values())) == len(packed_of)
+        assert [packed_of[k] for k in sorted(packed_of)] == sorted(packed_of.values())
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), Field.prime(101), Q], ids=repr)
+def test_packed_span_matches_tuple_keyed_rank(field):
+    rng = random.Random(32)
+    for wa in packed_cases(field):
+        elements = span_elements(wa, rng)
+        span = WreathSpan(wa, elements)
+        ref = [tuple_coords(e) for e in elements]
+        assert span.dim == dense_rank(ref, field)
+        # the same pivots as an echelon over the tuple keys
+        ech = Echelon(field)
+        packed_of = {}
+        for e, vec in zip(elements, ref):
+            ech.insert(vec)
+            packed_of.update(zip(vec, wreath_coords(e)))
+        assert {packed_of[k] for k in ech.pivot_keys()} == span._ech.pivot_keys()
