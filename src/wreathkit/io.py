@@ -297,7 +297,10 @@ class _WreathParser:
         kind, val, pos = self.take()
         if kind != "num":
             raise ParseError("expected a basis index", pos)
-        return int(val)
+        i, n = int(val), len(self.wa.indexing)
+        if not 1 <= i <= n:
+            raise ParseError(f"basis index {i} out of range 1..{n}", pos)
+        return i
 
     def expect_comma(self):
         kind, val, pos = self.take()

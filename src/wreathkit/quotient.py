@@ -114,7 +114,7 @@ class TruncatedAlgebra:
         self._basis = [[] for _ in range(truncation_degree + 1)]
         self._normal = set()
         self._reduction = {}  # pivot candidate word -> normal-form expansion
-        self._pair_cache = {}  # (basis word, basis word) -> (nf vector, escaped)
+        self._pair_cache = {}  # basis word u -> {basis word v: (nf vector, escaped)}
         self._build(by_degree)
         self._zero_above = self._zero_certificate()
 
@@ -332,43 +332,53 @@ class TruncatedAlgebra:
         return AlgElement(self, terms, flag)
 
     def _word_pair_product(self, u: Word, v: Word):
-        """Memoized normal form of a product of two basis words.
+        """Normal form of a product of two basis words; `_mul_terms` memoizes it.
 
         Returns (vector, escaped): `escaped` means the concatenation left the
         truncation with an unknown (nonzero-certified) remainder.
         """
-        key = (u, v)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
         d = u.degree + v.degree
         if d > self.truncation_degree:
-            escaped = self._zero_above is None or d < self._zero_above
-            result = ({}, escaped)
-        else:
-            vec = {v: self.field.one}
-            for x in reversed(u.letters):
-                if not vec:
-                    break
-                vec = self._apply_letter(x, vec)
-            result = (vec, False)
-        self._pair_cache[key] = result
-        return result
+            return {}, self._zero_above is None or d < self._zero_above
+        vec = {v: self.field.one}
+        for x in reversed(u.letters):
+            if not vec:
+                break
+            vec = self._apply_letter(x, vec)
+        return vec, False
 
     def _mul_terms(self, a: dict, b: dict, policy: str):
-        """Product of two normal-coordinate term maps; returns (terms, flag)."""
-        f = self.field
+        """Product of two normal-coordinate term maps; returns (terms, flag).
+
+        Word-pair products are memoized per left word.  The arithmetic is
+        inline, as in `linalg._eliminate`: over GF(p) the sums are reduced
+        mod p once, at the end; over the rationals they are `Fraction` sums.
+        Either way the zeros are dropped at the end.
+        """
+        p = self.field.characteristic
+        cache = self._pair_cache
         out, flag = {}, False
+        get = out.get
         for u, cu in a.items():
+            if not u.letters:  # the unit word
+                for v, cv in b.items():
+                    c = cu * cv
+                    x = get(v)
+                    out[v] = c if x is None else x + c
+                continue
+            products = cache.get(u)
+            if products is None:
+                products = cache[u] = {}
             for v, cv in b.items():
-                c = f.mul(cu, cv)
-                if u.is_empty:
-                    _acc(out, v, c, f)
+                c = cu * cv % p if p else cu * cv
+                if not v.letters:
+                    x = get(u)
+                    out[u] = c if x is None else x + c
                     continue
-                if v.is_empty:
-                    _acc(out, u, c, f)
-                    continue
-                vec, escaped = self._word_pair_product(u, v)
+                hit = products.get(v)
+                if hit is None:
+                    hit = products[v] = self._word_pair_product(u, v)
+                vec, escaped = hit
                 if escaped:
                     if policy == "reject":
                         raise TruncationOverflow(
@@ -377,8 +387,11 @@ class TruncatedAlgebra:
                         )
                     flag = True
                 for w, cw in vec.items():
-                    _acc(out, w, f.mul(c, cw), f)
-        return out, flag
+                    x = get(w)
+                    out[w] = c * cw if x is None else x + c * cw
+        if p:
+            return {w: r for w, x in out.items() if (r := x % p)}, flag
+        return {w: x for w, x in out.items() if x}, flag
 
     def __repr__(self):
         return (

@@ -12,6 +12,8 @@ b_i (x) entry -- i.e. columns are inputs, rows are outputs.  Multiplication:
     (b1, S1) * (b2, S2)  =  (b1*b2,  L(b1) S2  +  S1 L(b2)  +  S1 S2)
 
 where L(b) is the scalar matrix of left multiplication by b on the basis.
+L(b) is never multiplied out afresh: `BasisIndexing` tabulates w*b_j once
+per host basis word w, and L(b) follows from those tables by linearity.
 S1 L(b2) is always exact within the truncation, since S1 vanishes on every
 basis vector outside its finite column support; L(b1) S2 genuinely loses the
 rows that escape the truncation and flags the result.
@@ -41,7 +43,7 @@ class BasisIndexing:
     instead of the word w_i.
     """
 
-    __slots__ = ("host", "words", "_index", "unipotent")
+    __slots__ = ("host", "words", "_index", "unipotent", "_tables")
 
     def __init__(self, host: TruncatedAlgebra, unipotent: bool = False):
         if unipotent and not host.unital:
@@ -50,6 +52,7 @@ class BasisIndexing:
         self.unipotent = unipotent
         self.words = host.basis_words()
         self._index = {w: i + 1 for i, w in enumerate(self.words)}
+        self._tables = {}  # basis word -> _LeftAction, filled on first use
 
     def __len__(self):
         return len(self.words)
@@ -74,6 +77,58 @@ class BasisIndexing:
         if self.unipotent:
             e = host.unit() + e
         return e
+
+    def left_action(self, w: Word) -> "_LeftAction":
+        """The table of x -> w*x on this basis, for a host basis word w.
+
+        Built on first use from one product w*b_j per basis index j; every
+        later left multiplication by an element with w among its terms reads
+        it instead of multiplying again.
+        """
+        table = self._tables.get(w)
+        if table is None:
+            host = self.host
+            we = AlgElement(host, {w: host.field.one})
+            cols, escaped, rows = [None], [False], {}
+            for j in range(1, len(self.words) + 1):
+                prod = _mul_quiet(we, self.basis_element(j))
+                coords = self.element_coords(prod)
+                cols.append(coords)
+                escaped.append(prod.flag)
+                for i, c in coords.items():
+                    rows.setdefault(i, {})[j] = c
+            table = self._tables[w] = _LeftAction(cols, escaped, rows, any(escaped))
+        return table
+
+    def product_column(self, b: AlgElement, j: int):
+        """Coordinates of b*b_j, and whether that product escaped the truncation.
+
+        By linearity over b's terms; the escape flag is the OR of its words'
+        flags, as `_mul_terms` flags per word pair.  The coordinates may be a
+        table's own dict: read them, never mutate them.
+        """
+        parts, escaped = [], False
+        for w, c in b.terms.items():
+            table = self.left_action(w)
+            parts.append((c, table.cols[j]))
+            escaped = escaped or table.escaped[j]
+        return _combine(parts, self.host.field.characteristic), escaped
+
+    def product_row(self, b: AlgElement, k: int) -> dict:
+        """Row k of L(b), as {j: coefficient of basis vector k in b*b_j}.
+
+        Like `product_column`, the result may be a table's own dict.
+        """
+        parts = []
+        for w, c in b.terms.items():
+            row = self.left_action(w).rows.get(k)
+            if row:
+                parts.append((c, row))
+        return _combine(parts, self.host.field.characteristic)
+
+    def escapes(self, b: AlgElement) -> bool:
+        """Whether b*b_j escapes the truncation for some basis index j."""
+        return any(self.left_action(w).any_escaped for w in b.terms)
 
     def element_coords(self, e: AlgElement) -> dict:
         """Coordinates of an element in this basis, as {index: raw}."""
@@ -111,6 +166,64 @@ class BasisIndexing:
         if not f.is_zero(unit_total):
             terms[EMPTY_WORD] = unit_total
         return AlgElement(host, terms)
+
+
+class _LeftAction:
+    """Left multiplication by one host basis word w, tabulated on a basis.
+
+    cols[j] is the coordinate dict {i: c} of w*b_j and escaped[j] whether
+    that product left the truncation (index 0 is unused); rows[k] is
+    {j: c} for the j whose product has coordinate c at k, i.e. row k of
+    L(w); any_escaped is the OR of escaped.
+    """
+
+    __slots__ = ("cols", "escaped", "rows", "any_escaped")
+
+    def __init__(self, cols, escaped, rows, any_escaped):
+        self.cols = cols
+        self.escaped = escaped
+        self.rows = rows
+        self.any_escaped = any_escaped
+
+
+def _combine(parts, p: int) -> dict:
+    """sum of c * vec over the (c, vec) in parts, with no zero values kept.
+
+    p is the field characteristic (0 over the rationals), so the arithmetic
+    is inline, as in `linalg._eliminate`.  A single part with c == 1 is
+    returned as it is, without a copy.
+    """
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    out = {}
+    get = out.get
+    for c, vec in parts:
+        for key, val in vec.items():
+            x = get(key)
+            out[key] = c * val if x is None else x + c * val
+    if p:
+        return {key: r for key, x in out.items() if (r := x % p)}
+    return {key: x for key, x in out.items() if x}
+
+
+def _scaled_sum(terms, a_host: TruncatedAlgebra) -> dict:
+    """{(i, j): sum of c*a} over the ((i, j), c, a) in terms, as A-elements.
+
+    c is a raw scalar, a an A-element.  Zero sums are left out, and an entry
+    is flagged when one of its summands is.
+    """
+    parts, flagged = {}, set()
+    for key, c, a in terms:
+        parts.setdefault(key, []).append((c, a.terms))
+        if a.flag:
+            flagged.add(key)
+    p = a_host.field.characteristic
+    out = {}
+    for key, summands in parts.items():
+        t = _combine(summands, p)
+        if t:
+            out[key] = AlgElement(a_host, t, key in flagged)
+    return out
 
 
 class ScalarMatrix:
@@ -168,14 +281,11 @@ def left_mult_matrix(b: AlgElement, indexing: BasisIndexing) -> ScalarMatrix:
     """
     if b.host is not indexing.host:
         raise ValueError("element and indexing over different algebras")
-    entries, flag = {}, b.flag
+    entries = {}
     for j in range(1, len(indexing) + 1):
-        prod = _mul_quiet(b, indexing.basis_element(j))
-        if prod.flag:
-            flag = True
-        for i, c in indexing.element_coords(prod).items():
+        for i, c in indexing.product_column(b, j)[0].items():
             entries[(i, j)] = c
-    return ScalarMatrix(indexing, entries, flag)
+    return ScalarMatrix(indexing, entries, b.flag or indexing.escapes(b))
 
 
 def _mul_quiet(a: AlgElement, b: AlgElement) -> AlgElement:
@@ -268,19 +378,15 @@ class SMatrix:
         Rows escaping the truncation are genuinely lost; the flag records it.
         """
         idx = self.indexing
-        out = {}
         flag = self.flag or b.flag
+        columns = {}  # k -> column k of L(b)
+        terms = []
         for (k, j), a in self.entries.items():
-            prod = _mul_quiet(b, idx.basis_element(k))
-            if prod.flag:
-                flag = True
-            for i, c in idx.element_coords(prod).items():
-                s = a.scale(c)
-                if not s:
-                    continue
-                cur = out.get((i, j))
-                out[(i, j)] = s if cur is None else cur + s
-        out = {k: v for k, v in out.items() if v}
+            if k not in columns:
+                columns[k], escaped = idx.product_column(b, k)
+                flag = flag or escaped
+            terms.extend(((i, j), c, a) for i, c in columns[k].items())
+        out = _scaled_sum(terms, self.a_host)
         return SMatrix(idx, self.a_host, out, flag)
 
     def rmul_b(self, b: AlgElement) -> "SMatrix":
@@ -294,23 +400,18 @@ class SMatrix:
         """
         idx = self.indexing
         cols = {}
-        for (i, j), a in self.entries.items():
-            cols.setdefault(j, []).append((i, a))
-        col1_loss = idx.unipotent and 1 in cols
-        out = {}
+        for (i, k), a in self.entries.items():
+            cols.setdefault(k, []).append((i, a))
         flag = self.flag or b.flag
-        for j in range(1, len(idx) + 1):
-            prod = _mul_quiet(b, idx.basis_element(j))
-            if prod.flag and col1_loss:
-                flag = True
-            for k, c in idx.element_coords(prod).items():
-                for i, a in cols.get(k, ()):
-                    s = a.scale(c)
-                    if not s:
-                        continue
-                    cur = out.get((i, j))
-                    out[(i, j)] = s if cur is None else cur + s
-        out = {k: v for k, v in out.items() if v}
+        if idx.unipotent and 1 in cols and not flag:
+            flag = idx.escapes(b)
+        terms = [
+            ((i, j), c, a)
+            for k, column in cols.items()
+            for j, c in idx.product_row(b, k).items()
+            for i, a in column
+        ]
+        out = _scaled_sum(terms, self.a_host)
         return SMatrix(idx, self.a_host, out, flag)
 
     def apply_column(self, j: int) -> dict:
@@ -520,11 +621,11 @@ class WreathElement:
         A-elements, and flag marks a b-part expansion that escaped the
         truncation."""
         idx = self.algebra.indexing
-        prod = _mul_quiet(self.b, idx.basis_element(j))
-        b_coords = {
-            i: Scalar(self.algebra.field, c) for i, c in idx.element_coords(prod).items()
-        }
-        return b_coords, self.s.apply_column(j), prod.flag
+        idx.word_at(j)  # the range check
+        coords, escaped = idx.product_column(self.b, j)
+        f = self.algebra.field
+        b_coords = {i: Scalar(f, c) for i, c in coords.items()}
+        return b_coords, self.s.apply_column(j), self.b.flag or escaped
 
     def __repr__(self):
         return f"({self.b.format()}; {self.s!r})"

@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from wreathkit import (
+    AlgElement,
     Alphabet,
     GammaMap,
     Presentation,
+    Scalar,
+    ScalarMatrix,
     SMatrix,
     TruncatedAlgebra,
     parse_element,
@@ -95,3 +98,66 @@ def assert_raw(field, c):
         assert isinstance(c, Fraction)
     else:
         assert isinstance(c, int) and 0 <= c < field.characteristic
+
+
+# -- reference host multiplication ---------------------------------------------
+# Left multiplication recomputed from scratch by multiplying with every basis
+# element b_j, with no tables: the oracle for `BasisIndexing.left_action` and
+# everything that reads it.
+
+
+def reference_product(b, indexing, j):
+    """(coordinates of b*b_j, flag of that product), by direct multiplication."""
+    terms, flag = b.host._mul_terms(b.terms, indexing.basis_element(j).terms, "truncate")
+    prod = AlgElement(b.host, terms, flag or b.flag)
+    return indexing.element_coords(prod), prod.flag
+
+
+def reference_left_mult_matrix(b, indexing):
+    entries, flag = {}, b.flag
+    for j in range(1, len(indexing) + 1):
+        coords, escaped = reference_product(b, indexing, j)
+        flag = flag or escaped
+        for i, c in coords.items():
+            entries[(i, j)] = c
+    return ScalarMatrix(indexing, entries, flag)
+
+
+def _sum_scaled(pieces):
+    out = {}
+    for key, a, c in pieces:
+        s = a.scale(c)
+        if s:
+            cur = out.get(key)
+            out[key] = s if cur is None else cur + s
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_lmul_b(s, b):
+    """L(b) S: row k of S is spread along column k of L(b)."""
+    idx, flag, pieces = s.indexing, s.flag or b.flag, []
+    for (k, j), a in s.entries.items():
+        coords, escaped = reference_product(b, idx, k)
+        flag = flag or escaped
+        pieces.extend(((i, j), a, c) for i, c in coords.items())
+    return SMatrix(idx, s.a_host, _sum_scaled(pieces), flag)
+
+
+def reference_rmul_b(s, b):
+    """S L(b), visiting every basis index j; a unipotent indexing flags a
+    truncated b*b_j when S has entries in column 1."""
+    idx, flag, pieces = s.indexing, s.flag or b.flag, []
+    col1_loss = idx.unipotent and 1 in s.column_support()
+    for j in range(1, len(idx) + 1):
+        coords, escaped = reference_product(b, idx, j)
+        flag = flag or (escaped and col1_loss)
+        for k, c in coords.items():
+            pieces.extend(((i, j), a, c) for (i, kk), a in s.entries.items() if kk == k)
+    return SMatrix(idx, s.a_host, _sum_scaled(pieces), flag)
+
+
+def reference_apply(e, j):
+    idx = e.algebra.indexing
+    coords, escaped = reference_product(e.b, idx, j)
+    b_coords = {i: Scalar(e.algebra.field, c) for i, c in coords.items()}
+    return b_coords, e.s.apply_column(j), escaped

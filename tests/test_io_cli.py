@@ -262,6 +262,30 @@ def test_cli_wreath_eval(tmp_path):
     assert "s-part (1,1): z" in out.stdout
 
 
+@pytest.mark.parametrize("expr", ["e(8,1,z)", "e(1,0,z)", "x*e(2,99,z)"])
+def test_cli_wreath_eval_index_out_of_range(tmp_path, expr):
+    b = tmp_path / "b.pres"
+    b.write_text(HULL2)  # N=2: basis 1, x, y, x^2, x*y, y*x, y^2
+    a = tmp_path / "a.pres"
+    a.write_text(AX3)
+    out = run_cli(
+        "wreath-eval", "--B", str(b), "--A", str(a),
+        "--NB", "2", "--NA", "3", "--expr", expr,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: basis index ")
+    assert "out of range 1..7" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_python_dash_m_package_runs_the_cli():
+    out = subprocess.run(
+        [sys.executable, "-m", "wreathkit", "--help"], capture_output=True, text=True
+    )
+    assert out.returncode == 0
+    assert "wreath-eval" in out.stdout
+
+
 def test_cli_span_bound(tmp_path):
     b = tmp_path / "b.pres"
     b.write_text(HULL2)

@@ -1,0 +1,156 @@
+"""Differential tests: the tabulated left action against direct multiplication.
+
+`BasisIndexing.left_action` tabulates w*b_j once per host basis word w;
+`SMatrix.lmul_b`/`rmul_b`, `WreathElement.apply` and `left_mult_matrix` read
+those tables.  The references in helpers.py multiply by every basis element
+instead.  Entries and every flag must agree, on the call that fills a table
+and on later calls that only read it.
+"""
+
+import random
+
+import pytest
+
+from wreathkit import (
+    AlgElement,
+    BasisIndexing,
+    Field,
+    SMatrix,
+    WreathAlgebra,
+    left_mult_matrix,
+)
+from wreathkit.words import EMPTY_WORD
+
+from helpers import (
+    assert_raw,
+    killed_above,
+    make_algebra,
+    random_element,
+    reference_apply,
+    reference_left_mult_matrix,
+    reference_lmul_b,
+    reference_rmul_b,
+)
+
+FIELDS = [Field.prime(2), Field.prime(101), Field.rationals()]
+
+# name -> host builder; "free" hosts let b*b_j escape the truncation,
+# "killed" hosts certify every product beyond N as an exact zero
+HOSTS = {
+    "free": lambda f: make_algebra(f, ["x", "y"], [], n=3),
+    "killed": lambda f: killed_above(f, ["x", "y"], 3),
+    "free-unital": lambda f: make_algebra(f, ["x", "y"], [], n=2, unital=True),
+    "comm-unital": lambda f: make_algebra(f, ["x", "y"], ["x*y - y*x"], n=3, unital=True),
+    "killed-unital": lambda f: killed_above(f, ["x", "y"], 3, unital=True),
+}
+
+CASES = [
+    (field, host, unipotent)
+    for field in FIELDS
+    for host in HOSTS
+    for unipotent in (False, True)
+    if host.endswith("unital") or not unipotent
+]
+
+
+def _flagged(e):
+    return AlgElement(e.host, dict(e.terms), True)
+
+
+def _host_elements(b_host, rng):
+    """Host elements to act by: generators, sums with a unit part, a flagged
+    element and zero."""
+    out = [b_host.gen("x"), b_host.gen("y"), b_host.zero()]
+    for _ in range(4):
+        out.append(random_element(b_host, rng, unit=True))
+    out.append(_flagged(random_element(b_host, rng, max_degree=2)))
+    return out
+
+
+def _matrices(wa, rng):
+    """Matrices with entries in every row and column, column 1 included,
+    some with a flagged entry."""
+    idx, n = wa.indexing, len(wa.indexing)
+    out = []
+    for k in range(5):
+        entries = {}
+        for _ in range(1 + k):
+            a = random_element(wa.a_host, rng)
+            if a:
+                entries[(rng.randint(1, n), rng.randint(1, n))] = a
+        out.append(SMatrix(idx, wa.a_host, entries))
+    a = wa.a_host.gen("s")
+    out.append(SMatrix(idx, wa.a_host, {(1, 1): a, (n, 1): a}))
+    out.append(SMatrix(idx, wa.a_host, {(2, 1): _flagged(a), (n, 2): a}))
+    return out
+
+
+def _same_smatrix(got, ref):
+    assert got == ref
+    assert got.flag == ref.flag
+    assert {k: a.flag for k, a in got.entries.items()} == {
+        k: a.flag for k, a in ref.entries.items()
+    }
+    for a in got.entries.values():
+        assert a
+        for c in a.terms.values():
+            assert_raw(a.host.field, c)
+
+
+@pytest.mark.parametrize(
+    "field,host,unipotent",
+    CASES,
+    ids=[f"{f!r}-{h}-{'unipotent' if u else 'plain'}" for f, h, u in CASES],
+)
+def test_tables_match_direct_multiplication(field, host, unipotent):
+    rng = random.Random(f"{field!r}-{host}-{unipotent}")
+    b_host = HOSTS[host](field)
+    a_host = make_algebra(field, ["s", "t"], [], n=2)
+    idx = BasisIndexing(b_host, unipotent=unipotent)
+    wa = WreathAlgebra(b_host, a_host, idx)
+    elements = _host_elements(b_host, rng)
+    matrices = _matrices(wa, rng)
+    assert not idx._tables
+    for _ in ("fill", "hit"):
+        for b in elements:
+            got = left_mult_matrix(b, idx)
+            ref = reference_left_mult_matrix(b, idx)
+            assert got == ref and got.flag == ref.flag
+            for s in matrices:
+                _same_smatrix(s.lmul_b(b), reference_lmul_b(s, b))
+                _same_smatrix(s.rmul_b(b), reference_rmul_b(s, b))
+            if EMPTY_WORD in b.terms:
+                continue  # a wreath b-part has no unit component
+            for s in matrices[:3]:
+                e = wa.element(b=b, s=s)
+                for j in range(1, len(idx) + 1):
+                    assert e.apply(j) == reference_apply(e, j)
+    assert set(idx._tables) <= set(idx.words)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_column_one_loss_under_unipotent_indexing(field):
+    """S L(b) mixes the unit coordinate into every column under a unipotent
+    indexing, so a truncated b*b_j flags a matrix with entries in column 1 --
+    and only such a matrix."""
+    b_host = HOSTS["free-unital"](field)
+    a_host = make_algebra(field, ["s", "t"], [], n=2)
+    x = b_host.gen("x")
+    for unipotent in (False, True):
+        idx = BasisIndexing(b_host, unipotent=unipotent)
+        a = a_host.gen("s")
+        col1 = SMatrix(idx, a_host, {(1, 1): a})
+        col2 = SMatrix(idx, a_host, {(1, 2): a})
+        for _ in range(2):
+            assert col1.rmul_b(x).flag is unipotent
+            assert reference_rmul_b(col1, x).flag is unipotent
+            assert not col2.rmul_b(x).flag and not reference_rmul_b(col2, x).flag
+        assert idx.escapes(x) and idx.left_action(next(iter(x.terms))).any_escaped
+
+
+def test_killed_host_never_escapes():
+    b_host = HOSTS["killed-unital"](Field.prime(101))
+    idx = BasisIndexing(b_host, unipotent=True)
+    for w in idx.words:
+        assert not idx.left_action(w).any_escaped
+    assert not left_mult_matrix(b_host.gen("x"), idx).flag

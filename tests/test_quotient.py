@@ -287,3 +287,73 @@ def test_products_cancel_and_store_clean_coefficients(field):
         for e in (left, a + b, a - b, a * b):
             for v in e.terms.values():
                 assert_raw(field, v)
+
+
+# -- _mul_terms: inline arithmetic -----------------------------------------------
+
+FIELDS = [Field.rationals(), Field.prime(2), Field.prime(101)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_mul_terms_equals_reduced_product_of_free_lifts(field):
+    rng = random.Random(43)
+    alg = make_algebra(field, ["x", "y"], ["x*y - 2*y*x", "x^3"], n=4, unital=True)
+    for _ in range(60):
+        a, b = (random_element(alg, rng, max_degree=3, unit=True) for _ in range(2))
+        prod = a * b
+        fa, fb = (FreeElement(alg.alphabet, field, e.terms) for e in (a, b))
+        lifted = fa * fb
+        expected = alg.from_free(lifted)
+        assert prod.terms == expected.terms
+        # a surviving word beyond N comes from some escaping word pair
+        assert prod.flag or not expected.flag
+        for v in prod.terms.values():
+            assert_raw(field, v)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_mul_terms_cancellation_stores_no_zero(field):
+    alg = make_algebra(field, ["x", "y"], ["x*y - y*x"], n=3)
+    x, y = alg.gen("x"), alg.gen("y")
+    xy = (x * y).terms.keys() | (y * x).terms.keys()
+    assert len(xy) == 1  # xy and yx share one normal word
+    # (x + y)(x - y) = x^2 - y^2: the mixed terms cancel on that word
+    diff = (x + y) * (x - y)
+    assert not (xy & diff.terms.keys())
+    assert diff == x * x - y * y
+    # p - 1 copies of x times x, plus x*x, cancel over GF(p); over Q they don't
+    if field.characteristic:
+        p = field.characteristic
+        assert not (x.scale(p - 1) * x + x * x).terms
+    for v in diff.terms.values():
+        assert_raw(field, v)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_mul_terms_unit_word_passes_through(field):
+    rng = random.Random(44)
+    alg = make_algebra(field, ["x", "y"], [], n=2, unital=True)
+    one, x, y = alg.unit(), alg.gen("x"), alg.gen("y")
+    two, three = one.scale(2), one.scale(3)
+    assert (two + x) * (three + y) == one.scale(6) + x.scale(3) + y.scale(2) + x * y
+    for _ in range(30):
+        a = random_element(alg, rng, unit=True)
+        assert one * a == a and a * one == a
+        assert (two * a).terms == a.scale(2).terms
+        for v in (two * a).terms.values():
+            assert_raw(field, v)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_mul_terms_reject_policy_raises(field):
+    strict = make_algebra(field, ["x", "y"], [], n=2, unital=True, policy="reject")
+    x, y = strict.gen("x"), strict.gen("y")
+    assert (strict.unit() * (x * y)).terms  # the unit never escapes
+    with pytest.raises(TruncationOverflow):
+        (x * y) * (strict.unit() + x)
+    loose = make_algebra(field, ["x", "y"], [], n=2)
+    u, v = loose.gen("x"), loose.gen("y")
+    terms, flag = loose._mul_terms((u * v).terms, u.terms, "truncate")
+    assert not terms and flag
+    with pytest.raises(TruncationOverflow):
+        loose._mul_terms((u * v).terms, u.terms, "reject")
