@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
 One kernel command per invocation, no REPL.  Every run is deterministic
-given its inputs; the seed and policy land in each report header so outputs
-are reproducible byte for byte.  Exit status: 0 for definite exact verdicts,
-2 when any reported quantity is flagged inexact or a verdict is inconclusive,
-1 for hard errors.
+given its inputs; the overflow policy lands in each report header, and
+outputs are reproducible byte for byte.  Exit status: 0 for definite exact
+verdicts, 2 when any reported quantity is flagged inexact or a verdict is
+inconclusive, 1 for hard errors and usage errors.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _field_from_env():
 
 
 def _meta(args, **extra):
-    meta = {"command": args.command, "seed": args.seed, "policy": args.policy}
+    meta = {"command": args.command, "policy": args.policy}
     meta.update(extra)
     return meta
 
@@ -289,7 +289,6 @@ def cmd_gs_check(args):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="recorded in report headers")
     p.add_argument("--policy", choices=["truncate", "reject"], default="truncate")
     p.add_argument("--emit", help="write a CSV report here")
     p.add_argument("--json", help="write a JSON mirror here")
@@ -304,8 +303,16 @@ def _add_hosts(p, gamma=True):
         p.add_argument("--gamma", help="gamma map file")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1: exit 2 means an inexact result."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wreathkit",
         description="exact computations in truncated graded algebras and their matrix wreath products",
     )

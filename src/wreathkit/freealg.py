@@ -201,7 +201,7 @@ class FreeElement:
 
 # -- expression parser ---------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),]))")
 
 
 def _tokenize(text):

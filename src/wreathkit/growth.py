@@ -16,7 +16,7 @@ from typing import Optional
 
 import mpmath
 
-from .linalg import dense_rank
+from .linalg import closure, dense_rank
 from .quotient import AlgElement, Subspace, TruncatedAlgebra, growth_dims
 from .wreath import GammaMap, SMatrix, WreathAlgebra, WreathSpan
 
@@ -155,26 +155,26 @@ def _exceeds(x: "RatInterval", lo, hi):
 # -- weighted image spans (the W chain) --------------------------------------
 
 
-def power_chain(alg: TruncatedAlgebra, generators, n: int):
-    """Subspaces spanned by products of at most 1, 2, ..., n factors."""
-    chain = []
-    span = Subspace(alg, generators)
-    chain.append(span)
-    frontier = span.representatives()
+def power_chain(alg, generators, n: int):
+    """Spans of the products of at most 1, 2, ..., n factors.
+
+    alg is a `TruncatedAlgebra` or a `WreathAlgebra`.  One span grows by
+    `closure`; its representatives are appended in insertion order and its
+    reduced echelon form is unique, so level r is the span of its first d_r
+    representatives, and level n is the grown span itself.
+    """
+    kind = WreathSpan if isinstance(alg, WreathAlgebra) else Subspace
+    span = kind(alg, generators)
     gens = span.representatives()
-    for _ in range(2, n + 1):
-        nxt = Subspace(alg, chain[-1].representatives())
-        nxt.exact = chain[-1].exact
-        new = []
-        for head in frontier:
-            for g in gens:
-                p = head * g
-                if p.flag:
-                    nxt.exact = False
-                if nxt.add(p):
-                    new.append(p)
-        frontier = new
-        chain.append(nxt)
+    dims = closure(span, lambda e: [e * g for g in gens], n - 1)
+    dims += dims[-1:] * (n - len(dims))
+    reps = span.representatives()
+    chain = []
+    for d, exact in dims[: n - 1]:
+        level = kind(alg, reps[:d])
+        level.exact = exact
+        chain.append(level)
+    chain.append(span)
     return chain
 
 
@@ -237,28 +237,6 @@ class InclusionReport:
         return all(r[3] for r in self.rows) and all(r[5] for r in self.rows)
 
 
-def _wreath_power_chain(wa: WreathAlgebra, generators, n: int):
-    chain = []
-    span = WreathSpan(wa, generators)
-    chain.append(span)
-    frontier = span.representatives()
-    gens = span.representatives()
-    for _ in range(2, n + 1):
-        nxt = WreathSpan(wa, chain[-1].representatives())
-        nxt.exact = chain[-1].exact
-        new = []
-        for head in frontier:
-            for g in gens:
-                p = head * g
-                if p.flag:
-                    nxt.exact = False
-                if nxt.add(p):
-                    new.append(p)
-        frontier = new
-        chain.append(nxt)
-    return chain
-
-
 def _triple_products(wa, v_chain, middle_elements, n):
     """Spanning elements of sum_{i+j+k <= n} V^i * M_j * V^k.
 
@@ -313,7 +291,7 @@ def span_inclusion_check(
     if with_corner:
         corner = wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))
         u_gens.append(corner)
-    u_chain = _wreath_power_chain(wa, u_gens, n)
+    u_chain = power_chain(wa, u_gens, n)
 
     g_dims = [b_chain[i].dim for i in range(n)]
     w_dims = [ws[j].dim for j in range(n)]
@@ -344,7 +322,7 @@ def span_inclusion_check(
                 rhs.add(e)
 
         lhs = u_chain[m - 1]
-        included = rhs.contains_span(lhs)
+        included = rhs.contains_subspace(lhs)
         bound = g_dims[m - 1]
         for i in range(0, m + 1):
             for j in range(0, m - i + 1):

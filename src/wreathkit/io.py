@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import json
 
-from .freealg import MAX_NESTING, ParseError, parse_element, power_exponent
+from .freealg import (
+    MAX_NESTING,
+    ParseError,
+    _Parser,
+    _tokenize,
+    parse_element,
+    power_exponent,
+)
 from .quotient import Presentation, TruncatedAlgebra
 from .scalars import Field
 from .words import EMPTY_WORD, Alphabet
@@ -270,8 +277,6 @@ class _WreathParser:
                 elif kind2 == "op" and val2 == ")":
                     depth -= 1
             inner = self.tokens[start : self.i - 1]
-            from .freealg import _Parser
-
             a_elem = wa.a_host.from_free(
                 _Parser(inner, wa.a_host.alphabet, wa.field).parse()
             )
@@ -309,27 +314,7 @@ class _WreathParser:
 
 
 def parse_wreath_expression(text: str, wa: WreathAlgebra, gamma=None):
-    from .freealg import _TOKEN_RE
-
-    tokens, pos = [], 0
-    while pos < len(text):
-        if text[pos] == ",":
-            tokens.append(("op", ",", pos))
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", num, m.start(1)))
-        elif name is not None:
-            tokens.append(("name", name, m.start(2)))
-        else:
-            tokens.append(("op", op, m.start(3)))
-        pos = m.end()
+    tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
     return _WreathParser(tokens, wa, gamma).parse()

@@ -13,6 +13,10 @@ is greater, and `insert` visits just those, found by bisecting the ascending
 list of pivot keys.  In the sparse regime (pivots arriving in increasing
 order, as in degree-by-degree span closure) no row is visited at all.
 
+`Span` is a subspace of an algebra's elements kept as one `Echelon`, and
+`closure` grows a span under a step map until it stops changing; every
+growth function, power chain and generation check runs through the two.
+
 `dense_rank` is a deliberately independent second route (dense rows,
 first-column pivoting) used to cross-check ranks.
 """
@@ -118,6 +122,99 @@ class Echelon:
 
     def pivot_keys(self):
         return set(self.pivots)
+
+
+class Span:
+    """An exact span of an algebra's elements, in reduced echelon form.
+
+    Subclasses name the owner accessor and give `_coords(e)`, the sparse
+    coordinates of an element of the owner (raising ValueError for an element
+    of another algebra).  The representatives are the elements that raised the
+    dimension, in insertion order.  `exact` is False once a spanning element
+    (or a product feeding it) was truncated: the dimension is then a lower
+    bound only.
+    """
+
+    __slots__ = ("owner", "_ech", "exact")
+
+    def __init__(self, owner, elements=()):
+        self.owner = owner
+        self._ech = Echelon(owner.field)
+        self.exact = True
+        for e in elements:
+            self.add(e)
+
+    def _check_span(self, other: "Span"):
+        if other.owner is not self.owner:
+            raise ValueError("spans of different algebras")
+
+    @property
+    def dim(self) -> int:
+        return self._ech.dim
+
+    def add(self, e) -> bool:
+        coords = self._coords(e)
+        if e.flag:
+            self.exact = False
+        return self._ech.insert(coords, payload=e)
+
+    def extend(self, elements):
+        for e in elements:
+            self.add(e)
+        return self
+
+    def representatives(self):
+        return list(self._ech.reps)
+
+    def contains(self, e) -> bool:
+        return self._ech.contains(self._coords(e))
+
+    def contains_subspace(self, other: "Span") -> bool:
+        self._check_span(other)
+        return all(self.contains(e) for e in other.representatives())
+
+    def sum(self, other: "Span") -> "Span":
+        self._check_span(other)
+        out = type(self)(self.owner, self.representatives())
+        out.extend(other.representatives())
+        out.exact = out.exact and self.exact and other.exact
+        return out
+
+    def product_span(self, other: "Span") -> "Span":
+        """span{s*t : s, t spanning elements} of the two spans."""
+        self._check_span(other)
+        out = type(self)(self.owner)
+        for s in self.representatives():
+            for t in other.representatives():
+                out.add(s * t)
+        out.exact = out.exact and self.exact and other.exact
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, exact={self.exact})"
+
+
+def closure(span: Span, step, rounds=None):
+    """Grow `span` in rounds until it stops changing.
+
+    Round one adds step(e) for every representative e; each later round adds
+    step(e) for every e that entered the span in the round before, in the
+    order they entered.  step(e) is called just before its candidates are
+    added, so it sees the span as it stands then.  Stops after a round that
+    adds nothing, or after `rounds` rounds.  Returns [(dim, exact)] before the
+    first round and after each one.
+    """
+    history = [(span.dim, span.exact)]
+    frontier = span.representatives()
+    while frontier and (rounds is None or len(history) <= rounds):
+        new = []
+        for e in frontier:
+            for c in step(e):
+                if span.add(c):
+                    new.append(c)
+        frontier = new
+        history.append((span.dim, span.exact))
+    return history
 
 
 def dense_rank(vectors, field: Field) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import _acc
-from .linalg import Echelon
+from .linalg import Span, closure
 from .quotient import AlgElement, Subspace, TruncatedAlgebra
 from .scalars import FieldMismatchError, Scalar
 from .words import EMPTY_WORD, Word
@@ -482,16 +482,8 @@ class GammaMap:
         """Whether the image generates the coefficient algebra's truncation."""
         if self.generating is None:
             span = self.image_span()
-            frontier = span.representatives()
             gens = span.representatives()
-            while frontier:
-                new = []
-                for s in frontier:
-                    for g in gens:
-                        for p in (s * g, g * s):
-                            if span.add(p):
-                                new.append(p)
-                frontier = new
+            closure(span, lambda s: [p for g in gens for p in (s * g, g * s)])
             self.generating = span.dim == self.a_host.total_dim()
         return self.generating
 
@@ -651,59 +643,22 @@ def wreath_coords(e: WreathElement) -> dict:
     return vec
 
 
-class WreathSpan:
-    """An exact span of wreath elements (echelonized coordinates + spanning set)."""
+class WreathSpan(Span):
+    """An exact span of wreath elements (see `linalg.Span`)."""
 
-    __slots__ = ("algebra", "_ech", "exact")
+    __slots__ = ()
 
-    def __init__(self, algebra: WreathAlgebra, elements=()):
-        self.algebra = algebra
-        self._ech = Echelon(algebra.field)
-        self.exact = True
-        for e in elements:
-            self.add(e)
+    # in the class body, so bench/tracing.py can wrap each class's add on its own
+    add = Span.add
 
     @property
-    def dim(self):
-        return self._ech.dim
+    def algebra(self) -> WreathAlgebra:
+        return self.owner
 
-    def add(self, e: WreathElement) -> bool:
-        if e.algebra is not self.algebra:
+    def _coords(self, e: WreathElement) -> dict:
+        if e.algebra is not self.owner:
             raise ValueError("element of a different wreath algebra")
-        if e.flag:
-            self.exact = False
-        return self._ech.insert(wreath_coords(e), payload=e)
-
-    def extend(self, elements):
-        for e in elements:
-            self.add(e)
-        return self
-
-    def representatives(self):
-        return list(self._ech.reps)
-
-    def contains(self, e: WreathElement) -> bool:
-        return self._ech.contains(wreath_coords(e))
-
-    def contains_span(self, other: "WreathSpan") -> bool:
-        return all(self.contains(e) for e in other.representatives())
-
-    def sum(self, other: "WreathSpan") -> "WreathSpan":
-        out = WreathSpan(self.algebra, self.representatives())
-        out.extend(other.representatives())
-        out.exact = out.exact and self.exact and other.exact
-        return out
-
-    def product_span(self, other: "WreathSpan") -> "WreathSpan":
-        out = WreathSpan(self.algebra)
-        for s in self.representatives():
-            for t in other.representatives():
-                out.add(s * t)
-        out.exact = out.exact and self.exact and other.exact
-        return out
-
-    def __repr__(self):
-        return f"WreathSpan(dim={self.dim}, exact={self.exact})"
+        return wreath_coords(e)
 
 
 # -- derived operations ----------------------------------------------------
@@ -847,20 +802,16 @@ def matrix_unit_generation_check(
     translators = [wa.embed(b_host.gen(i)) for i in range(len(b_host.alphabet))]
 
     span = WreathSpan(wa, [corner, row])
-    frontier = span.representatives()
-    rounds = 0
-    while frontier and rounds < max_rounds:
-        rounds += 1
-        new = []
-        for e in frontier:
-            candidates = [e * g for g in translators] + [g * e for g in translators]
-            for other in span.representatives():
-                candidates.append(e * other)
-                candidates.append(other * e)
-            for c in candidates:
-                if span.add(c):
-                    new.append(c)
-        frontier = new
+
+    def step(e):
+        # products with the representatives as they stand before e's are added
+        candidates = [e * g for g in translators] + [g * e for g in translators]
+        for other in span.representatives():
+            candidates.append(e * other)
+            candidates.append(other * e)
+        return candidates
+
+    closure(span, step, max_rounds)
 
     targets = []
     spanning = [a_host.unit()] + [

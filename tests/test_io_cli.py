@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from wreathkit import BasisIndexing, Field, ParseError, TruncatedAlgebra, WreathAlgebra
+from wreathkit import (
+    BasisIndexing,
+    Field,
+    ParseError,
+    TruncatedAlgebra,
+    WreathAlgebra,
+    parse_element,
+)
 from wreathkit.freealg import MAX_EXPONENT, MAX_NESTING
 from wreathkit.io import (
     FileFormatError,
@@ -121,6 +128,25 @@ def test_wreath_expression_parsing(gamma_env):
     assert sq.s == wa.matrix_unit(1, 1, a_alg.gen("z") * a_alg.gen("z"))
 
 
+@pytest.mark.parametrize("spaced", ["e(1 ,2,z^2 + z)", "e(1, 2 ,z^2 + z)", "e( 1 , 2 , z^2 + z )"])
+def test_wreath_expression_spaces_around_commas(gamma_env, spaced):
+    idx, a_alg = gamma_env
+    wa = WreathAlgebra(idx.host, a_alg, idx)
+    z = a_alg.gen("z")
+    e = parse_wreath_expression(spaced, wa)
+    assert e == parse_wreath_expression("e(1,2,z^2 + z)", wa)
+    assert e.s.entry(1, 2) == z * z + z and not e.b
+
+
+def test_comma_is_a_token_error_in_element_expressions(gamma_env):
+    idx, a_alg = gamma_env
+    wa = WreathAlgebra(idx.host, a_alg, idx)
+    with pytest.raises(ParseError, match="expected a comma"):
+        parse_wreath_expression("e(1 2, z)", wa)
+    with pytest.raises(ParseError, match="trailing input ','"):
+        parse_element("x, y", idx.host.alphabet, Q)
+
+
 def test_wreath_expression_nesting_limit(gamma_env):
     idx, a_alg = gamma_env
     wa = WreathAlgebra(idx.host, a_alg, idx)
@@ -167,7 +193,7 @@ def test_cli_build_csv_and_json(tmp_path):
     mirror = json.loads(json_path.read_text())
     assert mirror["columns"] == ["degree", "dim", "exact"]
     assert mirror["rows"][1] == [2, 3, True]
-    assert mirror["meta"]["seed"] == "0"
+    assert "seed" not in mirror["meta"] and mirror["meta"]["policy"] == "truncate"
 
 
 def test_cli_byte_stable(tmp_path):
@@ -276,6 +302,30 @@ def test_cli_wreath_eval_index_out_of_range(tmp_path, expr):
     assert out.stderr.startswith("error: basis index ")
     assert "out of range 1..7" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["growth", "--bogus"],
+        ["growth", "-p", "x.pres", "-N", "abc"],
+        ["growth", "-p", "x.pres", "-N", "3", "--seed", "1"],
+        ["no-such-command"],
+        [],
+    ],
+    ids=["unknown-option", "bad-int", "removed-seed", "unknown-command", "no-command"],
+)
+def test_cli_usage_errors_exit_1(args):
+    out = run_cli(*args)
+    assert out.returncode == 1
+    assert out.stderr.startswith("usage: wreathkit")
+    assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_cli_help_exits_0():
+    for args in (["--help"], ["growth", "--help"]):
+        out = run_cli(*args)
+        assert out.returncode == 0 and out.stdout.startswith("usage: wreathkit")
 
 
 def test_python_dash_m_package_runs_the_cli():
