@@ -60,11 +60,7 @@ def _emit(args, meta, columns, rows):
     if args.json:
         wio.write_json(args.json, meta, columns, rows)
     if not args.emit:
-        for k, v in meta.items():
-            print(f"# {k}={v}")
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(str(c) for c in row))
+        print(wio.format_csv(meta, columns, rows), end="")
 
 
 def _load_algebra(path, n, policy):

@@ -2,9 +2,10 @@
 
 Elements are sparse maps Word -> coefficient with no zero coefficients ever
 stored.  The text syntax accepted by `parse_element` is the one used in
-presentation and gamma files: `+`/`-` separated terms, optional `*` between
-letters, `^` powers, rational coefficients like `2/3` (decimal residues over
-GF(p)).
+presentation and gamma files, and `_Parser` is also the grammar of wreath
+expressions (`io.parse_wreath_expression`): `+`/`-` separated terms,
+optional `*` between factors, `^` powers, rational coefficients like `2/3`
+(decimal residues over GF(p)).
 """
 
 from __future__ import annotations
@@ -205,6 +206,7 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),]))")
 
 
 def _tokenize(text):
+    """The tokens of `text` and the position just past its last non-blank character."""
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -220,38 +222,60 @@ def _tokenize(text):
         else:
             tokens.append(("op", op, m.start(3)))
         pos = m.end()
-    return tokens
+    if not tokens:
+        raise ParseError("empty expression")
+    return tokens, len(text.rstrip())
+
+
+def _opens_factor(token):
+    return token[0] in ("num", "name") or token[:2] == ("op", "(")
 
 
 class _Parser:
-    def __init__(self, tokens, alphabet, field):
+    """Recursive descent over `expr := [+-] term ([+-] term)*`.
+
+    A term is a product of factors with optional `*`; its numbers (`2`,
+    `2/3`, `2^3`) multiply into one scalar wherever they stand.  A factor is
+    a name, read as a word in the generators, or a parenthesised expression.
+    `^n` after a name binds the name's last letter (`xy^2` is x y y), after
+    `)` the whole group.  Subclasses change what a name or a word stands
+    for (`word`, `named`) and what a term without factors is (`constant`).
+    """
+
+    def __init__(self, tokens, end, alphabet, field, i=0, depth=0):
         self.tokens = tokens
-        self.i = 0
-        self.depth = 0
+        self.end = end
+        self.i = i
+        self.depth = depth
         self.alphabet = alphabet
         self.field = field
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
 
     def take(self):
         t = self.peek()
         self.i += 1
         return t
 
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+    @staticmethod
+    def error(message, token):
+        kind, _, pos = token
+        return ParseError("unexpected end of input" if kind is None else message, pos)
 
-    def parse(self) -> FreeElement:
+    def expect(self, op, what=None):
+        token = self.take()
+        if token[:2] != ("op", op):
+            raise self.error(f"expected {what or repr(op)}", token)
+
+    def parse(self):
         e = self.expr()
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"trailing input {val!r}", pos)
         return e
 
-    def expr(self) -> FreeElement:
+    def expr(self):
         sign = 1
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
@@ -269,90 +293,98 @@ class _Parser:
             else:
                 return e
 
-    def term(self) -> FreeElement:
-        e = self.factor()
+    def term(self):
+        f = self.field
+        e, scale = None, f.one
+        start = self.peek()[2]
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                e = e * self.factor()
-            elif kind in ("name", "num") or (kind == "op" and val == "("):
-                e = e * self.factor()
+            token = self.peek()
+            if not _opens_factor(token):
+                raise self.error(f"unexpected token {token[1]!r}", token)
+            if token[0] == "num":
+                scale = f.mul(scale, self.number())
             else:
-                return e
+                x = self.factor()
+                e = x if e is None else e * x
+            if self.peek()[:2] == ("op", "*"):
+                self.take()
+            elif not _opens_factor(self.peek()):
+                break
+        if e is None:
+            return self.constant(scale, start)
+        return e if scale == f.one else e.scale(scale)
 
-    def factor(self) -> FreeElement:
+    def factor(self):
         kind, val, pos = self.take()
-        f, alphabet = self.field, self.alphabet
-        if kind == "num":
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.take()
-                k3, v3, p3 = self.take()
-                if k3 != "num":
-                    raise ParseError("expected a denominator", p3)
-                if f.kind != "rational":
-                    raise ParseError("fraction coefficients require the rational field", pos)
-                raw = f.parse(f"{val}/{v3}")
-            else:
-                raw = f.from_int(int(val))
-            raw = self._maybe_power_scalar(raw)
-            return FreeElement(alphabet, f, {EMPTY_WORD: raw})
         if kind == "name":
-            try:
-                letters = alphabet.segment(val)
-            except KeyError as exc:
-                raise ParseError(str(exc), pos) from None
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "^":
-                self.take()
-                n = power_exponent(self.take())
-                # the power binds the last letter: x*y^2 == xy^2 == x y y
-                letters = letters[:-1] + [letters[-1]] * n
-            return FreeElement.from_word(alphabet, f, alphabet.word(letters))
-        if kind == "op" and val == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            e = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "^":
-                self.take()
-                n = power_exponent(self.take())
-                if n == 0:
-                    return FreeElement(alphabet, f, {EMPTY_WORD: f.one})
-                return e**n
-            return e
-        raise ParseError(f"unexpected token {val!r}", pos)
+            return self.named(val, pos)
+        # term() calls factor() only on a name or "("
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        e = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return self.raised(e, pos)
 
-    def _maybe_power_scalar(self, raw):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+    def number(self):
+        _, val, pos = self.take()
+        f = self.field
+        if self.peek()[:2] == ("op", "/"):
             self.take()
-            n = power_exponent(self.take())
-            out = self.field.one
-            for _ in range(n):
-                out = self.field.mul(out, raw)
-            return out
-        return raw
+            token = self.take()
+            if token[0] != "num":
+                raise self.error("expected a denominator", token)
+            if f.kind != "rational":
+                raise ParseError("fraction coefficients require the rational field", pos)
+            raw = f.parse(f"{val}/{token[1]}")
+        else:
+            raw = f.from_int(int(val))
+        n = self.power()
+        if n is None:
+            return raw
+        out = f.one
+        for _ in range(n):
+            out = f.mul(out, raw)
+        return out
 
+    def named(self, val, pos):
+        try:
+            letters = self.alphabet.segment(val)
+        except KeyError as exc:
+            raise ParseError(str(exc), pos) from None
+        n = self.power()
+        if n is not None:
+            letters = letters[:-1] + [letters[-1]] * n
+        return self.word(letters, pos) if letters else self.constant(self.field.one, pos)
 
-def power_exponent(token) -> int:
-    """The exponent after a `^`, checked against `MAX_EXPONENT`."""
-    kind, val, pos = token
-    if kind != "num":
-        raise ParseError("expected an integer exponent", pos)
-    # lengths first: int() refuses a string of more than 4300 digits
-    if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
-        raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}", pos)
-    return int(val)
+    def raised(self, e, pos):
+        """`e`, or `e^n` when a power follows."""
+        n = self.power()
+        if n is None:
+            return e
+        return self.constant(self.field.one, pos) if n == 0 else e**n
+
+    def power(self):
+        """The exponent of a `^n` at the current position, or None."""
+        if self.peek()[:2] != ("op", "^"):
+            return None
+        self.take()
+        kind, val, pos = token = self.take()
+        if kind != "num":
+            raise self.error("expected an integer exponent", token)
+        # lengths first: int() refuses a string of more than 4300 digits
+        if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}", pos)
+        return int(val)
+
+    def word(self, letters, pos):
+        return FreeElement.from_word(self.alphabet, self.field, self.alphabet.word(letters))
+
+    def constant(self, raw, pos):
+        return FreeElement(self.alphabet, self.field, {EMPTY_WORD: raw})
 
 
 def parse_element(text: str, alphabet: Alphabet, field: Field) -> FreeElement:
     """Parse a free-algebra expression like `x*y - y*x` or `2/3*x^2`."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression")
-    return _Parser(tokens, alphabet, field).parse()
+    return _Parser(*_tokenize(text), alphabet, field).parse()

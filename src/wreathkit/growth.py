@@ -237,24 +237,24 @@ class InclusionReport:
         return all(r[3] for r in self.rows) and all(r[5] for r in self.rows)
 
 
-def _triple_products(wa, v_chain, middle_elements, n):
-    """Spanning elements of sum_{i+j+k <= n} V^i * M_j * V^k.
+def _triple_products(v_chain, middles, n):
+    """Spanning elements of sum_{i+j+k = n} V^i * M_j * V^k.
 
-    The middle weight j starts at 0: the bare middle (the row map itself, or
-    the corner unit) is the degenerate term the inductive proof consumes, and
-    without it the inclusion already fails at n = 1.
+    v_chain[i - 1] spans V^i and middles[j] spans M_j.  The middle weight j
+    starts at 0: the bare middle (the row map itself, or the corner unit) is
+    the degenerate term the inductive proof consumes, and without it the
+    inclusion already fails at n = 1.
     """
     out = []
-    for j in range(0, n + 1):
-        for m in middle_elements(j):
-            for i in range(0, n - j + 1):
-                lefts = [None] if i == 0 else v_chain[i - 1].representatives()
-                for le in lefts:
-                    lm = m if le is None else le * m
-                    for k in range(0, n - j - i + 1):
-                        rights = [None] if k == 0 else v_chain[k - 1].representatives()
-                        for ri in rights:
-                            out.append(lm if ri is None else lm * ri)
+    for j in range(n + 1):
+        for mid in middles[j]:
+            for i in range(n - j + 1):
+                k = n - j - i
+                lefts = [mid] if i == 0 else [le * mid for le in v_chain[i - 1]]
+                if k == 0:
+                    out.extend(lefts)
+                else:
+                    out.extend(lm * ri for lm in lefts for ri in v_chain[k - 1])
     return out
 
 
@@ -282,44 +282,30 @@ def span_inclusion_check(
 
     b_chain = power_chain(b_host, gens, n)
     ws = weighted_image_spans(gamma, b_chain, a_host, n)
-    wv_chain = [
-        [wa.embed(v) for v in b_chain[i].representatives()] for i in range(n)
-    ]
-    wv_spans = [WreathSpan(wa, els) for els in wv_chain]
+    wv_chain = [[wa.embed(v) for v in sub.representatives()] for sub in b_chain]
 
-    u_gens = [wa.embed(v) for v in b_chain[0].representatives()] + [c]
-    if with_corner:
-        corner = wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))
-        u_gens.append(corner)
-    u_chain = power_chain(wa, u_gens, n)
+    corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
+    u_chain = power_chain(wa, wv_chain[0] + [c] + corner, n)
 
     g_dims = [b_chain[i].dim for i in range(n)]
     w_dims = [ws[j].dim for j in range(n)]
 
-    def row_middles(j):
-        if j == 0:
-            return [c]
-        return [_scale_row(wa, gamma, a) for a in ws[j - 1].representatives()]
-
-    def corner_middles(j):
-        if j == 0:
-            return [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))]
-        return [
-            wa.from_matrix(wa.matrix_unit(1, 1, a))
-            for a in ws[j - 1].representatives()
+    # middles[j] spans W_j c (and corner_middles[j] spans e_11(W_j)), j = 0..n
+    middles = [[c]] + [[_scale_row(wa, gamma, a) for a in w.representatives()] for w in ws]
+    if with_corner:
+        corner_middles = [corner] + [
+            [wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in w.representatives()] for w in ws
         ]
 
+    # rhs grows with m, adding only the terms of weight exactly m
+    rhs = WreathSpan(wa, [c] + corner)
     rows = []
     exact = True
     for m in range(1, n + 1):
-        rhs = WreathSpan(wa)
-        for v in b_chain[m - 1].representatives():
-            rhs.add(wa.embed(v))
-        for e in _triple_products(wa, wv_spans, row_middles, m):
-            rhs.add(e)
+        rhs.extend(wv_chain[m - 1])
+        rhs.extend(_triple_products(wv_chain, middles, m))
         if with_corner:
-            for e in _triple_products(wa, wv_spans, corner_middles, m):
-                rhs.add(e)
+            rhs.extend(_triple_products(wv_chain, corner_middles, m))
 
         lhs = u_chain[m - 1]
         included = rhs.contains_subspace(lhs)

@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .freealg import (
-    MAX_NESTING,
-    ParseError,
-    _Parser,
-    _tokenize,
-    parse_element,
-    power_exponent,
-)
+from .freealg import ParseError, _Parser, _tokenize, parse_element
 from .quotient import Presentation, TruncatedAlgebra
 from .scalars import Field
 from .words import EMPTY_WORD, Alphabet
@@ -169,167 +162,72 @@ def load_gamma(path, indexing, a_host) -> GammaMap:
 # -- wreath expressions ------------------------------------------------------
 
 
-class _WreathParser:
-    """Expressions over the host generators, `c_gamma`, and `e(i, j, <expr>)`."""
+class _WreathParser(_Parser):
+    """The element grammar over B's generators, plus `c_gamma` and
+    `e(i, j, <expression over A>)`; a word stands for its embedding in the
+    wreath product, and a term of numbers alone is not a wreath element."""
 
-    def __init__(self, tokens, wa: WreathAlgebra, gamma):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
+    def __init__(self, tokens, end, wa: WreathAlgebra, gamma):
+        super().__init__(tokens, end, wa.b_host.alphabet, wa.field)
         self.wa = wa
         self.gamma = gamma
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
-
-    def take(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-
-    def parse(self):
-        e = self.expr()
-        kind, val, pos = self.peek()
-        if kind is not None:
-            raise ParseError(f"trailing input {val!r}", pos)
-        return e
-
-    def expr(self):
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        e = self.term()
-        if sign < 0:
-            e = -e
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                t = self.term()
-                e = e - t if val == "-" else e + t
-            else:
-                return e
-
-    def term(self):
-        e, scale = None, self.wa.field.one
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "num":
-                self.take()
-                k2, v2, _ = self.peek()
-                if k2 == "op" and v2 == "/":
-                    self.take()
-                    k3, v3, p3 = self.take()
-                    if k3 != "num":
-                        raise ParseError("expected a denominator", p3)
-                    raw = self.wa.field.parse(f"{val}/{v3}")
-                else:
-                    raw = self.wa.field.from_int(int(val))
-                scale = self.wa.field.mul(scale, raw)
-            elif kind == "name" or (kind == "op" and val == "("):
-                f = self.factor()
-                e = f if e is None else e * f
-            elif kind == "op" and val == "*":
-                self.take()
-            else:
-                break
-        if e is None:
-            raise ParseError("expected a wreath element", self.peek()[2])
-        return e.scale(scale) if scale != self.wa.field.one else e
-
-    def factor(self):
-        kind, val, pos = self.take()
+    def named(self, val, pos):
         wa = self.wa
-        if kind == "op" and val == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            e = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return self._maybe_power(e)
-        if kind != "name":
-            raise ParseError(f"unexpected token {val!r}", pos)
         if val == "c_gamma":
             if self.gamma is None:
                 raise ParseError("c_gamma needs a gamma file", pos)
-            return self._maybe_power(wa.from_matrix(wa.gamma_row(self.gamma)))
-        if val == "e":
-            self.expect("(")
-            i = self._int_arg()
-            self.expect_comma()
-            j = self._int_arg()
-            self.expect_comma()
-            depth, start = 1, self.i
-            while depth > 0:
-                kind2, val2, pos2 = self.take()
-                if kind2 is None:
-                    raise ParseError("unterminated e(...)", pos2)
-                if kind2 == "op" and val2 == "(":
-                    depth += 1
-                elif kind2 == "op" and val2 == ")":
-                    depth -= 1
-            inner = self.tokens[start : self.i - 1]
-            a_elem = wa.a_host.from_free(
-                _Parser(inner, wa.a_host.alphabet, wa.field).parse()
-            )
-            return self._maybe_power(wa.from_matrix(wa.matrix_unit(i, j, a_elem)))
-        try:
-            letters = wa.b_host.alphabet.segment(val)
-        except KeyError as exc:
-            raise ParseError(str(exc), pos) from None
-        e = None
-        for letter in letters:
-            g = wa.embed(wa.b_host.gen(letter))
-            e = g if e is None else e * g
-        return self._maybe_power(e)
+            return self.raised(wa.from_matrix(wa.gamma_row(self.gamma)), pos)
+        if val != "e":
+            return super().named(val, pos)
+        self.expect("(")
+        i = self._index()
+        self.expect(",", "a comma")
+        j = self._index()
+        self.expect(",", "a comma")
+        inner = _Parser(self.tokens, self.end, wa.a_host.alphabet, wa.field, self.i, self.depth)
+        a = wa.a_host.from_free(inner.expr())
+        self.i = inner.i
+        self.expect(")")
+        return self.raised(wa.from_matrix(wa.matrix_unit(i, j, a)), pos)
 
-    def _maybe_power(self, e):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            return e ** power_exponent(self.take())
-        return e
+    def word(self, letters, pos):
+        b_host = self.wa.b_host
+        b = b_host.gen(letters[0])
+        for letter in letters[1:]:
+            b = b * b_host.gen(letter)
+        return self.wa.embed(b)
 
-    def _int_arg(self):
-        kind, val, pos = self.take()
-        if kind != "num":
-            raise ParseError("expected a basis index", pos)
-        i, n = int(val), len(self.wa.indexing)
+    def constant(self, raw, pos):
+        raise ParseError("expected a wreath element", pos)
+
+    def _index(self):
+        token = self.take()
+        if token[0] != "num":
+            raise self.error("expected a basis index", token)
+        i, n = int(token[1]), len(self.wa.indexing)
         if not 1 <= i <= n:
-            raise ParseError(f"basis index {i} out of range 1..{n}", pos)
+            raise ParseError(f"basis index {i} out of range 1..{n}", token[2])
         return i
-
-    def expect_comma(self):
-        kind, val, pos = self.take()
-        if not (kind == "op" and val == ","):
-            raise ParseError("expected a comma", pos)
 
 
 def parse_wreath_expression(text: str, wa: WreathAlgebra, gamma=None):
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression")
-    return _WreathParser(tokens, wa, gamma).parse()
+    return _WreathParser(*_tokenize(text), wa, gamma).parse()
 
 
 # -- report writers ----------------------------------------------------------
 
 
-def write_csv(path, meta: dict, columns, rows):
-    """Byte-stable CSV with a `# key=value` header block."""
+def format_csv(meta: dict, columns, rows) -> str:
+    """Byte-stable CSV text with a `# key=value` header block."""
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    data = "\n".join(lines) + "\n"
+    lines.extend(",".join(str(c) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, meta: dict, columns, rows):
+    data = format_csv(meta, columns, rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(data)
     return data

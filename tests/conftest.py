@@ -3,6 +3,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every property test runs the same examples on every run, however slow.
+settings.register_profile("wreathkit", deadline=None, derandomize=True)
+settings.load_profile("wreathkit")
 
 sys.path.insert(0, str(Path(__file__).parent))
 

@@ -12,8 +12,12 @@ from wreathkit import (
     ScalarMatrix,
     SMatrix,
     TruncatedAlgebra,
+    WreathAlgebra,
+    WreathSpan,
+    degree_one_generators,
     parse_element,
 )
+from wreathkit.growth import _scale_row, power_chain, weighted_image_spans
 
 
 def make_algebra(field, gens, relations=(), n=4, unital=False, policy="truncate"):
@@ -161,3 +165,41 @@ def reference_apply(e, j):
     coords, escaped = reference_product(e.b, idx, j)
     b_coords = {i: Scalar(e.algebra.field, c) for i, c in coords.items()}
     return b_coords, e.s.apply_column(j), escaped
+
+
+def reference_span_inclusion(b_host, a_host, gamma, n, with_corner=False):
+    """(rows, exact) of `span_inclusion_check`, with the predicted span rebuilt
+    at every m from all products V^i M_j V^k of weight i + j + k <= m."""
+    wa = WreathAlgebra(b_host, a_host, indexing=gamma.indexing)
+    c = wa.from_matrix(wa.gamma_row(gamma))
+    b_chain = power_chain(b_host, degree_one_generators(b_host), n)
+    ws = weighted_image_spans(gamma, b_chain, a_host, n)
+    v_chain = [[wa.embed(v) for v in sub.representatives()] for sub in b_chain]
+    corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
+    u_chain = power_chain(wa, v_chain[0] + [c] + corner, n)
+    middle_lists = [[[c]] + [[_scale_row(wa, gamma, a) for a in w.representatives()] for w in ws]]
+    if with_corner:
+        middle_lists.append(
+            [corner]
+            + [[wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in w.representatives()] for w in ws]
+        )
+    g = [1] + [sub.dim for sub in b_chain]
+    w = [1] + [sub.dim for sub in ws]
+    rows, exact = [], True
+    for m in range(1, n + 1):
+        rhs = WreathSpan(wa, v_chain[m - 1])
+        bound = g[m]
+        for i, j, k in product(range(m + 1), repeat=3):
+            if i + j + k > m:
+                continue
+            bound += len(middle_lists) * g[i] * w[j] * g[k]
+            for middles in middle_lists:
+                for mid in middles[j]:
+                    for le in [None] if i == 0 else v_chain[i - 1]:
+                        for ri in [None] if k == 0 else v_chain[k - 1]:
+                            e = mid if le is None else le * mid
+                            rhs.add(e if ri is None else e * ri)
+        lhs = u_chain[m - 1]
+        rows.append((m, lhs.dim, rhs.dim, rhs.contains_subspace(lhs), bound, lhs.dim <= bound))
+        exact = exact and lhs.exact and rhs.exact
+    return rows, exact

@@ -27,7 +27,13 @@ from wreathkit import (
 from wreathkit.growth import exp_bounds, log_interval, power_chain, weighted_image_spans
 from wreathkit.linalg import dense_rank
 
-from helpers import killed_above, make_algebra, random_element, random_gamma
+from helpers import (
+    killed_above,
+    make_algebra,
+    random_element,
+    random_gamma,
+    reference_span_inclusion,
+)
 
 Q = Field.rationals()
 GF7 = Field.prime(7)
@@ -492,3 +498,28 @@ def test_log_interval_encloses():
     assert iv.lo < Fraction(6931471806, 10**10)
     assert iv.hi > Fraction(6931471805, 10**10)
     assert iv.width < Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["exact", "corner", "truncated"],
+)
+def test_inclusion_rows_match_per_m_rebuild(case):
+    """The predicted span grown across m gives the rows of a per-m rebuild."""
+    if case == "exact":
+        b_alg, a_alg, gamma = small_instance(4)
+        n, corner = 4, False
+    elif case == "corner":
+        b_alg = killed_above(GF7, ["x", "y"], kill_degree=3, n=3, unital=True)
+        a_alg = make_algebra(GF7, ["z"], ["z^3"], n=3, unital=True)
+        gamma = random_gamma(BasisIndexing(b_alg), a_alg, random.Random(5), density=0.5)
+        n, corner = 3, True
+    else:
+        b_alg = make_algebra(GF7, ["x", "y"], [], n=2)
+        a_alg = make_algebra(GF7, ["z"], [], n=2)
+        gamma = random_gamma(BasisIndexing(b_alg), a_alg, random.Random(6), density=0.8)
+        n, corner = 4, False
+    report = span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
+    rows, exact = reference_span_inclusion(b_alg, a_alg, gamma, n, with_corner=corner)
+    assert report.rows == rows
+    assert report.exact == exact == (case != "truncated")

@@ -1,12 +1,16 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathkit import (
     BasisIndexing,
     Field,
+    FreeElement,
     ParseError,
     TruncatedAlgebra,
     WreathAlgebra,
@@ -22,7 +26,7 @@ from wreathkit.io import (
     presentation_to_text,
 )
 
-from helpers import random_gamma
+from helpers import make_algebra, random_gamma
 
 Q = Field.rationals()
 
@@ -164,6 +168,141 @@ def test_wreath_expression_exponent_limit(gamma_env):
         parse_wreath_expression(f"x^{MAX_EXPONENT + 1}", wa)
     with pytest.raises(ParseError, match="exceeds the limit"):
         parse_wreath_expression("(x + e(1,1,z))^3000000", wa)
+
+
+# -- one grammar for elements and wreath expressions -------------------------------
+
+GF101 = Field.prime(101)
+ONE_GRAMMAR_FIELDS = [Q, GF101]
+
+
+def grammar_env(field):
+    b_alg = make_algebra(field, ["x", "y"], ["x*y - 2*y*x"], n=4)
+    a_alg = make_algebra(field, ["s", "t"], ["s*s"], n=3, unital=True)
+    return WreathAlgebra(b_alg, a_alg)
+
+
+GRAMMAR_ENVS = {field: grammar_env(field) for field in ONE_GRAMMAR_FIELDS}
+
+
+def both_syntaxes(field):
+    """(name, parse) for plain elements over B and for wreath expressions."""
+    wa = GRAMMAR_ENVS[field]
+    return [
+        ("element", lambda text: parse_element(text, wa.b_host.alphabet, field)),
+        ("wreath", lambda text: parse_wreath_expression(text, wa)),
+    ]
+
+
+@st.composite
+def free_elements(draw, alphabet, field, min_degree):
+    if field.kind == "rational":
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        coeff = st.integers(0, field.characteristic - 1)
+    words = st.lists(st.integers(0, len(alphabet) - 1), min_size=min_degree, max_size=4)
+    support = draw(st.lists(words, min_size=1, max_size=4))
+    return FreeElement(alphabet, field, {alphabet.word(w): draw(coeff) for w in support})
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_wreath_b_part_is_the_element_parse(data):
+    field = data.draw(st.sampled_from(ONE_GRAMMAR_FIELDS))
+    wa = GRAMMAR_ENVS[field]
+    e = data.draw(free_elements(wa.b_host.alphabet, field, 1))
+    text = e.format()
+    if not e:
+        with pytest.raises(ParseError, match="expected a wreath element"):
+            parse_wreath_expression(text, wa)
+        return
+    # also with every `*` dropped: `x*y^2` becomes `xy^2`, still x y y
+    for spelling in (text, text.replace("*", "")):
+        w = parse_wreath_expression(spelling, wa)
+        assert w.b == wa.b_host.from_free(parse_element(spelling, wa.b_host.alphabet, field))
+        assert w.b == wa.b_host.from_free(e) and not w.s
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_matrix_unit_entry_is_the_element_parse(data):
+    field = data.draw(st.sampled_from(ONE_GRAMMAR_FIELDS))
+    wa = GRAMMAR_ENVS[field]
+    a = wa.a_host.from_free(data.draw(free_elements(wa.a_host.alphabet, field, 0)))
+    w = parse_wreath_expression(f"e(1,1,{a.format()})", wa)
+    assert w.s.entry(1, 1) == a and not w.b
+
+
+@pytest.mark.parametrize("field", ONE_GRAMMAR_FIELDS, ids=repr)
+def test_power_after_a_name_binds_its_last_letter(field):
+    wa = GRAMMAR_ENVS[field]
+    b = wa.b_host
+    xyy = b.gen("x") * b.gen("y") * b.gen("y")
+    assert parse_wreath_expression("xy^2", wa).b == xyy
+    assert parse_wreath_expression("xy^2", wa).b == b.from_free(
+        parse_element("xy^2", b.alphabet, field)
+    )
+    xy = b.gen("x") * b.gen("y")
+    assert parse_wreath_expression("(xy)^2", wa).b == xy * xy != xyy
+
+
+@pytest.mark.parametrize("field", ONE_GRAMMAR_FIELDS, ids=repr)
+def test_numbers_anywhere_in_a_term(field):
+    wa = GRAMMAR_ENVS[field]
+    x = wa.b_host.gen("x")
+    for name, parse in both_syntaxes(field):
+        for text in ("2^3*x", "2*x*4", "2 x 2 2", "8x"):
+            e = parse(text)
+            got = e.b if name == "wreath" else wa.b_host.from_free(e)
+            assert got == x.scale(8), (name, text)
+
+
+@pytest.mark.parametrize("field", ONE_GRAMMAR_FIELDS, ids=repr)
+@pytest.mark.parametrize("text", ["x + * y", "* x", "x**y", "x*", "x + - y"])
+def test_stray_operators_are_errors_in_both_syntaxes(field, text):
+    for _, parse in both_syntaxes(field):
+        with pytest.raises(ParseError, match="unexpected"):
+            parse(text)
+
+
+def test_fraction_over_a_prime_field_names_its_column():
+    for _, parse in both_syntaxes(GF101):
+        with pytest.raises(ParseError, match=r"rational field \(at column 3\)"):
+            parse("x+1/2*y")
+
+
+@pytest.mark.parametrize("text, column", [("x +", 4), ("(x", 3), ("x*y^", 5), ("x + ", 4)])
+def test_end_of_input_names_a_column_in_both_syntaxes(text, column):
+    for _, parse in both_syntaxes(Q):
+        with pytest.raises(ParseError, match=rf"unexpected end of input \(at column {column}\)"):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, column", [("e(1,1,", 7), ("e(1,1,s", 8), ("e(1", 4), ("e(1,1,s)^", 10)]
+)
+def test_end_of_input_inside_a_matrix_unit(text, column):
+    with pytest.raises(ParseError, match=rf"unexpected end of input \(at column {column}\)"):
+        parse_wreath_expression(text, GRAMMAR_ENVS[Q])
+
+
+def test_nesting_limit_counts_inside_a_matrix_unit():
+    wa = GRAMMAR_ENVS[Q]
+    ok = "(" * MAX_NESTING + "s" + ")" * MAX_NESTING
+    assert parse_wreath_expression(f"e(1,1,{ok})", wa) == parse_wreath_expression("e(1,1,s)", wa)
+    deep = "(" * (MAX_NESTING + 1) + "s" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_wreath_expression(f"e(1,1,{deep})", wa)
+    # the levels outside e(...) count too
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_wreath_expression("(" * 50 + f"e(1,1,{'(' * 51}s{')' * 51})" + ")" * 50, wa)
+
+
+def test_a_term_of_numbers_alone_is_not_a_wreath_element():
+    wa = GRAMMAR_ENVS[Q]
+    for text in ("3", "x + 2", "(x)^0", "x^0"):
+        with pytest.raises(ParseError, match="expected a wreath element"):
+            parse_wreath_expression(text, wa)
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ KEY_POOLS = {
     "int": list(range(10)),
     "word": sorted(XY.word(t) for d in (1, 2, 3) for t in product(range(2), repeat=d)),
 }
-DIFF = settings(max_examples=40, deadline=None, derandomize=True)
+DIFF = settings(max_examples=40)
 
 
 def coefficients(field):

@@ -87,7 +87,7 @@ def small_instances(draw):
     return alg, generators, draw(st.integers(1, 5))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(small_instances())
 def test_growth_and_power_chain_match_brute_force(instance):
     alg, generators, n = instance

@@ -225,7 +225,7 @@ def assert_stored(e):
         assert_raw(e.field, c)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.data())
 def test_free_sums_and_products_store_clean_coefficients(data):
     f = data.draw(st.sampled_from(ACC_FIELDS))
