@@ -26,6 +26,10 @@ MAX_NESTING = 100
 # unbounded n would cost memory and time in proportion to it.
 MAX_EXPONENT = 1000
 
+# Most digits a number in an expression may have, leading zeros aside:
+# Python's int() refuses longer decimal strings by default.
+MAX_DIGITS = 4300
+
 
 class ParseError(ValueError):
     def __init__(self, message, pos=None):
@@ -330,16 +334,18 @@ class _Parser:
     def number(self):
         _, val, pos = self.take()
         f = self.field
+        raw = f.from_int(self.integer(val, pos))
         if self.peek()[:2] == ("op", "/"):
             self.take()
-            token = self.take()
-            if token[0] != "num":
+            kind, den, at = token = self.take()
+            if kind != "num":
                 raise self.error("expected a denominator", token)
             if f.kind != "rational":
                 raise ParseError("fraction coefficients require the rational field", pos)
-            raw = f.parse(f"{val}/{token[1]}")
-        else:
-            raw = f.from_int(int(val))
+            den = self.integer(den, at)
+            if not den:
+                raise ParseError("zero denominator", at)
+            raw = f.div(raw, f.from_int(den))
         n = self.power()
         if n is None:
             return raw
@@ -374,9 +380,18 @@ class _Parser:
         if kind != "num":
             raise self.error("expected an integer exponent", token)
         # lengths first: int() refuses a string of more than 4300 digits
-        if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+        digits = val.lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}", pos)
-        return int(val)
+        return int(digits or "0")
+
+    @staticmethod
+    def integer(val, pos):
+        """The value of the digits `val` read at `pos`, leading zeros aside."""
+        digits = val.lstrip("0")
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(f"number has more than {MAX_DIGITS} digits", pos)
+        return int(digits or "0")
 
     def word(self, letters, pos):
         return FreeElement.from_word(self.alphabet, self.field, self.alphabet.word(letters))

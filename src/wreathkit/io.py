@@ -205,7 +205,7 @@ class _WreathParser(_Parser):
         token = self.take()
         if token[0] != "num":
             raise self.error("expected a basis index", token)
-        i, n = int(token[1]), len(self.wa.indexing)
+        i, n = self.integer(token[1], token[2]), len(self.wa.indexing)
         if not 1 <= i <= n:
             raise ParseError(f"basis index {i} out of range 1..{n}", token[2])
         return i

@@ -120,6 +120,10 @@ class Echelon:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
+    def ordered_rows(self) -> tuple:
+        """The rows in ascending pivot order; read them, never mutate them."""
+        return tuple(self._ordered_rows)
+
     def pivot_keys(self):
         return set(self.pivots)
 

@@ -21,6 +21,21 @@ a space of size (#generators x dim of the quotient), not m^d.  Pivots are the
 deglex-greatest candidate words; normal-form words are exactly the non-pivot
 candidates, reproducing the staircase a full word-space echelon would pick.
 
+Right translation costs one letter step per term.  Every suffix of a normal
+word is normal, so for u = a*u' the normal form nf(u*g) is a * nf(u'*g): one
+`_apply_letter` on a normal form found before.  The build memoizes nf(u*g)
+by degree and keeps the last 2s degrees, s the largest generator degree:
+degree d reads degrees d - s .. d - 1, and one letter down from those at
+least d - 2s; lower degrees are hardly ever read again.  The memo lives
+only while the build runs.  Each candidate word x*u is made once, when its
+degree's candidates are listed, and looked up from then on, so the basis,
+the reduction table and every normal form share one instance per word and
+dict lookups succeed on identity.  Each kernel's rows are extended in
+ascending pivot order, generators innermost: the leading words of the new
+rows then mostly arrive in ascending order, and `Echelon.insert` finds
+almost no earlier row to back-reduce.  The inserted set is the same in any
+order, so the basis and the reductions are too.
+
 Degrees above N follow the overflow policy: `reject` raises, `truncate`
 drops the escaping terms and flags the element so downstream dimension
 reports can mark themselves as lower bounds.  When the computed dimensions
@@ -31,10 +46,17 @@ truncations, and no flag is raised.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .freealg import FreeElement, _acc
 from .linalg import Echelon, Span, closure
 from .scalars import Field, FieldMismatchError, Scalar
 from .words import EMPTY_WORD, Alphabet, Word
+
+
+# The reduction of a pivot candidate that is zero in the quotient; all such
+# pivots share this one read-only mapping.
+_NO_TERMS = MappingProxyType({})
 
 
 class PresentationError(ValueError):
@@ -121,93 +143,166 @@ class TruncatedAlgebra:
     # -- construction ---------------------------------------------------
 
     def _build(self, relations_by_degree):
-        f = self.field
-        alphabet = self.alphabet
-        gens = range(len(alphabet))
+        p, one = self.field.characteristic, self.field.one
+        degrees = self.alphabet.degrees
+        gens = range(len(degrees))
         N = self.truncation_degree
+        span = max(degrees, default=1)
+        # intern[x]: normal word u -> the candidate word x*u, made once when
+        # its degree's candidates are listed (x itself under the empty word)
+        intern = self._intern = [{EMPTY_WORD: self.alphabet.gen(x)} for x in gens]
         # kernels[e]: the degree-e eliminant, kept only while a later degree
         # d = e + deg(g) still extends it on the right
         kernels = [None] * (N + 1)
-        span = max(alphabet.degrees, default=1)
+        # memo[k]: letters of u*g -> nf(u*g), for normal u and deg(u*g) = k
+        memo = {}
         for d in range(1, N + 1):
-            candidates = [alphabet.gen(g) for g in gens if alphabet.degrees[g] == d]
-            for g in gens:
-                rest = d - alphabet.degrees[g]
+            candidates = [intern[x][EMPTY_WORD] for x in gens if degrees[x] == d]
+            for x in gens:
+                rest = d - degrees[x]
                 if rest >= 1:
+                    xi = intern[x]
                     for w in self._basis[rest]:
-                        candidates.append(Word((g,) + w.letters, d))
-            ech = Echelon(f)
+                        xi[w] = cand = Word((x,) + w.letters, d)
+                        candidates.append(cand)
+            ech = Echelon(self.field)
             for r in relations_by_degree.get(d, ()):
                 ech.insert(self._free_to_candidates(r))
-            for e in range(1, d):
-                kernel = kernels[e]
-                if kernel is None:
+            for e in range(max(1, d - span), d):
+                right = [g for g in gens if e + degrees[g] == d]
+                if kernels[e] is None or not right:
                     continue
-                for g in gens:
-                    if e + alphabet.degrees[g] != d:
-                        continue
-                    for row in kernel.rows:
-                        ech.insert(self._extend_right(row, g))
+                # leading words lead(row)*g then arrive in ascending order, so
+                # back-reduction in `insert` finds almost no row above them
+                for row in kernels[e].ordered_rows():
+                    for g in right:
+                        ech.insert(self._extend_right(row, g, memo))
             kernels[d] = ech
             if d > span:
                 kernels[d - span] = None
-            pivots = ech.pivot_keys()
+            # degree d + 1 reads nf(u*g) of degrees > d - span, and one letter
+            # step below those; lower levels would rarely be hit again
+            for k in [k for k in memo if k <= d - 2 * span]:
+                del memo[k]
+            pivots = ech.pivots
             self._basis[d] = sorted(w for w in candidates if w not in pivots)
             self._normal.update(self._basis[d])
-            for key, idx in ech.pivots.items():
+            # a coefficient 1 is stored as the field's `one` itself, which
+            # `_apply_letter` and `_extend_right` then pass on unmultiplied
+            for key, idx in pivots.items():
                 row = ech.rows[idx]
-                self._reduction[key] = {w: f.neg(c) for w, c in row.items() if w != key}
+                if len(row) == 1:
+                    self._reduction[key] = _NO_TERMS
+                elif p:
+                    self._reduction[key] = {w: p - c for w, c in row.items() if w is not key}
+                else:
+                    self._reduction[key] = {
+                        w: one if c == -1 else -c for w, c in row.items() if w is not key
+                    }
 
     def _free_to_candidates(self, element: FreeElement) -> dict:
         """Coordinates of a homogeneous free element in the candidate space."""
         f = self.field
         vec = {}
         for w, c in element.terms.items():
-            if len(w) == 1:
-                _acc(vec, w, c, f)
-                continue
             x = w.letters[0]
-            xd = self.alphabet.degrees[x]
-            tail = Word(w.letters[1:], w.degree - xd)
+            xi = self._intern[x]
+            if len(w) == 1:
+                _acc(vec, xi[EMPTY_WORD], c, f)
+                continue
+            tail = Word(w.letters[1:], w.degree - self.alphabet.degrees[x])
             for u, beta in self._nf_word(tail).items():
-                _acc(vec, Word((x,) + u.letters, xd + u.degree), f.mul(c, beta), f)
+                _acc(vec, xi[u], f.mul(c, beta), f)
         return vec
 
-    def _extend_right(self, row: dict, g: int) -> dict:
-        """Image of an eliminant row under right multiplication by generator g."""
-        f = self.field
-        gd = self.alphabet.degrees[g]
-        vec = {}
+    def _extend_right(self, row: dict, g: int, memo: dict) -> dict:
+        """Image of an eliminant row under right multiplication by generator g.
+
+        A candidate x*u of the row goes to the candidates x*v of
+        nf(u*g) = sum beta_v v, read from `memo` (see `_right_nf`).
+        """
+        p, one = self.field.characteristic, self.field.one
+        degrees = self.alphabet.degrees
+        intern = self._intern
+        gd = degrees[g]
+        out = {}
+        get = out.get
         for cand, c in row.items():
-            x = cand.letters[0]
-            xd = self.alphabet.degrees[x]
-            tail = Word(cand.letters[1:] + (g,), cand.degree - xd + gd)
-            for u, beta in self._nf_word(tail).items():
-                _acc(vec, Word((x,) + u.letters, xd + u.degree), f.mul(c, beta), f)
+            letters = cand.letters
+            x = letters[0]
+            xi = intern[x]
+            key, k = letters[1:] + (g,), cand.degree - degrees[x] + gd
+            level = memo.get(k)
+            nf = None if level is None else level.get(key)
+            if nf is None:
+                nf = self._right_nf(key, k, memo)
+            for u, beta in nf.items():
+                w = xi[u]
+                t = c if beta is one else c * beta
+                old = get(w)
+                out[w] = t if old is None else old + t
+        if p:
+            return {w: r for w, t in out.items() if (r := t % p)}
+        return {w: t for w, t in out.items() if t}
+
+    def _right_nf(self, letters: tuple, degree: int, memo: dict) -> dict:
+        """nf of the word u*g with these letters and degree, u a normal word.
+
+        Every suffix of a normal word is normal, so for u = a*u' the normal
+        form is nf(u*g) = a * nf(u'*g): one `_apply_letter` on the memoized
+        normal form of the shorter word.  `memo` keeps them by degree.
+        """
+        degrees = self.alphabet.degrees
+        todo = []
+        vec = None
+        while letters:
+            level = memo.get(degree)
+            if level is None:
+                level = memo[degree] = {}
+            vec = level.get(letters)
+            if vec is not None:
+                break
+            todo.append((level, letters))
+            degree -= degrees[letters[0]]
+            letters = letters[1:]
+        if vec is None:
+            vec = {EMPTY_WORD: self.field.one}
+        for level, letters in reversed(todo):
+            vec = level[letters] = self._apply_letter(letters[0], vec)
         return vec
 
     def _apply_letter(self, x: int, vec: dict) -> dict:
-        """Left multiplication of a normal-coordinate vector by generator x."""
-        f = self.field
-        xd = self.alphabet.degrees[x]
-        out = {}
-        for u, beta in vec.items():
-            cand = Word((x,) + u.letters, xd + u.degree)
-            red = self._reduction.get(cand)
-            if red is None:
-                _acc(out, cand, beta, f)
-            else:
-                for v, gamma in red.items():
-                    _acc(out, v, f.mul(beta, gamma), f)
-        return out
+        """Left multiplication of a normal-coordinate vector by generator x.
 
-    def _nf_word(self, w: Word) -> dict:
-        """Normal form of a word of degree <= N, as normal-word coordinates."""
-        letters = w.letters
-        last = Word(letters[-1:], self.alphabet.degrees[letters[-1]])
-        red = self._reduction.get(last)
-        vec = {last: self.field.one} if red is None else dict(red)
-        for x in reversed(letters[:-1]):
+        The arithmetic is inline, as in `_mul_terms`.  A coefficient that is
+        the field's `one` itself (a normal word's own coefficient, or a 1 in
+        the reduction table) is passed on without a multiplication.
+        """
+        p, one = self.field.characteristic, self.field.one
+        xi = self._intern[x]
+        reduction = self._reduction
+        out = {}
+        get = out.get
+        for u, beta in vec.items():
+            cand = xi[u]
+            red = reduction.get(cand)
+            if red is None:
+                old = get(cand)
+                out[cand] = beta if old is None else old + beta
+                continue
+            for v, gamma in red.items():
+                t = gamma if beta is one else beta * gamma
+                old = get(v)
+                out[v] = t if old is None else old + t
+        if p:
+            return {w: r for w, t in out.items() if (r := t % p)}
+        return {w: t for w, t in out.items() if t}
+
+    def _nf_word(self, w: Word, v: Word = EMPTY_WORD) -> dict:
+        """Normal form of w*v, v a normal word, of degree <= N, as normal-word
+        coordinates."""
+        vec = {v: self.field.one}
+        for x in reversed(w.letters):
             if not vec:
                 break
             vec = self._apply_letter(x, vec)
@@ -340,12 +435,7 @@ class TruncatedAlgebra:
         d = u.degree + v.degree
         if d > self.truncation_degree:
             return {}, self._zero_above is None or d < self._zero_above
-        vec = {v: self.field.one}
-        for x in reversed(u.letters):
-            if not vec:
-                break
-            vec = self._apply_letter(x, vec)
-        return vec, False
+        return self._nf_word(u, v), False
 
     def _mul_terms(self, a: dict, b: dict, policy: str):
         """Product of two normal-coordinate term maps; returns (terms, flag).

@@ -17,7 +17,10 @@ from wreathkit import (
     degree_one_generators,
     parse_element,
 )
+from wreathkit.freealg import _acc
 from wreathkit.growth import _scale_row, power_chain, weighted_image_spans
+from wreathkit.linalg import Echelon
+from wreathkit.words import Word
 
 
 def make_algebra(field, gens, relations=(), n=4, unital=False, policy="truncate"):
@@ -102,6 +105,116 @@ def assert_raw(field, c):
         assert isinstance(c, Fraction)
     else:
         assert isinstance(c, int) and 0 <= c < field.characteristic
+
+
+# -- reference quotient build ---------------------------------------------------
+# The degree-by-degree build without the right-action memo, interned words or
+# ascending-pivot extension: every term of an extended row replays its tail word
+# one letter at a time, the kernel rows are extended generator by generator in
+# insertion order, and every sum goes through `_acc`.  The oracle for
+# `TruncatedAlgebra._build`.
+
+
+class ReferenceQuotient:
+    """basis[d], reduction (pivot candidate -> normal form) and zero_above."""
+
+    def __init__(self, presentation, truncation_degree):
+        self.alphabet = alphabet = presentation.alphabet
+        self.field = f = presentation.field
+        N = truncation_degree
+        by_degree = {}
+        for r in presentation.relations:
+            by_degree.setdefault(r.degree(), []).append(r)
+        self.basis = [[] for _ in range(N + 1)]
+        self.reduction = {}
+        self.candidates = [[] for _ in range(N + 1)]
+        gens = range(len(alphabet))
+        kernels = [None] * (N + 1)
+        span = max(alphabet.degrees, default=1)
+        for d in range(1, N + 1):
+            candidates = [alphabet.gen(g) for g in gens if alphabet.degrees[g] == d]
+            for g in gens:
+                rest = d - alphabet.degrees[g]
+                if rest >= 1:
+                    for w in self.basis[rest]:
+                        candidates.append(Word((g,) + w.letters, d))
+            self.candidates[d] = candidates
+            ech = Echelon(f)
+            for r in by_degree.get(d, ()):
+                ech.insert(self.free_to_candidates(r))
+            for e in range(1, d):
+                kernel = kernels[e]
+                if kernel is None:
+                    continue
+                for g in gens:
+                    if e + alphabet.degrees[g] != d:
+                        continue
+                    for row in kernel.rows:
+                        ech.insert(self.extend_right(row, g))
+            kernels[d] = ech
+            if d > span:
+                kernels[d - span] = None
+            pivots = ech.pivot_keys()
+            self.basis[d] = sorted(w for w in candidates if w not in pivots)
+            for key, idx in ech.pivots.items():
+                row = ech.rows[idx]
+                self.reduction[key] = {w: f.neg(c) for w, c in row.items() if w != key}
+        maxg = max(alphabet.degrees, default=0)
+        self.zero_above = 1 if maxg == 0 else next(
+            (
+                d0
+                for d0 in range(1, N - maxg + 2)
+                if all(not self.basis[d0 + j] for j in range(maxg))
+            ),
+            None,
+        )
+
+    def free_to_candidates(self, element):
+        f, vec = self.field, {}
+        for w, c in element.terms.items():
+            if len(w) == 1:
+                _acc(vec, w, c, f)
+                continue
+            x = w.letters[0]
+            xd = self.alphabet.degrees[x]
+            for u, beta in self.nf_word(Word(w.letters[1:], w.degree - xd)).items():
+                _acc(vec, Word((x,) + u.letters, xd + u.degree), f.mul(c, beta), f)
+        return vec
+
+    def extend_right(self, row, g):
+        f, vec = self.field, {}
+        gd = self.alphabet.degrees[g]
+        for cand, c in row.items():
+            x = cand.letters[0]
+            xd = self.alphabet.degrees[x]
+            tail = Word(cand.letters[1:] + (g,), cand.degree - xd + gd)
+            for u, beta in self.nf_word(tail).items():
+                _acc(vec, Word((x,) + u.letters, xd + u.degree), f.mul(c, beta), f)
+        return vec
+
+    def apply_letter(self, x, vec):
+        f, out = self.field, {}
+        xd = self.alphabet.degrees[x]
+        for u, beta in vec.items():
+            cand = Word((x,) + u.letters, xd + u.degree)
+            red = self.reduction.get(cand)
+            if red is None:
+                _acc(out, cand, beta, f)
+            else:
+                for v, gamma in red.items():
+                    _acc(out, v, f.mul(beta, gamma), f)
+        return out
+
+    def nf_word(self, w):
+        letters = w.letters
+        last = Word(letters[-1:], self.alphabet.degrees[letters[-1]])
+        red = self.reduction.get(last)
+        vec = {last: self.field.one} if red is None else dict(red)
+        for x in reversed(letters[:-1]):
+            if not vec:
+                break
+            vec = self.apply_letter(x, vec)
+        return vec
 
 
 # -- reference host multiplication ---------------------------------------------

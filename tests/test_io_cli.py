@@ -16,7 +16,7 @@ from wreathkit import (
     WreathAlgebra,
     parse_element,
 )
-from wreathkit.freealg import MAX_EXPONENT, MAX_NESTING
+from wreathkit.freealg import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 from wreathkit.io import (
     FileFormatError,
     gamma_to_text,
@@ -271,6 +271,52 @@ def test_fraction_over_a_prime_field_names_its_column():
             parse("x+1/2*y")
 
 
+@pytest.mark.parametrize(
+    "text, column", [("x - 1/0*y", 7), ("2/000*x*y", 3), ("x*(y + 3/0 x)", 10), ("1/0^2*x", 3)]
+)
+def test_zero_denominator_names_its_column_in_both_syntaxes(text, column):
+    for _, parse in both_syntaxes(Q):
+        with pytest.raises(ParseError, match=rf"zero denominator \(at column {column}\)"):
+            parse(text)
+
+
+def test_zero_denominator_inside_a_matrix_unit():
+    with pytest.raises(ParseError, match=r"zero denominator \(at column 13\)"):
+        parse_wreath_expression("e(1,1,s + 2/0*t)", GRAMMAR_ENVS[Q])
+    with pytest.raises(ParseError, match=r"zero denominator \(at column 9\)"):
+        parse_wreath_expression("e(1,1,1/0*s)", GRAMMAR_ENVS[Q])
+
+
+LONG = "7" * (MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize("field", ONE_GRAMMAR_FIELDS, ids=repr)
+def test_overlong_numbers_name_their_column_in_both_syntaxes(field):
+    limit = rf"number has more than {MAX_DIGITS} digits \(at column 5\)"
+    for _, parse in both_syntaxes(field):
+        with pytest.raises(ParseError, match=limit):
+            parse(f"x + {LONG}*y")
+        with pytest.raises(ParseError, match=limit):
+            parse(f"x + {LONG}^2*y")
+        # MAX_DIGITS digits are read, and leading zeros do not count
+        top = "9" * MAX_DIGITS
+        assert parse(f"{top}*x") == parse(f"{int(top) % (field.characteristic or int(top) + 1)}*x")
+        assert parse("0" * 5000 + "3*x") == parse("3*x")
+        assert parse("x^" + "0" * 5000 + "2") == parse("x*x")
+    wa = GRAMMAR_ENVS[field]
+    with pytest.raises(ParseError, match=rf"more than {MAX_DIGITS} digits \(at column 7\)"):
+        parse_wreath_expression(f"e(1,1,{LONG}*s)", wa)
+    with pytest.raises(ParseError, match=rf"more than {MAX_DIGITS} digits \(at column 3\)"):
+        parse_wreath_expression(f"e({LONG},1,s)", wa)
+
+
+def test_overlong_denominator_names_its_column():
+    for _, parse in both_syntaxes(Q):
+        with pytest.raises(ParseError, match=rf"more than {MAX_DIGITS} digits \(at column 7\)"):
+            parse(f"x + 1/{LONG}*y")
+        assert parse("x + 1/" + "0" * 5000 + "4*y") == parse("x + 1/4*y")
+
+
 @pytest.mark.parametrize("text, column", [("x +", 4), ("(x", 3), ("x*y^", 5), ("x + ", 4)])
 def test_end_of_input_names_a_column_in_both_syntaxes(text, column):
     for _, parse in both_syntaxes(Q):
@@ -377,6 +423,50 @@ def test_cli_huge_exponent_is_a_clean_error(tmp_path):
     out = run_cli("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "exceeds the limit" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "rel, message",
+    [
+        ("x*y - 1/0*y*x", "line 4: zero denominator (at column 9)"),
+        (f"x*y - {LONG}*y*x", f"line 4: number has more than {MAX_DIGITS} digits (at column 7)"),
+        (f"x*y - 1/{LONG}*y*x", f"line 4: number has more than {MAX_DIGITS} digits (at column 9)"),
+    ],
+    ids=["zero-denominator", "long-numerator", "long-denominator"],
+)
+def test_cli_bad_coefficient_names_line_and_column(tmp_path, rel, message):
+    pres = tmp_path / "coeff.pres"
+    pres.write_text(FREE2 + f"rel {rel}\n")
+    out = run_cli("build", "-p", str(pres), "-N", "3")
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[0] == f"error: {message}"
+
+
+def test_cli_long_coefficient_over_a_prime_field(tmp_path):
+    pres = tmp_path / "coeff.pres"
+    pres.write_text(f"field gf 101\nunital false\ngenerators x:1 y:1\nrel x*y - {LONG}*y*x\n")
+    out = run_cli("build", "-p", str(pres), "-N", "3")
+    assert out.returncode == 1
+    first = out.stderr.splitlines()[0]
+    assert first == f"error: line 4: number has more than {MAX_DIGITS} digits (at column 7)"
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [("e(1,1,1/0*z)", "zero denominator (at column 9)"),
+     (f"x + {LONG}*e(1,1,z)", f"number has more than {MAX_DIGITS} digits (at column 5)")],
+    ids=["zero-denominator", "long-number"],
+)
+def test_cli_wreath_eval_bad_coefficient(tmp_path, expr, message):
+    b = tmp_path / "b.pres"
+    b.write_text(HULL2)
+    a = tmp_path / "a.pres"
+    a.write_text(AX3)
+    out = run_cli(
+        "wreath-eval", "--B", str(b), "--A", str(a), "--NB", "2", "--NA", "3", "--expr", expr,
+    )
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[0] == f"error: {message}"
 
 
 def test_cli_inhomogeneous_relation_message_is_short(tmp_path):
