@@ -89,7 +89,7 @@ def cmd_build(args):
 
 def cmd_growth(args):
     alg = _load_algebra(args.presentation, args.N, args.policy)
-    n = args.n or args.N
+    n = args.N if args.n is None else args.n
     dims = growth_dims(alg, degree_one_generators(alg), n)
     rows = [(i + 1, d, e) for i, (d, e) in enumerate(dims)]
     _emit(args, _meta(args, N=args.N, n=n, input=args.presentation), ["n", "dim", "exact"], rows)
@@ -266,7 +266,12 @@ def cmd_gs_check(args):
         for part in args.census.split(","):
             d, _, c = part.partition(":")
             census[int(d)] = census.get(int(d), 0) + int(c)
-    t0 = Fraction(args.t0) if args.t0 else None
+    t0 = None
+    if args.t0:
+        try:
+            t0 = Fraction(args.t0)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--t0 {args.t0!r} is not a rational number") from None
     report = golod_shafarevich_check(args.m, census, t0, args.bound)
     if report.status == "satisfied":
         print(f"satisfiable, t0={report.t0}, value={report.value}")

@@ -1,7 +1,8 @@
 """Finite linear combinations of words: the ambient free associative algebra.
 
 Elements are sparse maps Word -> coefficient with no zero coefficients ever
-stored.  The text syntax accepted by `parse_element` is the one used in
+stored; `Combination` holds the arithmetic that `FreeElement` shares with
+the truncated algebras' `quotient.AlgElement`.  The text syntax accepted by `parse_element` is the one used in
 presentation and gamma files, and `_Parser` is also the grammar of wreath
 expressions (`io.parse_wreath_expression`): `+`/`-` separated terms,
 optional `*` between factors, `^` powers, rational coefficients like `2/3`
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import re
 
+from .linalg import _eliminate, reduced
 from .scalars import Field, FieldMismatchError, Scalar
 from .words import EMPTY_WORD, Alphabet, Word
 
@@ -37,21 +39,103 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _acc(terms: dict, key, c, f: Field):
-    """terms[key] += c, dropping zeros; c must be a raw value of f."""
-    old = terms.get(key)
-    if old is None:
-        if not f.is_zero(c):
-            terms[key] = c
-        return
-    s = f.add(old, c)
-    if f.is_zero(s):
-        del terms[key]
-    else:
-        terms[key] = s
+class Combination:
+    """The arithmetic shared by free and truncated-algebra elements.
+
+    An element is a sparse map `terms`: Word -> raw coefficient, with no zero
+    ever stored (residues in [1, p) over GF(p), `Fraction`s over the
+    rationals).  Subclasses give `field` and `alphabet`, `_like(terms, flag)`
+    (an element of the same kind and space with these terms), `_check` (the
+    operands live in one space), `__mul__`, `__eq__` and `__hash__`.  `flag`
+    marks a truncated result; a free element never is one.  The sums go
+    through `linalg`, with no `Field` call per term.
+    """
+
+    __slots__ = ()
+    flag = False
+
+    def __add__(self, other):
+        self._check(other)
+        p = self.field.characteristic
+        terms = dict(self.terms)
+        _eliminate(terms, other.terms, p - 1 if p else -1, p)
+        return self._like(terms, self.flag or other.flag)
+
+    def __sub__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        _eliminate(terms, other.terms, 1, self.field.characteristic)
+        return self._like(terms, self.flag or other.flag)
+
+    def __neg__(self):
+        p = self.field.characteristic
+        if p:
+            return self._like({w: p - c for w, c in self.terms.items()}, self.flag)
+        return self._like({w: -c for w, c in self.terms.items()}, self.flag)
+
+    def scale(self, c):
+        """c times this element; c is a `Scalar` of this field, an int, or a
+        raw value of this field."""
+        f = self.field
+        c = f.scalar(c).raw
+        p = f.characteristic
+        if not c:
+            return self._like({}, self.flag)
+        if p:
+            return self._like({w: c * v % p for w, v in self.terms.items()}, self.flag)
+        return self._like({w: c * v for w, v in self.terms.items()}, self.flag)
+
+    def __pow__(self, k: int):
+        if k < 1:
+            raise ValueError("powers start at 1")
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def coefficient(self, word: Word) -> Scalar:
+        return Scalar(self.field, self.terms.get(word, self.field.zero))
+
+    def min_degree(self) -> int:
+        """Minimal degree of a nonzero homogeneous component."""
+        if not self.terms:
+            raise ValueError("the zero element has no degree")
+        return min(w.degree for w in self.terms)
+
+    def homogeneous_component(self, d: int):
+        return self._like({w: c for w, c in self.terms.items() if w.degree == d}, self.flag)
+
+    def format(self) -> str:
+        if not self.terms:
+            return "0"
+        f = self.field
+        parts = []
+        for w in sorted(self.terms):
+            c = self.terms[w]
+            neg = f.kind == "rational" and c < 0
+            mag = -c if neg else c
+            body = self.alphabet.format_word(w)
+            if w.is_empty:
+                text = f.fmt(mag)
+            elif mag == f.one:
+                text = body
+            else:
+                text = f"{f.fmt(mag)}*{body}"
+            if not parts:
+                parts.append(f"-{text}" if neg else text)
+            else:
+                parts.append(f"- {text}" if neg else f"+ {text}")
+        return " ".join(parts)
+
+    def __repr__(self):
+        text = self.format()
+        return f"{text} (truncated)" if self.flag else text
 
 
-class FreeElement:
+class FreeElement(Combination):
     """A finite linear combination of words over one alphabet and one field."""
 
     __slots__ = ("alphabet", "field", "terms")
@@ -59,12 +143,7 @@ class FreeElement:
     def __init__(self, alphabet: Alphabet, field: Field, terms=None):
         self.alphabet = alphabet
         self.field = field
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if not field.is_zero(c):
-                    clean[w] = c
-        self.terms = clean
+        self.terms = {w: c for w, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, alphabet, field):
@@ -79,66 +158,27 @@ class FreeElement:
     def generator(cls, alphabet, field, i: int):
         return cls.from_word(alphabet, field, alphabet.gen(i))
 
+    def _like(self, terms, flag=False):
+        out = FreeElement(self.alphabet, self.field)
+        out.terms = terms
+        return out
+
     def _check(self, other: "FreeElement"):
         if self.alphabet != other.alphabet:
             raise ValueError("elements over different alphabets")
         if self.field != other.field:
             raise FieldMismatchError("elements over different fields")
 
-    def __add__(self, other):
-        self._check(other)
-        f = self.field
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(terms, w, c, f)
-        out = FreeElement(self.alphabet, f)
-        out.terms = terms
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        f = self.field
-        out = FreeElement(self.alphabet, f)
-        out.terms = {w: f.neg(c) for w, c in self.terms.items()}
-        return out
-
-    def scale(self, c) -> "FreeElement":
-        f = self.field
-        if isinstance(c, Scalar):
-            if c.field != f:
-                raise FieldMismatchError("scalar from another field")
-            c = c.raw
-        elif isinstance(c, int):
-            c = f.from_int(c)
-        if f.is_zero(c):
-            return FreeElement.zero(self.alphabet, f)
-        out = FreeElement(self.alphabet, f)
-        out.terms = {w: f.mul(c, v) for w, v in self.terms.items()}
-        return out
-
     def __mul__(self, other):
         self._check(other)
-        f = self.field
-        terms = {}
+        acc = {}
+        get = acc.get
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                _acc(terms, u * v, f.mul(cu, cv), f)
-        out = FreeElement(self.alphabet, f)
-        out.terms = terms
-        return out
-
-    def __pow__(self, k: int):
-        if k < 1:
-            raise ValueError("powers of free elements start at 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
+                w = u * v
+                x = get(w)
+                acc[w] = cu * cv if x is None else x + cu * cv
+        return self._like(reduced(acc, self.field.characteristic))
 
     def __eq__(self, other):
         return (
@@ -151,23 +191,8 @@ class FreeElement:
     def __hash__(self):
         return hash((self.alphabet, self.field, frozenset(self.terms.items())))
 
-    def coefficient(self, word: Word) -> Scalar:
-        return Scalar(self.field, self.terms.get(word, self.field.zero))
-
-    def min_degree(self) -> int:
-        """Minimal degree of a nonzero homogeneous component."""
-        if not self.terms:
-            raise ValueError("the zero element has no degree")
-        return min(w.degree for w in self.terms)
-
-    def homogeneous_component(self, d: int) -> "FreeElement":
-        out = FreeElement(self.alphabet, self.field)
-        out.terms = {w: c for w, c in self.terms.items() if w.degree == d}
-        return out
-
     def is_homogeneous(self) -> bool:
-        degrees = {w.degree for w in self.terms}
-        return len(degrees) <= 1
+        return len({w.degree for w in self.terms}) <= 1
 
     def degree(self) -> int:
         """Common degree of a nonzero homogeneous element."""
@@ -178,30 +203,6 @@ class FreeElement:
 
     def words(self):
         return sorted(self.terms)
-
-    def format(self) -> str:
-        if not self.terms:
-            return "0"
-        f = self.field
-        parts = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            neg = f.kind == "rational" and c < 0
-            mag = f.neg(c) if neg else c
-            body = self.alphabet.format_word(w)
-            if w.is_empty:
-                text = f.fmt(mag)
-            elif mag == f.one:
-                text = body
-            else:
-                text = f"{f.fmt(mag)}*{body}"
-            if not parts:
-                parts.append(f"-{text}" if neg else text)
-            else:
-                parts.append(f"- {text}" if neg else f"+ {text}")
-        return " ".join(parts)
-
-    __repr__ = format
 
 
 # -- expression parser ---------------------------------------------------

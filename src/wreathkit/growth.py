@@ -163,6 +163,8 @@ def power_chain(alg, generators, n: int):
     reduced echelon form is unique, so level r is the span of its first d_r
     representatives, and level n is the grown span itself.
     """
+    if n < 1:
+        raise ValueError(f"the factor count must be at least 1, not {n}")
     kind = WreathSpan if isinstance(alg, WreathAlgebra) else Subspace
     span = kind(alg, generators)
     gens = span.representatives()
@@ -544,7 +546,8 @@ def build_slow_gamma(
     gamma = GammaMap(indexing, a_host, values)
 
     n_top = schedule.threshold(len(schedule)) if n_max is None else n_max
-    table = w_gamma_table(b_host, a_host, gamma, n_top)
+    # an empty schedule and no n_max: no factor count to tabulate
+    table = w_gamma_table(b_host, a_host, gamma, n_top) if n_top else GrowthTable("w_gamma", {})
     d = Fraction(d)
     bound_rows = []
     for n, (w, exact) in sorted(table.entries.items()):

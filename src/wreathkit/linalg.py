@@ -1,5 +1,12 @@
 """Exact sparse linear algebra over ordered coordinate keys.
 
+This is the one module that sums raw coefficients (residues mod p, or
+`Fraction`s over the rationals) of sparse vectors: `combine` forms a linear
+combination of vectors, `reduced` is the finish every such sum needs (reduce
+mod p once, drop the zeros), and `_eliminate` subtracts a multiple of one
+vector from another in place.  Elements of the free and the truncated
+algebras, host actions and matrices add through them.
+
 `Echelon` keeps a reduced-echelon collection of sparse vectors.  Keys can be
 any totally ordered hashables (words, packed wreath coordinates, ...); the
 pivot of a row is its greatest key, and rows are fully inter-reduced so no row
@@ -28,14 +35,44 @@ from bisect import bisect_right
 from .scalars import Field
 
 
+def reduced(acc: dict, p: int) -> dict:
+    """The finish of a raw sum: residues mod p when p > 0, zeros dropped.
+
+    acc maps keys to unreduced sums (arbitrary ints over GF(p), `Fraction`s
+    over the rationals, p == 0); a new dict is returned.
+    """
+    if p:
+        return {key: r for key, x in acc.items() if (r := x % p)}
+    return {key: x for key, x in acc.items() if x}
+
+
+def combine(parts, p: int) -> dict:
+    """sum of c * vec over the (c, vec) in parts, with no zero values kept.
+
+    c and the vector values are raw values for characteristic p.  A single
+    part with c == 1 is returned as it is, without a copy: read the result,
+    never mutate it.
+    """
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    out = {}
+    get = out.get
+    for c, vec in parts:
+        for key, val in vec.items():
+            x = get(key)
+            out[key] = c * val if x is None else x + c * val
+    return reduced(out, p)
+
+
 def _eliminate(v: dict, row: dict, c, p: int) -> None:
     """v -= c * row in place, dropping the keys that cancel.
 
     p is the field characteristic: raw residues mod p when p > 0, `Fraction`
     values over the rationals when p == 0.  This is the elimination step of
-    every `Echelon` operation, so it does its own arithmetic instead of a
-    `Field` call per term.  c and the row entries are nonzero, so a key that
-    v lacks takes -c * val, which is never zero, with no subtraction.
+    every `Echelon` operation and of element addition (c = -1) and
+    subtraction (c = 1), so it does its own arithmetic instead of a `Field`
+    call per term.  c and the row entries are nonzero, so a key that v lacks
+    takes -c * val, which is never zero, with no subtraction.
     """
     get = v.get
     if p:

@@ -48,8 +48,8 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .freealg import FreeElement, _acc
-from .linalg import Echelon, Span, closure
+from .freealg import Combination, FreeElement
+from .linalg import Echelon, Span, closure, reduced
 from .scalars import Field, FieldMismatchError, Scalar
 from .words import EMPTY_WORD, Alphabet, Word
 
@@ -202,18 +202,15 @@ class TruncatedAlgebra:
 
     def _free_to_candidates(self, element: FreeElement) -> dict:
         """Coordinates of a homogeneous free element in the candidate space."""
-        f = self.field
         vec = {}
         for w, c in element.terms.items():
             x = w.letters[0]
             xi = self._intern[x]
-            if len(w) == 1:
-                _acc(vec, xi[EMPTY_WORD], c, f)
-                continue
+            # an empty tail has the normal form {EMPTY_WORD: 1}, so x*1 = x
             tail = Word(w.letters[1:], w.degree - self.alphabet.degrees[x])
             for u, beta in self._nf_word(tail).items():
-                _acc(vec, xi[u], f.mul(c, beta), f)
-        return vec
+                vec[xi[u]] = vec.get(xi[u], 0) + c * beta
+        return reduced(vec, self.field.characteristic)
 
     def _extend_right(self, row: dict, g: int, memo: dict) -> dict:
         """Image of an eliminant row under right multiplication by generator g.
@@ -241,6 +238,7 @@ class TruncatedAlgebra:
                 t = c if beta is one else c * beta
                 old = get(w)
                 out[w] = t if old is None else old + t
+        # `linalg.reduced`, inline: this runs once per letter step
         if p:
             return {w: r for w, t in out.items() if (r := t % p)}
         return {w: t for w, t in out.items() if t}
@@ -294,6 +292,7 @@ class TruncatedAlgebra:
                 t = gamma if beta is one else beta * gamma
                 old = get(v)
                 out[v] = t if old is None else old + t
+        # `linalg.reduced`, inline: this runs once per letter step
         if p:
             return {w: r for w, t in out.items() if (r := t % p)}
         return {w: t for w, t in out.items() if t}
@@ -384,13 +383,16 @@ class TruncatedAlgebra:
         return self.from_free(FreeElement.from_word(self.alphabet, self.field, w))
 
     def element(self, terms: dict) -> "AlgElement":
-        """Element from normal-word coordinates (words must be basis words)."""
+        """Element from normal-word coordinates (words must be basis words).
+
+        A coefficient is a `Scalar` of this field, an int, or a raw value of
+        this field (see `Field.scalar`).
+        """
         f = self.field
         clean = {}
         for w, c in terms.items():
-            if isinstance(c, Scalar):
-                c = c.raw
-            if f.is_zero(c):
+            c = f.scalar(c).raw
+            if not c:
                 continue
             if w.is_empty:
                 if not self.unital:
@@ -405,14 +407,10 @@ class TruncatedAlgebra:
             raise ValueError("element over a different alphabet")
         if element.field != self.field:
             raise FieldMismatchError("element over a different field")
-        f = self.field
         terms, flag = {}, False
         for w, c in element.terms.items():
-            if w.is_empty:
-                if not self.unital:
-                    raise ValueError("unit term in a non-unital algebra")
-                _acc(terms, w, c, f)
-                continue
+            if w.is_empty and not self.unital:
+                raise ValueError("unit term in a non-unital algebra")
             if w.degree > self.truncation_degree:
                 if self._zero_above is not None and w.degree >= self._zero_above:
                     continue
@@ -423,8 +421,8 @@ class TruncatedAlgebra:
                 flag = True
                 continue
             for u, beta in self._nf_word(w).items():
-                _acc(terms, u, f.mul(c, beta), f)
-        return AlgElement(self, terms, flag)
+                terms[u] = terms.get(u, 0) + c * beta
+        return AlgElement(self, reduced(terms, self.field.characteristic), flag)
 
     def _word_pair_product(self, u: Word, v: Word):
         """Normal form of a product of two basis words; `_mul_terms` memoizes it.
@@ -479,6 +477,7 @@ class TruncatedAlgebra:
                 for w, cw in vec.items():
                     x = get(w)
                     out[w] = c * cw if x is None else x + c * cw
+        # `linalg.reduced`, inline: this runs once per product
         if p:
             return {w: r for w, x in out.items() if (r := x % p)}, flag
         return {w: x for w, x in out.items() if x}, flag
@@ -490,12 +489,13 @@ class TruncatedAlgebra:
         )
 
 
-class AlgElement:
+class AlgElement(Combination):
     """An element of a truncated algebra in normal-word coordinates.
 
     `flag` records that some product escaped the truncation degree under the
     `truncate` policy: dimensions computed from flagged elements are lower
-    bounds for the untruncated algebra.
+    bounds for the untruncated algebra.  The linear arithmetic is
+    `freealg.Combination`'s.
     """
 
     __slots__ = ("host", "terms", "flag")
@@ -505,50 +505,25 @@ class AlgElement:
         self.terms = terms
         self.flag = flag
 
+    @property
+    def field(self) -> Field:
+        return self.host.field
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.host.alphabet
+
+    def _like(self, terms, flag):
+        return AlgElement(self.host, terms, flag)
+
     def _check(self, other: "AlgElement"):
         if self.host is not other.host:
             raise ValueError("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.host.field
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(terms, w, c, f)
-        return AlgElement(self.host, terms, self.flag or other.flag)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        f = self.host.field
-        return AlgElement(self.host, {w: f.neg(c) for w, c in self.terms.items()}, self.flag)
-
-    def scale(self, c) -> "AlgElement":
-        f = self.host.field
-        if isinstance(c, Scalar):
-            c = c.raw
-        elif isinstance(c, int):
-            c = f.from_int(c)
-        if f.is_zero(c):
-            return AlgElement(self.host, {}, self.flag)
-        return AlgElement(self.host, {w: f.mul(c, v) for w, v in self.terms.items()}, self.flag)
 
     def __mul__(self, other):
         self._check(other)
         terms, flag = self.host._mul_terms(self.terms, other.terms, self.host.policy)
         return AlgElement(self.host, terms, flag or self.flag or other.flag)
-
-    def __pow__(self, k: int):
-        if k < 1:
-            raise ValueError("powers start at 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         # flags are bookkeeping, not part of the value
@@ -561,32 +536,8 @@ class AlgElement:
     def __hash__(self):
         return hash((id(self.host), frozenset(self.terms.items())))
 
-    def coefficient(self, word: Word) -> Scalar:
-        return Scalar(self.host.field, self.terms.get(word, self.host.field.zero))
-
     def unit_coefficient(self) -> Scalar:
         return self.coefficient(EMPTY_WORD)
-
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero element has no degree")
-        return min(w.degree for w in self.terms)
-
-    def homogeneous_component(self, d: int) -> "AlgElement":
-        return AlgElement(
-            self.host,
-            {w: c for w, c in self.terms.items() if w.degree == d},
-            self.flag,
-        )
-
-    def format(self) -> str:
-        fe = FreeElement(self.host.alphabet, self.host.field)
-        fe.terms = dict(self.terms)
-        return fe.format()
-
-    def __repr__(self):
-        text = self.format()
-        return f"{text} (truncated)" if self.flag else text
 
 
 class Subspace(Span):
@@ -620,6 +571,8 @@ def growth_dims(alg: TruncatedAlgebra, generators, n_max: int):
     set}, together with an exactness bit that goes False as soon as a product
     escapes the truncation.  The chain is monotone by construction.
     """
+    if n_max < 1:
+        raise ValueError(f"the factor count must be at least 1, not {n_max}")
     if isinstance(generators, Subspace):
         generators = generators.representatives()
     span = Subspace(alg, generators)

@@ -3,7 +3,10 @@
 There is no floating point anywhere in the kernel.  Rational values are
 `fractions.Fraction` (always in lowest terms with positive denominator by
 construction), prime-field residues are plain ints in [0, p).  The raw-value
-methods on `Field` are the hot path used by the linear-algebra layers;
+methods on `Field` serve the code off the hot paths (the parsers, `dense_rank`,
+inverses and formatting); the sums of the hot loops do their residue or
+`Fraction` arithmetic inline, and `linalg` is where coefficients are summed.
+`Field.scalar` coerces an int, a raw value or a `Scalar` into this field, and
 `Scalar` is the boundary wrapper with operator overloads and field checks.
 """
 
@@ -106,15 +109,6 @@ class Field:
         return not a
 
     # -- text syntax: `a/b` for rationals, decimal residue for GF(p) ---
-
-    def parse(self, text: str):
-        text = text.strip()
-        if "/" in text:
-            if self.kind != "rational":
-                raise ValueError(f"fraction syntax {text!r} requires the rational field")
-            num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
-        return self.from_int(int(text))
 
     def fmt(self, raw) -> str:
         if self.kind == "rational" and raw.denominator != 1:

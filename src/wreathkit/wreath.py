@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import _acc
-from .linalg import Span, closure
+from .linalg import Span, closure, combine, reduced
 from .quotient import AlgElement, Subspace, TruncatedAlgebra
 from .scalars import FieldMismatchError, Scalar
 from .words import EMPTY_WORD, Word
@@ -112,7 +111,7 @@ class BasisIndexing:
             table = self.left_action(w)
             parts.append((c, table.cols[j]))
             escaped = escaped or table.escaped[j]
-        return _combine(parts, self.host.field.characteristic), escaped
+        return combine(parts, self.host.field.characteristic), escaped
 
     def product_row(self, b: AlgElement, k: int) -> dict:
         """Row k of L(b), as {j: coefficient of basis vector k in b*b_j}.
@@ -124,7 +123,7 @@ class BasisIndexing:
             row = self.left_action(w).rows.get(k)
             if row:
                 parts.append((c, row))
-        return _combine(parts, self.host.field.characteristic)
+        return combine(parts, self.host.field.characteristic)
 
     def escapes(self, b: AlgElement) -> bool:
         """Whether b*b_j escapes the truncation for some basis index j."""
@@ -132,40 +131,20 @@ class BasisIndexing:
 
     def element_coords(self, e: AlgElement) -> dict:
         """Coordinates of an element in this basis, as {index: raw}."""
-        f = self.host.field
         if not self.unipotent:
             return {self._index[w]: c for w, c in e.terms.items()}
         # e = a*1 + sum b_w w  =  c_1*1 + sum_i c_i (1 + w_i)
         # with c_i = b_{w_i} and c_1 = a - sum b_w.
-        coords = {}
-        total = f.zero
-        for w, c in e.terms.items():
-            if w.is_empty:
-                continue
-            coords[self._index[w]] = c
-            total = f.add(total, c)
-        c1 = f.sub(e.terms.get(EMPTY_WORD, f.zero), total)
-        if not f.is_zero(c1):
-            coords[1] = c1
-        return coords
+        coords = {self._index[w]: c for w, c in e.terms.items() if not w.is_empty}
+        coords[1] = e.terms.get(EMPTY_WORD, 0) - sum(coords.values())
+        return reduced(coords, self.host.field.characteristic)
 
     def coords_to_element(self, coords: dict) -> AlgElement:
-        host = self.host
-        f = host.field
-        terms = {}
-        if not self.unipotent:
-            for i, c in coords.items():
-                _acc(terms, self.word_at(i), c, f)
-            return AlgElement(host, terms)
-        unit_total = f.zero
-        for i, c in coords.items():
-            w = self.word_at(i)
-            unit_total = f.add(unit_total, c)
-            if not w.is_empty:
-                _acc(terms, w, c, f)
-        if not f.is_zero(unit_total):
-            terms[EMPTY_WORD] = unit_total
-        return AlgElement(host, terms)
+        terms = {self.word_at(i): c for i, c in coords.items()}
+        if self.unipotent:
+            # every c_i (1 + w_i) also lands on the unit
+            terms[EMPTY_WORD] = sum(coords.values())
+        return AlgElement(self.host, reduced(terms, self.host.field.characteristic))
 
 
 class _LeftAction:
@@ -186,26 +165,6 @@ class _LeftAction:
         self.any_escaped = any_escaped
 
 
-def _combine(parts, p: int) -> dict:
-    """sum of c * vec over the (c, vec) in parts, with no zero values kept.
-
-    p is the field characteristic (0 over the rationals), so the arithmetic
-    is inline, as in `linalg._eliminate`.  A single part with c == 1 is
-    returned as it is, without a copy.
-    """
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][1]
-    out = {}
-    get = out.get
-    for c, vec in parts:
-        for key, val in vec.items():
-            x = get(key)
-            out[key] = c * val if x is None else x + c * val
-    if p:
-        return {key: r for key, x in out.items() if (r := x % p)}
-    return {key: x for key, x in out.items() if x}
-
-
 def _scaled_sum(terms, a_host: TruncatedAlgebra) -> dict:
     """{(i, j): sum of c*a} over the ((i, j), c, a) in terms, as A-elements.
 
@@ -220,7 +179,7 @@ def _scaled_sum(terms, a_host: TruncatedAlgebra) -> dict:
     p = a_host.field.characteristic
     out = {}
     for key, summands in parts.items():
-        t = _combine(summands, p)
+        t = combine(summands, p)
         if t:
             out[key] = AlgElement(a_host, t, key in flagged)
     return out
@@ -233,12 +192,7 @@ class ScalarMatrix:
 
     def __init__(self, indexing: BasisIndexing, entries=None, flag=False):
         self.indexing = indexing
-        f = indexing.host.field
-        self.entries = {}
-        if entries:
-            for key, c in entries.items():
-                if not f.is_zero(c):
-                    self.entries[key] = c
+        self.entries = {key: c for key, c in entries.items() if c} if entries else {}
         self.flag = flag
 
     def __eq__(self, other):
@@ -252,15 +206,15 @@ class ScalarMatrix:
         return bool(self.entries)
 
     def matmul(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        f = self.indexing.host.field
         rows_of_other = {}
         for (k, j), c in other.entries.items():
             rows_of_other.setdefault(k, []).append((j, c))
         out = {}
         for (i, k), a in self.entries.items():
             for j, b in rows_of_other.get(k, ()):
-                _acc(out, (i, j), f.mul(a, b), f)
-        return ScalarMatrix(self.indexing, out, self.flag or other.flag)
+                out[(i, j)] = out.get((i, j), 0) + a * b
+        p = self.indexing.host.field.characteristic
+        return ScalarMatrix(self.indexing, reduced(out, p), self.flag or other.flag)
 
     @classmethod
     def identity(cls, indexing: BasisIndexing) -> "ScalarMatrix":
@@ -466,14 +420,16 @@ class GammaMap:
         return sorted(self.values)
 
     def apply(self, b: AlgElement) -> AlgElement:
-        out = self.a_host.zero()
+        """gamma(b) = sum of c_i gamma(b_i) over b's coordinates c_i; flagged
+        when b or one of the values summed is."""
+        parts, flag = [], b.flag
         for i, c in self.indexing.element_coords(b).items():
             v = self.values.get(i)
             if v is not None:
-                out = out + v.scale(c)
-        if b.flag:
-            out = AlgElement(out.host, out.terms, True)
-        return out
+                parts.append((c, v.terms))
+                flag = flag or v.flag
+        a = self.a_host
+        return AlgElement(a, combine(parts, a.field.characteristic), flag)
 
     def image_span(self) -> Subspace:
         return Subspace(self.a_host, list(self.values.values()))
@@ -516,7 +472,7 @@ class WreathAlgebra:
             b = self.b_host.zero()
         if b.host is not self.b_host:
             raise ValueError("b-part in the wrong algebra")
-        if not self.b_host.field.is_zero(b.terms.get(EMPTY_WORD, self.b_host.field.zero)):
+        if EMPTY_WORD in b.terms:
             raise ValueError("the b-part must lie in the non-unital part of the host")
         if s is None:
             s = self.zero_matrix()
@@ -704,12 +660,11 @@ def unipotent_inverse(b: AlgElement) -> AlgElement:
     """Inverse of an element with nonzero unit coefficient, by the finite
     geometric series on its nilpotent part."""
     host = b.host
-    f = host.field
-    alpha = b.terms.get(EMPTY_WORD, f.zero)
-    if f.is_zero(alpha):
+    alpha = b.terms.get(EMPTY_WORD)
+    if not alpha:
         raise ValueError("element has no unit component, not invertible here")
-    inv_alpha = f.inv(alpha)
-    n = AlgElement(host, {w: f.mul(inv_alpha, c) for w, c in b.terms.items() if not w.is_empty})
+    inv_alpha = Scalar(host.field, host.field.inv(alpha))
+    n = AlgElement(host, {w: c for w, c in b.terms.items() if w.letters}).scale(inv_alpha)
     out = host.unit()
     term = host.unit()
     while True:
@@ -717,7 +672,7 @@ def unipotent_inverse(b: AlgElement) -> AlgElement:
         if not term:
             break
         out = out + term
-    return out.scale(Scalar(f, inv_alpha))
+    return out.scale(inv_alpha)
 
 
 @dataclass

@@ -17,7 +17,6 @@ from wreathkit import (
     degree_one_generators,
     parse_element,
 )
-from wreathkit.freealg import _acc
 from wreathkit.growth import _scale_row, power_chain, weighted_image_spans
 from wreathkit.linalg import Echelon
 from wreathkit.words import Word
@@ -96,6 +95,21 @@ def commutative_dim(m, d):
 
 def enumerate_words(m, d):
     return list(product(range(m), repeat=d))
+
+
+def _acc(terms: dict, key, c, f):
+    """terms[key] += c through `Field` calls, dropping zeros; c is a raw value
+    of f.  The oracles' own accumulator, independent of `linalg`'s sums."""
+    old = terms.get(key)
+    if old is None:
+        if not f.is_zero(c):
+            terms[key] = c
+        return
+    s = f.add(old, c)
+    if f.is_zero(s):
+        del terms[key]
+    else:
+        terms[key] = s
 
 
 def assert_raw(field, c):

@@ -635,3 +635,45 @@ def test_cli_wgamma(tmp_path):
     assert out.returncode == 0
     rows = [line for line in out.stdout.splitlines() if not line.startswith("#")]
     assert rows[1:] == ["1,1,True", "2,2,True", "3,3,True", "4,4,True"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["growth", "-N", "3", "-n", "-3"],
+        ["growth", "-N", "3", "-n", "0"],
+        ["wgamma", "-n", "0"],
+        ["span-bound", "-n", "0"],
+    ],
+    ids=["growth-negative", "growth-zero", "wgamma-zero", "span-bound-zero"],
+)
+def test_cli_factor_count_below_one_is_an_error(tmp_path, command):
+    b = tmp_path / "b.pres"
+    b.write_text(HULL2)
+    a = tmp_path / "a.pres"
+    a.write_text(AX3)
+    g = tmp_path / "g.map"
+    g.write_text("map x -> z\n")
+    if command[0] == "growth":
+        args = [command[0], "-p", str(b), *command[1:]]
+    else:
+        args = [command[0], "--B", str(b), "--A", str(a), "--gamma", str(g), *command[1:]]
+    out = run_cli(*args)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: the factor count must be at least 1")
+
+
+def test_cli_growth_n_defaults_to_N_only_when_absent(tmp_path):
+    pres = tmp_path / "free.pres"
+    pres.write_text(FREE2)
+    out = run_cli("growth", "-p", str(pres), "-N", "4")
+    assert out.returncode == 0
+    assert "# n=4" in out.stdout.splitlines()
+
+
+@pytest.mark.parametrize("t0", ["1/0", "abc"])
+def test_cli_gs_check_bad_t0_names_the_option(t0):
+    out = run_cli("gs-check", "-m", "2", "--t0", t0)
+    assert out.returncode == 1
+    assert out.stderr == f"error: --t0 {t0!r} is not a rational number\n"

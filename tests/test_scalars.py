@@ -82,13 +82,8 @@ def test_representatives_always_reduced():
 
 
 def test_parse_and_format():
-    assert Q.parse("2/3") == Fraction(2, 3)
-    assert Q.parse("-4") == Fraction(-4)
     assert Q.fmt(Fraction(2, 3)) == "2/3"
     assert Q.fmt(Fraction(5)) == "5"
-    assert GF5.parse("12") == 2
-    with pytest.raises(ValueError):
-        GF5.parse("1/2")
 
 
 def test_scalar_operations():
