@@ -123,7 +123,20 @@ def cmd_span_bound(args):
     return EXIT_OK if report.ok else EXIT_INEXACT
 
 
+def _window(text: str) -> tuple:
+    """The `--window lo:hi` bounds: integers with 1 <= lo < hi."""
+    lo, _, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo < hi:
+        raise ValueError(f"--window {text!r} is not lo:hi with integers 1 <= lo < hi")
+    return lo, hi
+
+
 def cmd_gk(args):
+    window = _window(args.window)
     entries = {}
     with open(args.table, encoding="utf-8") as fh:
         header = None
@@ -136,8 +149,7 @@ def cmd_gk(args):
                 continue
             cells = dict(zip(header, line.split(",")))
             entries[int(cells["n"])] = (int(cells["dim"]), cells["exact"] == "True")
-    lo, _, hi = args.window.partition(":")
-    est = gk_estimate(GrowthTable("table", entries), (int(lo), int(hi)))
+    est = gk_estimate(GrowthTable("table", entries), window)
     meta = _meta(
         args,
         window=args.window,

@@ -141,9 +141,12 @@ class FreeElement(Combination):
     __slots__ = ("alphabet", "field", "terms")
 
     def __init__(self, alphabet: Alphabet, field: Field, terms=None):
+        """A coefficient is a `Scalar` of this field, an int, or a raw value
+        of this field (see `Field.scalar`); zeros are dropped."""
         self.alphabet = alphabet
         self.field = field
-        self.terms = {w: c for w, c in terms.items() if c} if terms else {}
+        scalar = field.scalar
+        self.terms = {w: r for w, c in terms.items() if (r := scalar(c).raw)} if terms else {}
 
     @classmethod
     def zero(cls, alphabet, field):

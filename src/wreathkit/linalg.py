@@ -117,9 +117,16 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Residual of vec after eliminating every pivot key.  Input not mutated."""
+        """Residual of vec after eliminating every pivot key.  Input not mutated.
+
+        Over GF(p) the input's ints are taken mod p, so the residual (and
+        every row `insert` makes of one) holds residues in [0, p).
+        """
         p = self.field.characteristic
-        v = {k: c for k, c in vec.items() if c}
+        if p:
+            v = {k: r for k, c in vec.items() if (r := c % p)}
+        else:
+            v = {k: c for k, c in vec.items() if c}
         pivots, rows = self.pivots, self.rows
         # rows hold no other row's pivot, so eliminating one never adds a hit
         for k in sorted((k for k in v if k in pivots), reverse=True):
@@ -136,13 +143,21 @@ class Echelon:
         f = self.field
         p = f.characteristic
         pivot = max(v)
-        inv = f.inv(v[pivot])
-        if p:
-            row = {k: inv * c % p for k, c in v.items()}
+        lead = v[pivot]
+        if lead == 1:
+            row = v  # already normalized: inv * c would be c
         else:
-            row = {k: inv * c for k, c in v.items()}
+            inv = f.inv(lead)
+            if p:
+                row = {k: inv * c % p for k, c in v.items()}
+            else:
+                row = {k: inv * c for k, c in v.items()}
         order, ordered_rows = self._order, self._ordered_rows
-        at = bisect_right(order, pivot)
+        # pivots mostly arrive in ascending order: one comparison, no bisection
+        if not order or order[-1] < pivot:
+            at = len(order)
+        else:
+            at = bisect_right(order, pivot)
         for other in ordered_rows[at:]:
             c = other.get(pivot)
             if c is not None:

@@ -34,7 +34,10 @@ dict lookups succeed on identity.  Each kernel's rows are extended in
 ascending pivot order, generators innermost: the leading words of the new
 rows then mostly arrive in ascending order, and `Echelon.insert` finds
 almost no earlier row to back-reduce.  The inserted set is the same in any
-order, so the basis and the reductions are too.
+order, so the basis and the reductions are too.  Products of basis words
+after the build rest on the same fact: `_normal` records each basis word's
+tail, and `_word_pair_product` extends the cached product of the tail by one
+letter step.
 
 Degrees above N follow the overflow policy: `reject` raises, `truncate`
 drops the escaping terms and flags the element so downstream dimension
@@ -134,7 +137,7 @@ class TruncatedAlgebra:
             by_degree.setdefault(d, []).append(r)
 
         self._basis = [[] for _ in range(truncation_degree + 1)]
-        self._normal = set()
+        self._normal = {}  # basis word x*u -> its tail u (a basis word, or EMPTY_WORD)
         self._reduction = {}  # pivot candidate word -> normal-form expansion
         self._pair_cache = {}  # basis word u -> {basis word v: (nf vector, escaped)}
         self._build(by_degree)
@@ -156,15 +159,17 @@ class TruncatedAlgebra:
         kernels = [None] * (N + 1)
         # memo[k]: letters of u*g -> nf(u*g), for normal u and deg(u*g) = k
         memo = {}
+        normal = self._normal
         for d in range(1, N + 1):
-            candidates = [intern[x][EMPTY_WORD] for x in gens if degrees[x] == d]
+            # candidates: each candidate word x*u of degree d -> its tail u
+            candidates = {intern[x][EMPTY_WORD]: EMPTY_WORD for x in gens if degrees[x] == d}
             for x in gens:
                 rest = d - degrees[x]
                 if rest >= 1:
                     xi = intern[x]
                     for w in self._basis[rest]:
                         xi[w] = cand = Word((x,) + w.letters, d)
-                        candidates.append(cand)
+                        candidates[cand] = w
             ech = Echelon(self.field)
             for r in relations_by_degree.get(d, ()):
                 ech.insert(self._free_to_candidates(r))
@@ -185,8 +190,9 @@ class TruncatedAlgebra:
             for k in [k for k in memo if k <= d - 2 * span]:
                 del memo[k]
             pivots = ech.pivots
-            self._basis[d] = sorted(w for w in candidates if w not in pivots)
-            self._normal.update(self._basis[d])
+            self._basis[d] = basis = sorted(w for w in candidates if w not in pivots)
+            for w in basis:
+                normal[w] = candidates[w]
             # a coefficient 1 is stored as the field's `one` itself, which
             # `_apply_letter` and `_extend_right` then pass on unmultiplied
             for key, idx in pivots.items():
@@ -297,10 +303,9 @@ class TruncatedAlgebra:
             return {w: r for w, t in out.items() if (r := t % p)}
         return {w: t for w, t in out.items() if t}
 
-    def _nf_word(self, w: Word, v: Word = EMPTY_WORD) -> dict:
-        """Normal form of w*v, v a normal word, of degree <= N, as normal-word
-        coordinates."""
-        vec = {v: self.field.one}
+    def _nf_word(self, w: Word) -> dict:
+        """Normal form of a word of degree <= N, as normal-word coordinates."""
+        vec = {EMPTY_WORD: self.field.one}
         for x in reversed(w.letters):
             if not vec:
                 break
@@ -425,32 +430,57 @@ class TruncatedAlgebra:
         return AlgElement(self, reduced(terms, self.field.characteristic), flag)
 
     def _word_pair_product(self, u: Word, v: Word):
-        """Normal form of a product of two basis words; `_mul_terms` memoizes it.
+        """Normal form of a product of two basis words, stored in `_pair_cache`.
 
         Returns (vector, escaped): `escaped` means the concatenation left the
-        truncation with an unknown (nonzero-certified) remainder.
+        truncation with an unknown (nonzero-certified) remainder.  For
+        u = x*u' the normal form is nf(u*v) = x * nf(u'*v), u' the tail that
+        `_normal` records: one `_apply_letter` on the cached product of the
+        tail.  A miss walks down the tails, in a loop, to a cached product or
+        to the empty tail (1*v = v), and fills every entry on the way back up.
         """
+        cache = self._pair_cache
         d = u.degree + v.degree
         if d > self.truncation_degree:
-            return {}, self._zero_above is None or d < self._zero_above
-        return self._nf_word(u, v), False
+            escaped = self._zero_above is None or d < self._zero_above
+            hit = cache.setdefault(u, {})[v] = ({}, escaped)
+            return hit
+        normal = self._normal
+        todo = []
+        hit = None
+        while u.letters:
+            products = cache.get(u)
+            if products is None:
+                products = cache[u] = {}
+            hit = products.get(v)
+            if hit is not None:
+                break
+            todo.append((u.letters[0], products))
+            u = normal[u]
+        vec = {v: self.field.one} if hit is None else hit[0]
+        for x, products in reversed(todo):
+            vec = self._apply_letter(x, vec)
+            products[v] = (vec, False)
+        return vec, False
 
     def _mul_terms(self, a: dict, b: dict, policy: str):
         """Product of two normal-coordinate term maps; returns (terms, flag).
 
-        Word-pair products are memoized per left word.  The arithmetic is
-        inline, as in `linalg._eliminate`: over GF(p) the sums are reduced
-        mod p once, at the end; over the rationals they are `Fraction` sums.
-        Either way the zeros are dropped at the end.
+        Word-pair products come from `_pair_cache`, per left word (see
+        `_word_pair_product`).  The arithmetic is inline, as in
+        `linalg._eliminate`: over GF(p) the sums are reduced mod p once, at
+        the end; over the rationals they are `Fraction` sums.  Either way the
+        zeros are dropped at the end.  A coefficient that is the field's
+        `one` itself is passed on without a multiplication.
         """
-        p = self.field.characteristic
+        p, one = self.field.characteristic, self.field.one
         cache = self._pair_cache
         out, flag = {}, False
         get = out.get
         for u, cu in a.items():
             if not u.letters:  # the unit word
                 for v, cv in b.items():
-                    c = cu * cv
+                    c = cv if cu is one else cu if cv is one else cu * cv
                     x = get(v)
                     out[v] = c if x is None else x + c
                 continue
@@ -458,14 +488,19 @@ class TruncatedAlgebra:
             if products is None:
                 products = cache[u] = {}
             for v, cv in b.items():
-                c = cu * cv % p if p else cu * cv
+                if cu is one:
+                    c = cv
+                elif cv is one:
+                    c = cu
+                else:
+                    c = cu * cv % p if p else cu * cv
                 if not v.letters:
                     x = get(u)
                     out[u] = c if x is None else x + c
                     continue
                 hit = products.get(v)
                 if hit is None:
-                    hit = products[v] = self._word_pair_product(u, v)
+                    hit = self._word_pair_product(u, v)
                 vec, escaped = hit
                 if escaped:
                     if policy == "reject":
@@ -474,9 +509,15 @@ class TruncatedAlgebra:
                             f"exceeds {self.truncation_degree}"
                         )
                     flag = True
-                for w, cw in vec.items():
-                    x = get(w)
-                    out[w] = c * cw if x is None else x + c * cw
+                if c is one:
+                    for w, cw in vec.items():
+                        x = get(w)
+                        out[w] = cw if x is None else x + cw
+                else:
+                    for w, cw in vec.items():
+                        t = c if cw is one else c * cw
+                        x = get(w)
+                        out[w] = t if x is None else x + t
         # `linalg.reduced`, inline: this runs once per product
         if p:
             return {w: r for w, x in out.items() if (r := x % p)}, flag

@@ -232,6 +232,29 @@ def test_element_coerces_ints():
     assert gf.element({x: Scalar(Field.prime(101), 7)}).terms == {x: 7}
 
 
+def test_free_constructor_coerces_coefficients():
+    """`FreeElement(...)` coerces like `element`: residues mod p, multiples
+    of p dropped, a `Fraction` over GF(p) refused, ints over Q stored as
+    `Fraction`s; the internal `_like` path keeps what it is given."""
+    gf = Field.prime(101)
+    x, y = XY.gen(0), XY.gen(1)
+    e = FreeElement(XY, gf, {x: 205, y: -1})
+    assert e.terms == {x: 3, y: 100}
+    assert e.format() == "3*x + 100*y"
+    zero = FreeElement(XY, gf, {x: 101, y: 0})
+    assert not zero and zero.terms == {}
+    with pytest.raises(ValueError):
+        FreeElement(XY, gf, {x: 205, y: Fraction(1, 2)})
+    with pytest.raises(FieldMismatchError):
+        FreeElement(XY, gf, {x: Scalar(Field.prime(7), 1)})
+    assert FreeElement(XY, gf, {x: Scalar(gf, 7)}).terms == {x: 7}
+    q = FreeElement(XY, Q, {x: 2, y: Fraction(-1, 3)})
+    assert q.terms == {x: Fraction(2), y: Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in q.terms.values())
+    alg = make_algebra(gf, ["x", "y"], [], n=2)
+    assert alg.from_free(e).terms == {x: 3, y: 100}
+
+
 # -- gamma and basis coordinates -------------------------------------------------
 
 

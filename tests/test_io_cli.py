@@ -621,6 +621,16 @@ def test_cli_gk(tmp_path):
     assert "window slope in" in out.stderr
 
 
+@pytest.mark.parametrize("window", ["5", "a:b", "10:4", "0:4", "4:4"])
+def test_cli_gk_bad_window_names_the_option(tmp_path, window):
+    table = tmp_path / "growth.csv"
+    table.write_text("n,dim,exact\n" + "".join(f"{n},{n * n},True\n" for n in range(1, 13)))
+    out = run_cli("gk", "--table", str(table), "--window", window)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: --window {window!r} is not lo:hi with integers 1 <= lo < hi\n"
+
+
 def test_cli_wgamma(tmp_path):
     b = tmp_path / "b.pres"
     b.write_text("field rational\nunital true\ngenerators b:1\n")

@@ -1,11 +1,12 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathkit import Alphabet, Field
+from wreathkit import Alphabet, Field, linalg
 from wreathkit.linalg import Echelon, dense_rank
 
 from helpers import assert_raw
@@ -157,14 +158,16 @@ def descending_pivots(draw):
     return field, keys, vecs
 
 
-def insert_checked(field, vecs):
+def insert_checked(field, vecs, canonical=dict):
+    """Insert vecs one by one, checking the echelon form and the rank after
+    each against `dense_rank` of the canonical(v)s."""
     e = Echelon(field)
     for n, v in enumerate(vecs, start=1):
         before = dict(v)
         e.insert(v, payload=n)
         assert v == before, "insert mutated its input"
         assert_rref(e)
-        assert e.dim == dense_rank(vecs[:n], field)
+        assert e.dim == dense_rank([canonical(w) for w in vecs[:n]], field)
     return e
 
 
@@ -199,3 +202,74 @@ def test_echelon_descending_pivots_back_reduce(case):
     )
     for p in probes(field, keys):
         assert e1.reduce(p) == e2.reduce(p)
+
+
+# -- insert's fast paths: lead-1 rows, ascending pivots, raw ints ----------------
+
+
+def canonical(field, vec):
+    """vec with its ints taken mod p over GF(p), zeros dropped."""
+    p = field.characteristic
+    if p:
+        return {k: c % p for k, c in vec.items() if c % p}
+    return {k: c for k, c in vec.items() if c}
+
+
+@st.composite
+def lead_one_vectors(draw):
+    """Vectors whose leading coefficient is 1 (over GF(p) possibly as 1 + p),
+    with greatest keys in ascending, descending or random order; over GF(p)
+    the other coefficients are raw ints, negative or >= p as often as not."""
+    field = draw(st.sampled_from(FIELDS))
+    keys = KEY_POOLS[draw(st.sampled_from(sorted(KEY_POOLS)))]
+    order = draw(st.sampled_from(["ascending", "descending", "random"]))
+    tops = list(range(1, len(keys)))
+    if order == "descending":
+        tops.reverse()
+    elif order == "random":
+        tops = draw(st.permutations(tops))
+    p = field.characteristic
+    coeff = coefficients(field) if not p else st.integers(-3 * p, 3 * p)
+    lead = st.just(field.one) if not p else st.sampled_from([1, 1 + p])
+    vecs = []
+    for top in tops:
+        below = draw(st.lists(st.sampled_from(keys[:top]), max_size=5, unique=True))
+        vec = {k: draw(coeff) for k in below}
+        vec[keys[top]] = draw(lead)
+        vecs.append(vec)
+    return field, keys, vecs
+
+
+@DIFF
+@given(lead_one_vectors())
+def test_echelon_lead_one_and_raw_ints(case):
+    """Inserting lead-1 vectors skips the normalisation, and ascending
+    pivots skip the bisection; the rows are still the ones a scaled copy of
+    each (canonical) vector gives through the inverse, they hold residues in
+    [0, p) whatever ints came in, and the rank is `dense_rank`'s."""
+    field, keys, vecs = case
+    e = insert_checked(field, vecs, canonical=lambda v: canonical(field, v))
+    three = field.from_int(3)
+    scaled = [{k: field.mul(three, c) for k, c in canonical(field, v).items()} for v in vecs]
+    ref = insert_checked(field, scaled)
+    assert e.pivots == ref.pivots
+    assert e.rows == ref.rows
+    for a, b in zip(e.rows, ref.rows):
+        assert all(type(a[k]) is type(b[k]) for k in a)
+    for p in probes(field, keys):
+        assert e.reduce(p) == ref.reduce(p)
+
+
+def test_ascending_pivots_skip_the_bisection(monkeypatch):
+    """A pivot above every earlier one is placed after one comparison."""
+    calls = []
+    monkeypatch.setattr(linalg, "bisect_right", lambda *a: calls.append(a) or bisect_right(*a))
+    e = Echelon(GF7)
+    words = KEY_POOLS["word"]
+    for i in range(0, len(words), 2):
+        assert e.insert({words[i]: 1, words[i // 2]: 3})
+    assert not calls
+    assert e._order == words[::2]
+    assert e.insert({words[3]: 1, words[0]: -1})  # below the last pivot
+    assert len(calls) == 1
+    assert_rref(e)

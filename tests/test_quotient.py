@@ -15,6 +15,7 @@ from wreathkit import (
     TruncatedAlgebra,
     TruncationOverflow,
     degree_component,
+    degree_one_generators,
     growth_dims,
     growth_g,
     parse_element,
@@ -148,20 +149,27 @@ def graded_presentations(draw):
     alphabet = Alphabet(list(zip("xyz", degrees)))
     cap = max(d for d in range(1, 12) if alphabet.word_count(d) <= 300)
     n = draw(st.integers(min(3, cap), cap))
+    relations = draw_relations(draw, alphabet, field, 1, n)
+    return Presentation(alphabet, field, relations, unital=draw(st.booleans())), n
+
+
+def draw_relations(draw, alphabet, field, lo, hi):
+    """Up to four random homogeneous relations of up to three terms, each of
+    a degree in lo..hi."""
     if field.kind == "rational":
         coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
     else:
         coeff = st.integers(0, field.characteristic - 1)
     relations = []
     for _ in range(draw(st.integers(0, 4))):
-        words = words_of_degree(alphabet, draw(st.integers(1, n)))
+        words = words_of_degree(alphabet, draw(st.integers(lo, hi)))
         if not words:
             continue
         support = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3, unique=True))
         r = FreeElement(alphabet, field, {alphabet.word(w): draw(coeff) for w in support})
         if r:
             relations.append(r)
-    return Presentation(alphabet, field, relations, unital=draw(st.booleans())), n
+    return relations
 
 
 def assert_build_matches_reference(pres, n):
@@ -490,3 +498,149 @@ def test_mul_terms_reject_policy_raises(field):
     assert not terms and flag
     with pytest.raises(TruncationOverflow):
         loose._mul_terms((u * v).terms, u.terms, "reject")
+
+
+# -- word-pair products from the cached product of the tail ----------------------
+
+
+@st.composite
+def pair_product_cases(draw, field):
+    """(presentation, N, rng): up to three generators of degrees 1..3, up to
+    four random homogeneous relations of degree >= 2, unital or not, and N
+    near the largest that about 40 words allow, so that every pair of basis
+    words can be taken.  Half of the cases also kill every word of a window
+    of degrees, so that `zero_above` certifies the products beyond it."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    alphabet = Alphabet(list(zip("xyz", degrees)))
+    cap = max(
+        d for d in range(1, 12) if sum(alphabet.word_count(e) for e in range(1, d + 1)) <= 40
+    )
+    n = draw(st.integers(max(1, cap - 2), cap))
+    relations = draw_relations(draw, alphabet, field, min(2, n), n)
+    span = max(degrees)
+    if span <= n and draw(st.booleans()):
+        k = draw(st.integers(min(2, n - span + 1), n - span + 1))
+        relations += [
+            FreeElement.from_word(alphabet, field, alphabet.word(w))
+            for e in range(k, k + span)
+            for w in words_of_degree(alphabet, e)
+        ]
+    pres = Presentation(alphabet, field, relations, unital=draw(st.booleans()))
+    return pres, n, draw(st.randoms(use_true_random=False))
+
+
+def assert_pair_products_match_fresh_normal_forms(pres, n, rng):
+    """`_word_pair_product` takes one letter step on the cached product of
+    the tail.  Requested for every pair of basis words in a shuffled order,
+    so that tail entries are filled both before and after their parents, it
+    equals `_nf_word` of the concatenated word on a fresh algebra; so does
+    every entry it leaves in `_pair_cache`; and pairs beyond N are flagged
+    (or certified zero), and raise under `reject`, as before."""
+    field = pres.field
+    alg, oracle = TruncatedAlgebra(pres, n), TruncatedAlgebra(pres, n)
+    one = field.one
+
+    def expected(u, v):
+        d = u.degree + v.degree
+        if d > n:
+            return {}, oracle.zero_above is None or d < oracle.zero_above
+        return oracle._nf_word(u * v), False
+
+    words = alg.basis_words()
+    pairs = [(u, v) for u in words for v in words]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        assert alg._word_pair_product(u, v) == expected(u, v)
+        if u.degree + v.degree <= n:
+            # every tail of u now has its product with v in the cache
+            tail = u
+            while tail.letters:
+                assert v in alg._pair_cache[tail]
+                tail = alg._normal[tail]
+    for u, products in alg._pair_cache.items():
+        assert u in alg._normal
+        for v, hit in products.items():
+            assert hit == expected(u, v)
+
+    # the same products through `_mul_terms`, on a filled and on a fresh cache
+    strict = TruncatedAlgebra(pres, n, policy="reject")
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        vec, escaped = expected(u, v)
+        assert alg._mul_terms({u: one}, {v: one}, "truncate") == (vec, escaped)
+        for host in (alg, strict, strict):  # the second `strict` call hits the cache
+            if escaped:
+                with pytest.raises(TruncationOverflow):
+                    host._mul_terms({u: one}, {v: one}, "reject")
+            else:
+                assert host._mul_terms({u: one}, {v: one}, "reject") == (vec, False)
+
+
+@pytest.mark.parametrize("field", BUILD_FIELDS, ids=repr)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_pair_products_match_fresh_normal_forms(field, data):
+    assert_pair_products_match_fresh_normal_forms(*data.draw(pair_product_cases(field)))
+
+
+@pytest.mark.parametrize("field", BUILD_FIELDS, ids=repr)
+@pytest.mark.parametrize(
+    "gens, rels, n, unital",
+    [
+        ([("x", 1), ("y", 1), ("z", 2)], ["x*y - 2*y*x", "y*z - z*y + x*x*x"], 5, True),
+        ([("a", 1), ("b", 2), ("c", 3)], ["a*b - 3*b*a", "c*a - a*c + b*b"], 7, False),
+        ([("x", 1), ("y", 1)], ["x*y*x - y*x*y", "x^4"], 6, False),
+    ],
+    ids=["xyz", "abc", "xyx"],
+)
+def test_pair_products_match_fresh_normal_forms_pinned(field, gens, rels, n, unital):
+    ab = Alphabet(gens)
+    pres = Presentation(ab, field, [parse_element(r, ab, field) for r in rels], unital=unital)
+    assert_pair_products_match_fresh_normal_forms(pres, n, random.Random(53))
+
+
+def test_tails_are_basis_instances():
+    """`_normal` maps each basis word x*u to the basis instance of its tail u,
+    so the cache walk in `_word_pair_product` looks up on identity."""
+    alg = make_algebra(Q, ["x", "y", "z"], ["x*y - 2*y*x", "y*z - z*y + x*x"], n=6)
+    canonical = {w: w for w in alg.basis_words()}
+    assert set(alg._normal) == set(canonical)
+    for w, tail in alg._normal.items():
+        assert w.letters[1:] == tail.letters
+        assert tail.degree == w.degree - alg.alphabet.degrees[w.letters[0]]
+        assert tail.is_empty or canonical[tail] is tail
+
+
+def count_letter_steps(monkeypatch):
+    counts = {"steps": 0}
+    step = TruncatedAlgebra._apply_letter
+
+    def counted_step(self, x, vec):
+        counts["steps"] += 1
+        return step(self, x, vec)
+
+    monkeypatch.setattr(TruncatedAlgebra, "_apply_letter", counted_step)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "rels, n, dim, bound",
+    [([], 12, 8190, 8188), (["x*y - y*x"], 40, 860, 3200)],
+    ids=["free2_N12", "comm2_N40"],
+)
+def test_growth_work_counts(monkeypatch, rels, n, dim, bound):
+    """One-letter steps (`_apply_letter`) of the build plus `growth_dims` of
+    the degree-one generators, on the bench's `growth_free_N12` and
+    `growth_comm_N40` instances.
+
+    The bounds, 8,188 and 3,200, are the counts measured when each word-pair
+    product became one letter step on the cached product of its tail; the
+    products before that replayed the whole left word, 81,924 and 44,202
+    steps.  The free algebra needs no step for its build, and one step per
+    basis word of degree 2..12 for the growth.
+    """
+    counts = count_letter_steps(monkeypatch)
+    alg = make_algebra(Q, ["x", "y"], rels, n=n)
+    dims = growth_dims(alg, degree_one_generators(alg), n)
+    assert dims[-1] == (dim, True)
+    assert counts["steps"] <= bound
