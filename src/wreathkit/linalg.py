@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over ordered coordinate keys.
+"""Exact linear algebra over ordered keys: sparse, or packed dense over a small p.
 
 This is the one module that sums raw coefficients (residues mod p, or
 `Fraction`s over the rationals) of sparse vectors: `combine` forms a linear
@@ -20,6 +20,32 @@ is greater, and `insert` visits just those, found by bisecting the ascending
 list of pivot keys.  In the sparse regime (pivots arriving in increasing
 order, as in degree-by-degree span closure) no row is visited at all.
 
+Over a small prime (p < `DENSE_P_LIMIT` = 2^16) a span can also be dense:
+the dense-law span of `growth.dense_dim_check` is a 360 x 1680 matrix, about
+a tenth nonzero, where a sparse row operation costs a hundred dict updates.
+When the rank reaches `DENSE_MIN_RANK` = 32, and again at every power of two
+above, `insert` checks row nonzeros * `DENSE_MIN_FILL` (8) >= rank * columns
+(columns: the distinct keys of the rows); once it holds, the rows become
+packed ints for good.  Measured at rank 32 and 64: the dense-law span 0.55
+and 0.23; span-bound's largest wreath span (17,365 columns in the end) 0.056
+and 0.032; the build kernels of `x*y - 2*y*x` over three letters 0.031 and
+0.016.  Q and larger p always stay sparse.
+
+In the dense mode (`packed.PackedRows`, imported on the first switch) each
+key gets a column slot the first time an insert sees it, and a row is one
+int holding slot i in bits 64i .. 64i + 63, so v += m * row is one big-int
+multiply-add done in C.  Slots hold nonnegative ints congruent to the
+coefficients mod p; subtracting c * row is adding (p - c) * row.  Each row
+keeps an upper bound on its slots, and an operation that could take a slot
+past 2^64 - 1 first renormalises its operand (unpack mod p, repack).  With
+p < 2^16 a step adds less than 2^32 to a slot, so that happens only after
+tens of thousands of steps.  Rows stay reduced-echelon mod p, so `reduce`
+subtracts (input coefficient at a pivot) * (its row) for each pivot key of
+the input, no row changing another pivot's coefficient, and unpacks the sum
+mod p once; back-reduction reads one slot of each row with a greater pivot.
+`rows`, `pivots`, `reps`, `ordered_rows()` and `pivot_rows()` return the
+same values in both modes.
+
 `Span` is a subspace of an algebra's elements kept as one `Echelon`, and
 `closure` grows a span under a step map until it stops changing; every
 growth function, power chain and generation check runs through the two.
@@ -33,6 +59,14 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .scalars import Field
+
+# The dense GF(p) mode (see the module docstring).  Row densities (nonzeros
+# over rank * columns) at rank 32 / 64: the dense-law span of
+# `growth.dense_dim_check` 0.55 / 0.23, span-bound's largest wreath span at
+# most 0.056 / 0.032, the tri_p build kernels 0.031 / 0.016.
+DENSE_MIN_RANK = 32  # checked when the rank reaches 32, 64, 128, ...
+DENSE_MIN_FILL = 8  # dense once row nonzeros * 8 >= rank * columns
+DENSE_P_LIMIT = 1 << 16  # only p below this: (p - 1)^2 < 2^32 per step
 
 
 def reduced(acc: dict, p: int) -> dict:
@@ -102,19 +136,39 @@ def _eliminate(v: dict, row: dict, c, p: int) -> None:
 
 
 class Echelon:
-    __slots__ = ("field", "rows", "pivots", "reps", "_order", "_ordered_rows")
+    """A reduced-echelon span of sparse vectors; see the module docstring.
+
+    `rows` (by insertion index), `pivots` (pivot key -> row index), `reps`,
+    `ordered_rows()` and `pivot_rows()` are the public view of the rows, the
+    same in the sparse and in the dense mode.
+    """
+
+    __slots__ = ("field", "pivots", "reps", "_rows", "_order", "_ordered_rows", "_packed")
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows = []  # list[dict key -> raw], pivot coefficient normalized to 1
         self.pivots = {}  # key -> row index
         self.reps = []  # payloads of the inserts that increased rank
+        self._rows = []  # dict key -> raw, pivot coefficient 1 (dense: _packed.rows)
         self._order = []  # pivot keys, ascending
-        self._ordered_rows = []  # the rows, in the same order as _order
+        self._ordered_rows = []  # the sparse rows, in the same order as _order
+        self._packed = None  # the `packed.PackedRows` once the rows are packed
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list:
+        """The rows by insertion index, as dicts key -> residue (or `Fraction`).
+
+        In the sparse mode this is the echelon's own list: read it, never
+        mutate it.  In the dense mode every access unpacks every row; read
+        the rows once, through `pivot_rows()` or `ordered_rows()`.
+        """
+        if self._packed is None:
+            return self._rows
+        return [self._packed.unpack(x) for x in self._rows]
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after eliminating every pivot key.  Input not mutated.
@@ -122,12 +176,14 @@ class Echelon:
         Over GF(p) the input's ints are taken mod p, so the residual (and
         every row `insert` makes of one) holds residues in [0, p).
         """
+        if self._packed is not None:
+            return self._packed.reduce(vec, self.pivots)
         p = self.field.characteristic
         if p:
             v = {k: r for k, c in vec.items() if (r := c % p)}
         else:
             v = {k: c for k, c in vec.items() if c}
-        pivots, rows = self.pivots, self.rows
+        pivots, rows = self.pivots, self._rows
         # rows hold no other row's pivot, so eliminating one never adds a hit
         for k in sorted((k for k in v if k in pivots), reverse=True):
             c = v.get(k)
@@ -144,37 +200,69 @@ class Echelon:
         p = f.characteristic
         pivot = max(v)
         lead = v[pivot]
-        if lead == 1:
-            row = v  # already normalized: inv * c would be c
-        else:
-            inv = f.inv(lead)
-            if p:
-                row = {k: inv * c % p for k, c in v.items()}
-            else:
-                row = {k: inv * c for k, c in v.items()}
-        order, ordered_rows = self._order, self._ordered_rows
+        order, pivots = self._order, self.pivots
         # pivots mostly arrive in ascending order: one comparison, no bisection
         if not order or order[-1] < pivot:
             at = len(order)
         else:
             at = bisect_right(order, pivot)
-        for other in ordered_rows[at:]:
-            c = other.get(pivot)
-            if c is not None:
-                _eliminate(other, row, c, p)
-        self.pivots[pivot] = len(self.rows)
-        self.rows.append(row)
+        if self._packed is not None:
+            inv = 1 if lead == 1 else f.inv(lead)
+            self._packed.append(v, pivot, inv, [pivots[k] for k in order[at:]])
+        else:
+            if lead == 1:
+                row = v  # already normalized: inv * c would be c
+            else:
+                inv = f.inv(lead)
+                if p:
+                    row = {k: inv * c % p for k, c in v.items()}
+                else:
+                    row = {k: inv * c for k, c in v.items()}
+            ordered_rows = self._ordered_rows
+            for other in ordered_rows[at:]:
+                c = other.get(pivot)
+                if c is not None:
+                    _eliminate(other, row, c, p)
+            ordered_rows.insert(at, row)
+            self._rows.append(row)
+        n = len(self._rows)
+        pivots[pivot] = n - 1
         order.insert(at, pivot)
-        ordered_rows.insert(at, row)
         self.reps.append(payload)
+        if n >= DENSE_MIN_RANK and not n & (n - 1) and self._packed is None:
+            self._maybe_pack()
         return True
+
+    def _maybe_pack(self) -> None:
+        """Switch to packed rows if p is small and the rows are dense enough."""
+        p = self.field.characteristic
+        if not 0 < p < DENSE_P_LIMIT:
+            return
+        rows = self._rows
+        columns = len(set().union(*rows))
+        if sum(map(len, rows)) * DENSE_MIN_FILL < len(rows) * columns:
+            return
+        from . import packed  # compiled only by the runs that pack a span
+
+        self._packed = packed.PackedRows(p, rows)
+        self._rows = self._packed.rows
+        self._ordered_rows = None
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def ordered_rows(self) -> tuple:
         """The rows in ascending pivot order; read them, never mutate them."""
-        return tuple(self._ordered_rows)
+        if self._packed is None:
+            return tuple(self._ordered_rows)
+        unpack, rows, pivots = self._packed.unpack, self._rows, self.pivots
+        return tuple(unpack(rows[pivots[k]]) for k in self._order)
+
+    def pivot_rows(self):
+        """(pivot key, row) for every row, in insertion order, each row read once."""
+        if self._packed is None:
+            return zip(self.pivots, self._rows)
+        return zip(self.pivots, map(self._packed.unpack, self._rows))
 
     def pivot_keys(self):
         return set(self.pivots)

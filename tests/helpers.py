@@ -1,7 +1,10 @@
 """Shared builders for randomized tests: algebras, elements, matrices, maps."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+
+import pytest
 
 from wreathkit import (
     AlgElement,
@@ -17,6 +20,7 @@ from wreathkit import (
     degree_one_generators,
     parse_element,
 )
+from wreathkit import linalg
 from wreathkit.growth import _scale_row, power_chain, weighted_image_spans
 from wreathkit.linalg import Echelon
 from wreathkit.words import Word
@@ -121,6 +125,25 @@ def assert_raw(field, c):
         assert isinstance(c, int) and 0 <= c < field.characteristic
 
 
+@contextmanager
+def dense_from(rank):
+    """Within the block every `Echelon` over a p below `linalg.DENSE_P_LIMIT`
+    packs its rows when its rank first reaches a power of two >= rank,
+    however sparse they are."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "DENSE_MIN_RANK", rank)
+        mp.setattr(linalg, "DENSE_MIN_FILL", float("inf"))
+        yield
+
+
+@contextmanager
+def sparse_only():
+    """Within the block no `Echelon` packs its rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "DENSE_P_LIMIT", 0)
+        yield
+
+
 # -- reference quotient build ---------------------------------------------------
 # The degree-by-degree build without the right-action memo, interned words or
 # ascending-pivot extension: every term of an extended row replays its tail word
@@ -170,8 +193,7 @@ class ReferenceQuotient:
                 kernels[d - span] = None
             pivots = ech.pivot_keys()
             self.basis[d] = sorted(w for w in candidates if w not in pivots)
-            for key, idx in ech.pivots.items():
-                row = ech.rows[idx]
+            for key, row in ech.pivot_rows():
                 self.reduction[key] = {w: f.neg(c) for w, c in row.items() if w != key}
         maxg = max(alphabet.degrees, default=0)
         self.zero_above = 1 if maxg == 0 else next(

@@ -1,15 +1,37 @@
 import random
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathkit import Alphabet, Field, linalg
+from wreathkit import (
+    Alphabet,
+    BasisIndexing,
+    Field,
+    Presentation,
+    TruncatedAlgebra,
+    cli,
+    dense_dim_check,
+    linalg,
+    packed,
+    parse_element,
+)
+from wreathkit import io as wio
 from wreathkit.linalg import Echelon, dense_rank
 
-from helpers import assert_raw
+from helpers import assert_raw, dense_from, sparse_only
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+try:
+    import run as bench_run
+finally:
+    sys.path.remove(str(BENCH))
 
 Q = Field.rationals()
 GF7 = Field.prime(7)
@@ -84,7 +106,9 @@ def test_dense_rank_rationals():
 
 # -- differential tests against dense_rank -------------------------------------
 
-FIELDS = [Q, Field.prime(2), Field.prime(2147483647)]
+FIELDS = [Q, Field.prime(2), Field.prime(101), Field.prime(2147483647)]
+# the fields below `linalg.DENSE_P_LIMIT`; 65521 is the largest prime below it
+SMALL_P = [Field.prime(2), Field.prime(101), Field.prime(65521)]
 XY = Alphabet([("x", 1), ("y", 1)])
 KEY_POOLS = {
     "int": list(range(10)),
@@ -103,13 +127,19 @@ def coefficients(field):
 
 
 def assert_rref(e):
-    """Rows normalized, each pivot its row's greatest key, fully inter-reduced."""
+    """Rows normalized, each pivot its row's greatest key, fully inter-reduced.
+
+    Reads only the public view (`rows`, `pivots`, `ordered_rows()`,
+    `pivot_rows()`), so it checks the sparse and the dense mode alike."""
     f = e.field
-    assert len(e.rows) == len(e.pivots) == len(e.reps)
-    assert e._order == sorted(e.pivots)
-    assert all(r is e.rows[e.pivots[k]] for k, r in zip(e._order, e._ordered_rows))
+    rows = e.rows
+    assert len(rows) == len(e.pivots) == len(e.reps) == e.dim
+    assert sorted(e.pivots.values()) == list(range(e.dim))
+    assert list(e.pivot_rows()) == [(k, rows[i]) for k, i in e.pivots.items()]
+    assert list(e.ordered_rows()) == [rows[e.pivots[k]] for k in sorted(e.pivots)]
+    assert e.pivot_keys() == set(e.pivots)
     for key, idx in e.pivots.items():
-        row = e.rows[idx]
+        row = rows[idx]
         assert max(row) == key and row[key] == f.one
         for k, c in row.items():
             assert_raw(f, c)
@@ -118,9 +148,9 @@ def assert_rref(e):
 
 
 @st.composite
-def vector_lists(draw):
+def vector_lists(draw, fields=FIELDS):
     """A field, a key pool, and vectors with planted linear dependencies."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     keys = KEY_POOLS[draw(st.sampled_from(sorted(KEY_POOLS)))]
     coeff = coefficients(field)
     vecs = []
@@ -144,9 +174,9 @@ def vector_lists(draw):
 
 
 @st.composite
-def descending_pivots(draw):
+def descending_pivots(draw, fields=FIELDS):
     """Vectors whose greatest keys strictly descend: every insert may back-reduce."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     keys = KEY_POOLS[draw(st.sampled_from(sorted(KEY_POOLS)))]
     coeff = coefficients(field).filter(lambda c: not field.is_zero(c))
     vecs = []
@@ -216,11 +246,11 @@ def canonical(field, vec):
 
 
 @st.composite
-def lead_one_vectors(draw):
+def lead_one_vectors(draw, fields=FIELDS):
     """Vectors whose leading coefficient is 1 (over GF(p) possibly as 1 + p),
     with greatest keys in ascending, descending or random order; over GF(p)
     the other coefficients are raw ints, negative or >= p as often as not."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     keys = KEY_POOLS[draw(st.sampled_from(sorted(KEY_POOLS)))]
     order = draw(st.sampled_from(["ascending", "descending", "random"]))
     tops = list(range(1, len(keys)))
@@ -269,7 +299,187 @@ def test_ascending_pivots_skip_the_bisection(monkeypatch):
     for i in range(0, len(words), 2):
         assert e.insert({words[i]: 1, words[i // 2]: 3})
     assert not calls
-    assert e._order == words[::2]
+    assert sorted(e.pivots) == list(e.pivots) == words[::2]
     assert e.insert({words[3]: 1, words[0]: -1})  # below the last pivot
     assert len(calls) == 1
     assert_rref(e)
+
+
+# -- the dense GF(p) mode: packed rows against the sparse path ---------------------
+
+
+def is_packed(e):
+    """True once e's rows are packed ints (the dense mode)."""
+    return e._packed is not None
+
+
+def insert_modes(field, vecs, switch_rank):
+    """The echelon of vecs built sparse only, and with its rows packed once the
+    rank reaches switch_rank (a power of two); both are checked after every
+    insert as `insert_checked` does."""
+    canon = lambda v: canonical(field, v)  # noqa: E731
+    with sparse_only():
+        sparse = insert_checked(field, vecs, canon)
+    with dense_from(switch_rank):
+        dense = insert_checked(field, vecs, canon)
+    assert not is_packed(sparse)
+    assert is_packed(dense) == (dense.dim >= switch_rank)
+    return sparse, dense
+
+
+def assert_same_echelon(a, b, vecs):
+    """a and b hold the same rows, pivots and payloads, and reduce alike."""
+    assert a.dim == b.dim and a.pivots == b.pivots and a.reps == b.reps
+    assert a.rows == b.rows
+    assert a.ordered_rows() == b.ordered_rows()
+    assert list(a.pivot_rows()) == list(b.pivot_rows())
+    for v in vecs:
+        assert a.reduce(v) == b.reduce(v)
+        assert a.contains(v) == b.contains(v)
+
+
+@DIFF
+@given(
+    st.one_of(
+        vector_lists(SMALL_P), descending_pivots(SMALL_P), lead_one_vectors(SMALL_P)
+    ),
+    st.sampled_from([1, 2, 4]),
+)
+def test_dense_mode_matches_sparse(case, switch_rank):
+    """Packed from the first insert or mid-stream, with random, ascending or
+    strictly descending pivots (back-reduction on every insert) and raw ints
+    in [-3p, 3p]: the packed echelon has the sparse run's rows, pivots, reps,
+    reductions and membership, and `dense_rank`'s rank."""
+    field, keys, vecs = case
+    sparse, dense = insert_modes(field, vecs, switch_rank)
+    assert_same_echelon(sparse, dense, probes(field, keys) + vecs)
+
+
+def dense_vectors(field, rng, tops, width):
+    """One vector per top key: the top key, then about half of the keys below
+    it (at most `width` of them), with raw ints in [-p, 2p)."""
+    p = field.characteristic
+    vecs = []
+    for top in tops:
+        below = rng.sample(range(top), min(width, top // 2))
+        vec = {k: rng.randrange(-p, 2 * p) for k in below}
+        vec[top] = rng.randrange(1, p)
+        vecs.append(vec)
+    for _ in range(6):  # dependent vectors, inserted after the switch
+        a, b = rng.sample(vecs, 2)
+        c = rng.randrange(p)
+        vecs.append({k: a.get(k, 0) + c * b.get(k, 0) for k in set(a) | set(b)})
+    return vecs
+
+
+@pytest.mark.parametrize("order", ["random", "descending"])
+@pytest.mark.parametrize("field", SMALL_P, ids=repr)
+def test_dense_switch_under_the_real_rule(field, order):
+    """Dense vectors switch at rank DENSE_MIN_RANK, mid-stream, by the real
+    density rule; afterwards the packed echelon keeps the sparse run's rows,
+    pivots, reps and reductions, and `dense_rank`'s rank."""
+    rng = random.Random(field.characteristic)
+    tops = range(63, 15, -1) if order == "descending" else rng.sample(range(16, 64), 48)
+    vecs = dense_vectors(field, rng, tops, 24)
+    with sparse_only():
+        sparse = Echelon(field)
+        for n, v in enumerate(vecs):
+            sparse.insert(v, payload=n)
+    dense = Echelon(field)
+    for n, v in enumerate(vecs):
+        dense.insert(v, payload=n)
+        assert is_packed(dense) == (dense.dim >= linalg.DENSE_MIN_RANK)
+    assert dense.dim == 48 == dense_rank([canonical(field, v) for v in vecs], field)
+    assert_rref(dense)
+    assert_same_echelon(sparse, dense, probes(field, range(64)) + vecs)
+
+
+def test_slot_renormalisation_near_the_p_limit():
+    """With p just under DENSE_P_LIMIT and the slot bound cut to 2^36, a few
+    steps pass the bound: rows and reduce sums are renormalised, every slot
+    stays within its row's bound, no sum that is unpacked passes the bound,
+    and the results equal the sparse run's."""
+    field = Field.prime(65521)
+    assert field.characteristic < linalg.DENSE_P_LIMIT
+    rng = random.Random(3)
+    vecs = dense_vectors(field, rng, range(47, 7, -1), 30)
+    renormalised = []  # True for a stored row, False for a reduce sum
+    with sparse_only():
+        sparse = Echelon(field)
+        for n, v in enumerate(vecs):
+            sparse.insert(v, payload=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed, "_SLOT_MAX", (1 << 36) - 1)
+        renormalize = packed.PackedRows.renormalize
+
+        def recorded(pk, x):
+            renormalised.append(any(x is row for row in pk.rows))
+            return renormalize(pk, x)
+
+        mp.setattr(packed.PackedRows, "renormalize", recorded)
+        unpack = packed.PackedRows.unpack
+
+        def bounded(pk, x):
+            assert max(pk._slots(x), default=0) <= packed._SLOT_MAX
+            return unpack(pk, x)
+
+        mp.setattr(packed.PackedRows, "unpack", bounded)
+        with dense_from(4):
+            dense = Echelon(field)
+            for n, v in enumerate(vecs):
+                dense.insert(v, payload=n)
+                pk = dense._packed
+                if pk is not None:
+                    for x, bound in zip(pk.rows, pk.bounds):
+                        assert max(pk._slots(x), default=0) <= bound <= packed._SLOT_MAX
+        assert is_packed(dense)
+        assert_same_echelon(sparse, dense, probes(field, range(48)) + vecs)
+    assert True in renormalised and False in renormalised
+
+
+def test_sparse_spans_never_switch(monkeypatch, tmp_path, capsys):
+    """Rows as dense as the rule asks stay sparse over Q and over p = 2^31 - 1;
+    the build kernels of the bench's tri presentation (over its p = 2^31 - 1
+    and over GF(101)) and span-bound's wreath span stay sparse by density.
+    The dense-law span of `dense_dim_check` does switch."""
+    made = []
+
+    class Recording(packed.PackedRows):
+        __slots__ = ()
+
+        def __init__(self, p, rows):
+            made.append(p)
+            super().__init__(p, rows)
+
+    monkeypatch.setattr(packed, "PackedRows", Recording)
+    # 64 rows of 17 nonzeros in 80 columns: density 0.21
+    rng = random.Random(5)
+    rows = [
+        {16 + i: 1, **{k: rng.randrange(1, 50) for k in range(16)}}
+        for i in range(64)
+    ]
+    for field in (Q, Field.prime(2**31 - 1), Field.prime(101)):
+        e = Echelon(field)
+        for row in rows:
+            e.insert({k: field.from_int(c) for k, c in row.items()})
+        assert e.dim == 64
+        assert is_packed(e) == (field.characteristic == 101)
+    made.clear()
+
+    xyz = Alphabet([("x", 1), ("y", 1), ("z", 1)])
+    for field in (Field.prime(2**31 - 1), Field.prime(101)):
+        rel = parse_element("x*y - 2*y*x", xyz, field)
+        TruncatedAlgebra(Presentation(xyz, field, [rel]), 11)
+    jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
+    bench_run.write_inputs(11, tmp_path)
+    job = jobs["span_bound_n5"]
+    assert cli.main(job.argv + ["--emit", str(tmp_path / "span.csv")]) == 0
+    capsys.readouterr()
+    assert not made
+
+    spec = jobs["dense_law_0"].dense
+    b_alg = TruncatedAlgebra(wio.load_presentation(spec["B"]), spec["NB"])
+    a_alg = TruncatedAlgebra(wio.load_presentation(spec["A"]), spec["NA"])
+    gamma = wio.load_gamma(spec["gamma"], BasisIndexing(b_alg), a_alg)
+    assert dense_dim_check(b_alg, a_alg, gamma, spec["n"]).equality
+    assert made == [101]

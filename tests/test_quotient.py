@@ -27,6 +27,7 @@ from helpers import (
     ReferenceQuotient,
     assert_raw,
     commutative_dim,
+    dense_from,
     killed_above,
     make_algebra,
     random_element,
@@ -184,6 +185,12 @@ def assert_build_matches_reference(pres, n):
             assert nf.terms == ref.reduction.get(cand, {cand: field.one}) and not nf.flag
         if alphabet.word_count(d) <= 40:
             assert alg.ideal_dim(d) == brute_force_ideal_dim(pres, d)
+    if 0 < field.characteristic < linalg.DENSE_P_LIMIT:
+        # the same build with every kernel packed after its first row
+        with dense_from(1):
+            packed = TruncatedAlgebra(pres, n)
+        assert packed._basis == alg._basis
+        assert packed._reduction == alg._reduction
 
 
 @settings(max_examples=100)
@@ -200,6 +207,7 @@ def test_build_matches_reference_builder(case):
         (Q, [("x", 1), ("y", 1), ("z", 1)], ["x*y - 2*y*x", "y*z - z*y + x*x"], 5),
         (Field.prime(2**31 - 1), [("a", 1), ("b", 2), ("c", 3)], ["a*b - 3*b*a", "c*a - a*c + b*b"], 9),
         (Q, [("a", 1), ("b", 3)], ["a*b*a - b*a*a", "b*b - a^6"], 11),
+        (Field.prime(3), [("x", 1), ("y", 1), ("z", 1)], ["x*y - 2*y*x", "y*z - z*y + x*x"], 6),
     ],
 )
 def test_build_matches_reference_builder_pinned(field, gens, rels, n):
