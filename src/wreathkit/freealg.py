@@ -43,7 +43,7 @@ class Combination:
     """The arithmetic shared by free and truncated-algebra elements.
 
     An element is a sparse map `terms`: Word -> raw coefficient, with no zero
-    ever stored (residues in [1, p) over GF(p), `Fraction`s over the
+    ever stored (residues in [1, p) over GF(p), ints and `Fraction`s over the
     rationals).  Subclasses give `field` and `alphabet`, `_like(terms, flag)`
     (an element of the same kind and space with these terms), `_check` (the
     operands live in one space), `__mul__`, `__eq__` and `__hash__`.  `flag`

@@ -1,10 +1,10 @@
 """Exact linear algebra over ordered keys: sparse, or packed dense over a small p.
 
-This is the one module that sums raw coefficients (residues mod p, or
-`Fraction`s over the rationals) of sparse vectors: `combine` forms a linear
-combination of vectors, `reduced` is the finish every such sum needs (reduce
-mod p once, drop the zeros), and `_eliminate` subtracts a multiple of one
-vector from another in place.  Elements of the free and the truncated
+This is the one module that sums raw coefficients (residues mod p, or ints
+and `Fraction`s over the rationals) of sparse vectors: `combine` forms a
+linear combination of vectors, `reduced` is the finish every such sum needs
+(reduce mod p once, drop the zeros), and `_eliminate` subtracts a multiple
+of one vector from another in place.  Elements of the free and the truncated
 algebras, host actions and matrices add through them.
 
 `Echelon` keeps a reduced-echelon collection of sparse vectors.  Keys can be
@@ -72,8 +72,8 @@ DENSE_P_LIMIT = 1 << 16  # only p below this: (p - 1)^2 < 2^32 per step
 def reduced(acc: dict, p: int) -> dict:
     """The finish of a raw sum: residues mod p when p > 0, zeros dropped.
 
-    acc maps keys to unreduced sums (arbitrary ints over GF(p), `Fraction`s
-    over the rationals, p == 0); a new dict is returned.
+    acc maps keys to unreduced sums (arbitrary ints over GF(p), ints and
+    `Fraction`s over the rationals, p == 0); a new dict is returned.
     """
     if p:
         return {key: r for key, x in acc.items() if (r := x % p)}
@@ -101,12 +101,12 @@ def combine(parts, p: int) -> dict:
 def _eliminate(v: dict, row: dict, c, p: int) -> None:
     """v -= c * row in place, dropping the keys that cancel.
 
-    p is the field characteristic: raw residues mod p when p > 0, `Fraction`
-    values over the rationals when p == 0.  This is the elimination step of
-    every `Echelon` operation and of element addition (c = -1) and
-    subtraction (c = 1), so it does its own arithmetic instead of a `Field`
-    call per term.  c and the row entries are nonzero, so a key that v lacks
-    takes -c * val, which is never zero, with no subtraction.
+    p is the field characteristic: raw residues mod p when p > 0, int and
+    `Fraction` values over the rationals when p == 0.  This is the
+    elimination step of every `Echelon` operation and of element addition
+    (c = -1) and subtraction (c = 1), so it does its own arithmetic instead
+    of a `Field` call per term.  c and the row entries are nonzero, so a key
+    that v lacks takes -c * val, which is never zero, with no subtraction.
     """
     get = v.get
     if p:
@@ -160,7 +160,7 @@ class Echelon:
 
     @property
     def rows(self) -> list:
-        """The rows by insertion index, as dicts key -> residue (or `Fraction`).
+        """The rows by insertion index, as dicts key -> raw value.
 
         In the sparse mode this is the echelon's own list: read it, never
         mutate it.  In the dense mode every access unpacks every row; read
@@ -266,6 +266,15 @@ class Echelon:
 
     def pivot_keys(self):
         return set(self.pivots)
+
+    def is_unit_row(self, key) -> bool:
+        """Whether the row with pivot `key` is {key: 1}, so that every
+        multiple of key reduces to zero."""
+        i = self.pivots.get(key)
+        if i is None:
+            return False
+        row = self._rows[i]
+        return len(row if self._packed is None else self._packed.unpack(row)) == 1
 
 
 class Span:

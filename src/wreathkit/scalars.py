@@ -1,13 +1,20 @@
 """Exact scalar arithmetic over the rationals and prime fields GF(p).
 
-There is no floating point anywhere in the kernel.  Rational values are
-`fractions.Fraction` (always in lowest terms with positive denominator by
-construction), prime-field residues are plain ints in [0, p).  The raw-value
-methods on `Field` serve the code off the hot paths (the parsers, `dense_rank`,
-inverses and formatting); the sums of the hot loops do their residue or
-`Fraction` arithmetic inline, and `linalg` is where coefficients are summed.
-`Field.scalar` coerces an int, a raw value or a `Scalar` into this field, and
-`Scalar` is the boundary wrapper with operator overloads and field checks.
+There is no floating point anywhere in the kernel.  A rational value is an
+int when it is integral and a `fractions.Fraction` otherwise, so integer
+relations never make a `Fraction`; prime-field residues are plain ints in
+[0, p).  The two mix freely: int * `Fraction` is a `Fraction`, and
+2 == Fraction(2) with the same hash.  Only `Field.inv` and `Field.div`
+divide, through `Fraction` (an int `/` would give a float), and they return
+an int when the quotient is integral; an integral `Fraction` that a sum
+makes may stay one.
+
+The raw-value methods on `Field` serve the code off the hot paths (the
+parsers, `dense_rank`, inverses and formatting); the sums of the hot loops do
+their residue or rational arithmetic inline, and `linalg` is where
+coefficients are summed.  `Field.scalar` coerces an int, a raw value or a
+`Scalar` into this field, and `Scalar` is the boundary wrapper with operator
+overloads and field checks.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integral(q: Fraction):
+    """q as an int when its denominator is 1, else q itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
     """The ground field: the rationals or GF(p) for a prime p < 2**31."""
 
@@ -55,9 +67,9 @@ class Field:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.characteristic = characteristic
-        # raw constants, built once: the hot loops read them on every term
-        self.zero = Fraction(0) if kind == "rational" else 0
-        self.one = Fraction(1) if kind == "rational" else 1
+        # raw constants: the hot loops read `one` on every term
+        self.zero = 0
+        self.one = 1
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -68,11 +80,12 @@ class Field:
         return cls("gf", p)
 
     # -- raw-value arithmetic ------------------------------------------
-    # Raw values: Fraction over the rationals, int in [0, p) over GF(p).
+    # Raw values: over the rationals an int when integral, else a Fraction;
+    # over GF(p) an int in [0, p).
 
     def from_int(self, n: int):
         if self.kind == "rational":
-            return Fraction(n)
+            return int(n)  # a bool becomes 0 or 1
         return n % self.characteristic
 
     def add(self, a, b):
@@ -99,10 +112,12 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         if self.kind == "rational":
-            return 1 / a
+            return _integral(1 / Fraction(a))
         return pow(a, self.characteristic - 2, self.characteristic)
 
     def div(self, a, b):
+        if self.kind == "rational":
+            return _integral(Fraction(a) * self.inv(b))
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
@@ -118,7 +133,7 @@ class Field:
     def sample(self, rng):
         """A small random element, for property tests."""
         if self.kind == "rational":
-            return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            return self.div(rng.randint(-6, 6), rng.randint(1, 6))
         return rng.randrange(self.characteristic)
 
     def scalar(self, value) -> "Scalar":

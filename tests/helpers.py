@@ -5,10 +5,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import strategies as st
 
 from wreathkit import (
     AlgElement,
     Alphabet,
+    Field,
+    FreeElement,
     GammaMap,
     Presentation,
     Scalar,
@@ -116,13 +119,55 @@ def _acc(terms: dict, key, c, f):
         terms[key] = s
 
 
+def rationals(bound, max_den):
+    """Q raw values in the three shapes the kernel meets: ints, integral
+    Fractions and Fractions k/d with 2 <= d <= max_den, drawn alike; |k| <= bound."""
+    k = st.integers(-bound, bound)
+    return st.one_of(k, st.builds(Fraction, k), st.builds(Fraction, k, st.integers(2, max_den)))
+
+
 def assert_raw(field, c):
-    """c is a stored coefficient: nonzero, a Fraction over Q, a residue over GF(p)."""
+    """c is a stored coefficient: nonzero; over Q an int (never a bool) or a
+    Fraction, never a float; over GF(p) a residue."""
     assert not field.is_zero(c), "a zero coefficient is stored"
     if field.kind == "rational":
-        assert isinstance(c, Fraction)
+        assert type(c) is int or isinstance(c, Fraction), f"{c!r} is not an int or a Fraction"
     else:
         assert isinstance(c, int) and 0 <= c < field.characteristic
+
+
+class FractionRationals(Field):
+    """Q with every raw value a `Fraction`: `zero`, `one`, `from_int`, `inv`
+    and `div` return Fractions.  The oracle that `Field.rationals()`, which
+    keeps integral values as ints, is compared against; the two fields are
+    equal, so elements of the two mix."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__("rational")
+        self.zero, self.one = Fraction(0), Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return 1 / Fraction(a)
+
+    def div(self, a, b):
+        return Fraction(a) * self.inv(b)
+
+
+def all_fraction_copy(presentation):
+    """The presentation over `FractionRationals`, every coefficient a Fraction."""
+    fq = FractionRationals()
+    relations = [
+        FreeElement(presentation.alphabet, fq, {w: Fraction(c) for w, c in r.terms.items()})
+        for r in presentation.relations
+    ]
+    return Presentation(presentation.alphabet, fq, relations, unital=presentation.unital)
 
 
 @contextmanager

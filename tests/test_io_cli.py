@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,7 @@ from wreathkit.io import (
     presentation_to_text,
 )
 
-from helpers import make_algebra, random_gamma
+from helpers import make_algebra, random_gamma, rationals
 
 Q = Field.rationals()
 
@@ -197,7 +196,7 @@ def both_syntaxes(field):
 @st.composite
 def free_elements(draw, alphabet, field, min_degree):
     if field.kind == "rational":
-        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+        coeff = rationals(9, 4)
     else:
         coeff = st.integers(0, field.characteristic - 1)
     words = st.lists(st.integers(0, len(alphabet) - 1), min_size=min_degree, max_size=4)

@@ -1,7 +1,6 @@
 import random
 import sys
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from wreathkit import (
 from wreathkit import io as wio
 from wreathkit.linalg import Echelon, dense_rank
 
-from helpers import assert_raw, dense_from, sparse_only
+from helpers import assert_raw, dense_from, rationals, sparse_only
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -119,7 +118,7 @@ DIFF = settings(max_examples=40)
 
 def coefficients(field):
     if field.kind == "rational":
-        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+        return rationals(4, 4)
     return st.one_of(
         st.integers(0, min(field.characteristic - 1, 3)),
         st.integers(0, field.characteristic - 1),
@@ -276,7 +275,9 @@ def test_echelon_lead_one_and_raw_ints(case):
     """Inserting lead-1 vectors skips the normalisation, and ascending
     pivots skip the bisection; the rows are still the ones a scaled copy of
     each (canonical) vector gives through the inverse, they hold residues in
-    [0, p) whatever ints came in, and the rank is `dense_rank`'s."""
+    [0, p) whatever ints came in, and the rank is `dense_rank`'s.  Over Q a
+    value may be an int in one and an integral Fraction in the other (the
+    inverse 1/3 times 3c), which are equal."""
     field, keys, vecs = case
     e = insert_checked(field, vecs, canonical=lambda v: canonical(field, v))
     three = field.from_int(3)
@@ -285,9 +286,33 @@ def test_echelon_lead_one_and_raw_ints(case):
     assert e.pivots == ref.pivots
     assert e.rows == ref.rows
     for a, b in zip(e.rows, ref.rows):
-        assert all(type(a[k]) is type(b[k]) for k in a)
+        for k in a:
+            assert_raw(field, a[k])
+            assert_raw(field, b[k])
     for p in probes(field, keys):
         assert e.reduce(p) == ref.reduce(p)
+
+
+@pytest.mark.parametrize(
+    "field, packed",
+    [(f, False) for f in FIELDS] + [(f, True) for f in SMALL_P],
+    ids=lambda x: repr(x) if isinstance(x, Field) else ("dense" if x else "sparse"),
+)
+def test_is_unit_row(field, packed):
+    """`is_unit_row(k)` holds exactly when a multiple of k reduces to zero,
+    also for a row that back-reduction has cut down to its pivot."""
+    c = field.from_int
+    with dense_from(1) if packed else sparse_only():
+        e = Echelon(field)
+        e.insert({1: c(1), 0: c(3)})
+        e.insert({3: c(3)})
+        e.insert({4: c(-1), 3: c(5)})
+        assert packed == (e._packed is not None)
+        for k in range(5):
+            assert e.is_unit_row(k) == (k in (3, 4)) == e.contains({k: c(3)})
+        e.insert({0: c(1)})  # the row {1: 1, 0: 3} becomes {1: 1}
+        for k in range(5):
+            assert e.is_unit_row(k) == (k in (0, 1, 3, 4)) == e.contains({k: c(3)})
 
 
 def test_ascending_pivots_skip_the_bisection(monkeypatch):

@@ -21,16 +21,20 @@ from wreathkit import (
     parse_element,
 )
 from wreathkit import linalg
-from wreathkit.linalg import dense_rank
+from wreathkit.growth import FiltrationSchedule
+from wreathkit.linalg import Echelon, dense_rank
+from wreathkit.section6 import build_layered_presentation
 
 from helpers import (
     ReferenceQuotient,
+    all_fraction_copy,
     assert_raw,
     commutative_dim,
     dense_from,
     killed_above,
     make_algebra,
     random_element,
+    rationals,
 )
 
 Q = Field.rationals()
@@ -142,10 +146,10 @@ BUILD_FIELDS = [Q, Field.prime(2), Field.prime(2**31 - 1)]
 
 
 @st.composite
-def graded_presentations(draw):
+def graded_presentations(draw, fields=BUILD_FIELDS):
     """(presentation, N): up to three generators of degrees 1..3, up to four
     random homogeneous relations, and N as large as a few hundred words allow."""
-    field = draw(st.sampled_from(BUILD_FIELDS))
+    field = draw(st.sampled_from(fields))
     degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     alphabet = Alphabet(list(zip("xyz", degrees)))
     cap = max(d for d in range(1, 12) if alphabet.word_count(d) <= 300)
@@ -158,7 +162,7 @@ def draw_relations(draw, alphabet, field, lo, hi):
     """Up to four random homogeneous relations of up to three terms, each of
     a degree in lo..hi."""
     if field.kind == "rational":
-        coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+        coeff = rationals(4, 3)
     else:
         coeff = st.integers(0, field.characteristic - 1)
     relations = []
@@ -208,12 +212,85 @@ def test_build_matches_reference_builder(case):
         (Field.prime(2**31 - 1), [("a", 1), ("b", 2), ("c", 3)], ["a*b - 3*b*a", "c*a - a*c + b*b"], 9),
         (Q, [("a", 1), ("b", 3)], ["a*b*a - b*a*a", "b*b - a^6"], 11),
         (Field.prime(3), [("x", 1), ("y", 1), ("z", 1)], ["x*y - 2*y*x", "y*z - z*y + x*x"], 6),
+        # the extension y*y*x is one word whose row {y*y*x: 1, x*y*x: -1} is
+        # not that word alone: inserting it puts x*y*x into the ideal
+        (Q, [("x", 1), ("y", 1)], ["y*y", "y*y*x - x*y*x"], 4),
     ],
 )
 def test_build_matches_reference_builder_pinned(field, gens, rels, n):
     ab = Alphabet(gens)
     pres = Presentation(ab, field, [parse_element(r, ab, field) for r in rels])
     assert_build_matches_reference(pres, n)
+
+
+# -- Q values as ints when integral, against an all-Fraction Q -------------------
+
+
+def assert_matches_all_fraction_build(pres, n, growth_n, pairs=300):
+    """The build over Q, which keeps an integral value as an int, and the
+    build of the same presentation over `helpers.FractionRationals`, where
+    every value is a Fraction, agree value by value: the bases, the reduction
+    tables, `pairs` sampled word-pair products and the growth of the span of
+    all generators up to `growth_n` factors."""
+    alg = TruncatedAlgebra(pres, n)
+    old = TruncatedAlgebra(all_fraction_copy(pres), n)
+    # the oracle really is all-Fraction
+    assert all(type(c) is Fraction for red in old._reduction.values() for c in red.values())
+    assert alg._basis == old._basis
+    assert alg._reduction == old._reduction
+    for red in alg._reduction.values():
+        for c in red.values():
+            assert_raw(Q, c)
+    rng = random.Random(n)
+    short = [w for w in alg.basis_words() if 1 <= w.degree <= n // 2]
+    for _ in range(pairs if short else 0):
+        u, v = rng.choice(short), rng.choice(short)
+        got = alg._word_pair_product(u, v)
+        assert got == old._word_pair_product(u, v)
+        for c in got[0].values():
+            assert_raw(Q, c)
+    gens = range(len(pres.alphabet))
+    assert growth_dims(alg, [alg.gen(g) for g in gens], growth_n) == growth_dims(
+        old, [old.gen(g) for g in gens], growth_n
+    )
+    return alg
+
+
+def layered_k3_n8():
+    """The bench's `sandwich_k3_N8` layered presentation (J commutative)."""
+    ab = Alphabet([("x", 1), ("y", 1)])
+    schedule = FiltrationSchedule([2, 4, 6, 2000, 100000])
+    j = [parse_element("x*y - y*x", ab, Q)]
+    return build_layered_presentation(Q, 3, schedule, j, truncation_degree=8)
+
+
+def text_presentation(gens, rels):
+    ab = Alphabet([(g, 1) for g in gens])
+    return Presentation(ab, Q, [parse_element(r, ab, Q) for r in rels])
+
+
+@pytest.mark.parametrize(
+    "make, n, growth_n",
+    [
+        # the bench's build_tri_q_N11: normal forms with coefficients 1/2^k
+        (lambda: text_presentation("xyz", ["x*y - 2*y*x", "y*z - z*y + x*x"]), 11, 11),
+        # growth_xyx_N12: integral throughout
+        (lambda: text_presentation("xy", ["x*y*x - y*x*y"]), 12, 12),
+        (layered_k3_n8, 8, 8),
+    ],
+    ids=["tri_q", "xyx", "sandwich_k3_N8"],
+)
+def test_integral_values_as_ints_match_all_fraction_build(make, n, growth_n):
+    alg = assert_matches_all_fraction_build(make(), n, growth_n)
+    # the two builds do hold their values differently
+    assert any(type(c) is int for red in alg._reduction.values() for c in red.values())
+
+
+@settings(max_examples=100)
+@given(graded_presentations(fields=[Q]))
+def test_integral_values_as_ints_match_all_fraction_build_drawn(case):
+    pres, n = case
+    assert_matches_all_fraction_build(pres, n, n, pairs=60)
 
 
 @pytest.mark.parametrize("field", BUILD_FIELDS, ids=repr)
@@ -265,6 +342,28 @@ def test_build_work_counts(monkeypatch):
     assert [alg.graded_dim(d) for d in range(1, 12)] == [2 ** (d + 1) - 1 for d in range(1, 12)]
     assert counts["steps"] <= 6113
     assert counts["eliminations"] <= 9189
+
+
+def test_build_skips_inserts_that_add_nothing(monkeypatch):
+    """The build inserts no empty extension and no multiple of one word whose
+    row is that word alone: both reduce to zero.  On the bench's
+    `sandwich_k3_N8` presentation it makes 4,014 inserts, 2,075 of which raise
+    the rank; inserting every extension made 8,658.  The reference builder,
+    which inserts them all, finds the same basis and reductions."""
+    pres = layered_k3_n8()
+    counts = {"inserts": 0, "empty": 0}
+    insert = Echelon.insert
+
+    def counted(self, vec, payload=None):
+        counts["inserts"] += 1
+        counts["empty"] += not vec
+        return insert(self, vec, payload)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    TruncatedAlgebra(pres, 8)
+    monkeypatch.undo()
+    assert counts["inserts"] <= 4014 and counts["empty"] == 0
+    assert_build_matches_reference(pres, 8)
 
 
 def test_general_degree_generators():

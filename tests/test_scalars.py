@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wreathkit import Field, FieldMismatchError, Scalar
+
+from helpers import rationals
 
 
 Q = Field.rationals()
@@ -84,6 +88,7 @@ def test_representatives_always_reduced():
 def test_parse_and_format():
     assert Q.fmt(Fraction(2, 3)) == "2/3"
     assert Q.fmt(Fraction(5)) == "5"
+    assert Q.fmt(5) == "5" and Q.fmt(-3) == "-3"
 
 
 def test_scalar_operations():
@@ -93,3 +98,60 @@ def test_scalar_operations():
     assert a / a == Q.scalar(1)
     assert bool(a) and not bool(Q.scalar(0))
     assert repr(GF5.scalar(9)) == "4"
+
+
+# -- Q raw values: an int when integral, a Fraction otherwise -------------------
+
+QVALUES = rationals(50, 12)
+
+
+def is_q_raw(r) -> bool:
+    """An int (never a bool) or a Fraction: never a float."""
+    return type(r) is int or type(r) is Fraction
+
+
+def test_rational_constants_are_ints():
+    assert type(Q.zero) is int and Q.zero == 0
+    assert type(Q.one) is int and Q.one == 1
+    assert type(Q.from_int(-7)) is int and Q.from_int(-7) == -7
+    assert type(Q.from_int(True)) is int and Q.from_int(True) == 1
+
+
+def test_division_of_ints_is_exact():
+    """`1 / a` on an int is a float; inv and div go through Fraction."""
+    assert Q.inv(2) == Fraction(1, 2) and type(Q.inv(2)) is Fraction
+    assert Q.div(1, 3) == Fraction(1, 3) and type(Q.div(1, 3)) is Fraction
+    assert Q.div(4, 2) == 2 and type(Q.div(4, 2)) is int
+    assert Q.inv(Fraction(1, 3)) == 3 and type(Q.inv(Fraction(1, 3))) is int
+    assert Q.inv(-1) == -1 and type(Q.inv(-1)) is int
+    with pytest.raises(ZeroDivisionError):
+        Q.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        Q.div(Fraction(1, 2), Fraction(0))
+
+
+@given(QVALUES, QVALUES, st.integers(-10**6, 10**6))
+def test_rational_methods_never_return_floats_or_bools(a, b, n):
+    results = [Q.from_int(n), Q.add(a, b), Q.sub(a, b), Q.mul(a, b), Q.neg(a)]
+    if b:
+        results += [Q.inv(b), Q.div(a, b)]
+    for r in results:
+        assert is_q_raw(r), repr(r)
+    assert is_q_raw(Q.scalar(a).raw) and is_q_raw(Q.scalar(n).raw)
+
+
+@given(QVALUES, QVALUES)
+def test_inv_and_div_are_ints_exactly_when_integral(a, b):
+    if not b:
+        return
+    for got, exact in [(Q.inv(b), 1 / Fraction(b)), (Q.div(a, b), Fraction(a) / Fraction(b))]:
+        assert got == exact and is_q_raw(got)
+        assert (type(got) is int) == (exact.denominator == 1), repr(got)
+
+
+def test_sample_draws_ints_and_fractions():
+    rng = random.Random(11)
+    values = [Q.sample(rng) for _ in range(200)]
+    assert all(is_q_raw(c) for c in values)
+    assert {type(c) for c in values} == {int, Fraction}
+    assert all(type(c) is int for c in values if c == int(c))

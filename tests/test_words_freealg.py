@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wreathkit import Alphabet, EMPTY_WORD, Field, FreeElement, ParseError, parse_element
 from wreathkit.freealg import MAX_EXPONENT, MAX_NESTING
 
-from helpers import assert_raw
+from helpers import assert_raw, rationals
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -204,7 +204,7 @@ ACC_WORDS = [XY.word(t) for d in (0, 1, 2) for t in product(range(2), repeat=d)]
 @st.composite
 def free_elements(draw, field):
     coeff = (
-        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        rationals(3, 3)
         if field.kind == "rational"
         else st.integers(0, field.characteristic - 1)
     )
