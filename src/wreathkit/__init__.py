@@ -36,12 +36,10 @@ from .words import EMPTY_WORD, Alphabet, Word
 from .wreath import (
     BasisIndexing,
     GammaMap,
-    ScalarMatrix,
     SMatrix,
     WreathAlgebra,
     WreathElement,
     WreathSpan,
-    left_mult_matrix,
     matrix_unit_generation_check,
     nilpotency_check,
     nilpotent_host_embedding_check,

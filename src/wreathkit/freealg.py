@@ -2,7 +2,8 @@
 
 Elements are sparse maps Word -> coefficient with no zero coefficients ever
 stored; `Combination` holds the arithmetic that `FreeElement` shares with
-the truncated algebras' `quotient.AlgElement`.  The text syntax accepted by `parse_element` is the one used in
+the truncated algebras' `quotient.AlgElement`, whose keys are basis indices.
+The text syntax accepted by `parse_element` is the one used in
 presentation and gamma files, and `_Parser` is also the grammar of wreath
 expressions (`io.parse_wreath_expression`): `+`/`-` separated terms,
 optional `*` between factors, `^` powers, rational coefficients like `2/3`
@@ -42,9 +43,11 @@ class ParseError(ValueError):
 class Combination:
     """The arithmetic shared by free and truncated-algebra elements.
 
-    An element is a sparse map `terms`: Word -> raw coefficient, with no zero
+    An element is a sparse map `terms`: key -> raw coefficient, with no zero
     ever stored (residues in [1, p) over GF(p), ints and `Fraction`s over the
-    rationals).  Subclasses give `field` and `alphabet`, `_like(terms, flag)`
+    rationals).  A key stands for a word: it is the word here, and
+    `AlgElement` overrides `_word` and `_key`, which convert.  Keys sort like
+    their words.  Subclasses give `field` and `alphabet`, `_like(terms, flag)`
     (an element of the same kind and space with these terms), `_check` (the
     operands live in one space), `__mul__`, `__eq__` and `__hash__`.  `flag`
     marks a truncated result; a free element never is one.  The sums go
@@ -96,25 +99,34 @@ class Combination:
     def __bool__(self):
         return bool(self.terms)
 
+    def _word(self, key) -> Word:
+        """The word that a key of `terms` stands for."""
+        return key
+
+    def _key(self, word: Word):
+        """The key of `terms` that stands for a word, or None if none does."""
+        return word
+
     def coefficient(self, word: Word) -> Scalar:
-        return Scalar(self.field, self.terms.get(word, self.field.zero))
+        return Scalar(self.field, self.terms.get(self._key(word), self.field.zero))
 
     def min_degree(self) -> int:
         """Minimal degree of a nonzero homogeneous component."""
         if not self.terms:
             raise ValueError("the zero element has no degree")
-        return min(w.degree for w in self.terms)
+        return min(self._word(k).degree for k in self.terms)
 
     def homogeneous_component(self, d: int):
-        return self._like({w: c for w, c in self.terms.items() if w.degree == d}, self.flag)
+        terms = {k: c for k, c in self.terms.items() if self._word(k).degree == d}
+        return self._like(terms, self.flag)
 
     def format(self) -> str:
         if not self.terms:
             return "0"
         f = self.field
         parts = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
+        for k in sorted(self.terms):
+            c, w = self.terms[k], self._word(k)
             neg = f.kind == "rational" and c < 0
             mag = -c if neg else c
             body = self.alphabet.format_word(w)

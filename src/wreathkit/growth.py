@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .linalg import closure, dense_rank
 from .quotient import AlgElement, Subspace, TruncatedAlgebra, growth_dims
 from .wreath import GammaMap, SMatrix, WreathAlgebra, WreathSpan
@@ -623,6 +621,7 @@ def _mpf_of_int(n: int):
     precision is cut to 2*prec bits first (a relative change under
     2**-(2*prec), far below the rounding to prec bits that follows): mpmath's
     pure-Python backend takes seconds to normalise a million-bit power of 2."""
+    import mpmath  # here and in `log_interval` only: a CLI start need not load it
     shift = n.bit_length() - 2 * mpmath.mp.prec
     if shift <= 0:
         return mpmath.mpf(n)
@@ -637,6 +636,7 @@ def log_interval(x, digits: int = 60) -> RatInterval:
     millions of times wider than the worst-case rounding error for every
     log(x) below 10**10.
     """
+    import mpmath
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log of a nonpositive value")

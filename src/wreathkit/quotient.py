@@ -21,28 +21,30 @@ a space of size (#generators x dim of the quotient), not m^d.  Pivots are the
 deglex-greatest candidate words; normal-form words are exactly the non-pivot
 candidates, reproducing the staircase a full word-space echelon would pick.
 
-Right translation costs one letter step per term.  Every suffix of a normal
-word is normal, so for u = a*u' the normal form nf(u*g) is a * nf(u'*g): one
-`_apply_letter` on a normal form found before.  The build memoizes nf(u*g)
-by degree and keeps the last 2s degrees, s the largest generator degree:
-degree d reads degrees d - s .. d - 1, and one letter down from those at
-least d - 2s; lower degrees are hardly ever read again.  The memo lives
-only while the build runs.  A relation term x*a*b*w'' is read the same way,
+The basis is numbered once, degree-major in deglex order from 1, the unit
+first when the algebra is unital: the numbering of `BasisIndexing` and of
+every gamma file.  The kernel works on these ints.  Element terms, the
+build's tables and the word-pair products are keyed by them, and a `Word`
+exists only at the edges: parsing, `element`, `degree_basis` and the
+formatting of elements.  Every suffix of a normal word is normal, so a basis
+word is recorded as its first letter and the index of its tail.  A candidate
+x*u of degree d gets the key x*M + u, M the least index of degree d.  Every
+index so far is below M, so the keys sort like the words x*u (first letter,
+then tails of one degree in deglex order), and the pivots are the ones a
+word-keyed echelon picks.  Once degree d is built, `_letter[x][u]` holds
+nf(x*u): the basis index of x*u when that word is normal, its reduction (a
+dict) otherwise.
+
+Right translation costs one letter step per term.  For u = a*u' the normal
+form nf(u*g) is a * nf(u'*g): one `_apply_letter` on a normal form found
+before.  `_walk` walks down the tails to a known product and takes one letter
+step per level on the way back; the build's memo of the right translates
+nf(u*g) and the word-pair products u*v after the build both go through it.
+The memo lives only while the build runs.  A relation term x*a*b*w'' is read
 as a * b * nf(w''), from a memo of the suffixes w'' kept only while one
-degree's relations are inserted.  Each candidate word x*u is made once, when
-its degree's candidates are listed, and looked up from then on, so the basis,
-the reduction table and every normal form share one instance per word and
-dict lookups succeed on identity.  Each kernel's rows are extended in
-ascending pivot order, generators innermost: the leading words of the new
-rows then mostly arrive in ascending order, and `Echelon.insert` finds
-almost no earlier row to back-reduce.  The inserted set is the same in any
-order, so the basis and the reductions are too.  An extension that is
-empty, or a multiple c*w of one word whose row is {w: 1}, reduces to zero
-and is not inserted: the bench's `sandwich_k4_N10` build skips 65,286 of
-its 103,021 inserts that way.  Products of basis words after the build rest
-on the same fact: `_normal` records each basis word's tail, and
-`_word_pair_product` extends the cached product of the tail by one letter
-step.
+degree's relations are read.  A relation or an extension that is empty, or a
+multiple c*w of one candidate whose row is {w: 1}, reduces to zero and is not
+inserted.
 
 Degrees above N follow the overflow policy: `reject` raises, `truncate`
 drops the escaping terms and flags the element so downstream dimension
@@ -65,6 +67,10 @@ from .words import EMPTY_WORD, Alphabet, Word
 # The reduction of a pivot candidate that is zero in the quotient; all such
 # pivots share this one read-only mapping.
 _NO_TERMS = MappingProxyType({})
+
+# The `_pair_cache` entry of a word pair whose product leaves the truncation
+# with a remainder that is not certified zero: empty, and flagged by identity.
+_ESCAPED = MappingProxyType({})
 
 
 class PresentationError(ValueError):
@@ -118,7 +124,13 @@ class Presentation:
 
 
 class TruncatedAlgebra:
-    """A finitely presented graded algebra computed exactly up to degree N."""
+    """A finitely presented graded algebra computed exactly up to degree N.
+
+    Basis index i (see the module docstring) is the word of degree
+    `_degree[i]` with first letter `_head[i]` and tail `_tail[i]`;
+    `_first[d]` is the least index of degree d.  `_unit` is the index of the
+    empty word: 1 when the algebra is unital, else 0, which no element holds.
+    """
 
     def __init__(self, presentation: Presentation, truncation_degree: int, policy="truncate"):
         if policy not in ("truncate", "reject"):
@@ -141,10 +153,15 @@ class TruncatedAlgebra:
                 )
             by_degree.setdefault(d, []).append(r)
 
-        self._basis = [[] for _ in range(truncation_degree + 1)]
-        self._normal = {}  # basis word x*u -> its tail u (a basis word, or EMPTY_WORD)
-        self._reduction = {}  # pivot candidate word -> normal-form expansion
-        self._pair_cache = {}  # basis word u -> {basis word v: (nf vector, escaped)}
+        unit = self._unit = 1 if self.unital else 0
+        self._first = [unit, unit + 1]
+        self._head = [None] * (unit + 1)
+        self._tail = [None] * (unit + 1)
+        self._degree = [0] * (unit + 1)
+        # _letter[x][u] = nf(x*u): an int or a reduction (module docstring),
+        # None while x*u is above N or not built yet
+        self._letter = [[None] * (unit + 1) for _ in self.alphabet.degrees]
+        self._pair_cache = {}  # u -> {v: nf(u*v) or _ESCAPED}, see `_word_pair_product`
         self._build(by_degree)
         self._zero_above = self._zero_certificate()
 
@@ -156,73 +173,90 @@ class TruncatedAlgebra:
         gens = range(len(degrees))
         N = self.truncation_degree
         span = max(degrees, default=1)
-        # intern[x]: normal word u -> the candidate word x*u, made once when
-        # its degree's candidates are listed (x itself under the empty word)
-        intern = self._intern = [{EMPTY_WORD: self.alphabet.gen(x)} for x in gens]
-        # kernels[e]: the degree-e eliminant, kept only while a later degree
-        # d = e + deg(g) still extends it on the right
+        unit, first, head, tail = self._unit, self._first, self._head, self._tail
+        degree, letter = self._degree, self._letter
+        # kernels[e]: the degree-e eliminant and its key base, kept only while
+        # a later degree d = e + deg(g) still extends it on the right
         kernels = [None] * (N + 1)
-        # memo[k]: letters of u*g -> nf(u*g), for normal u and deg(u*g) = k
-        memo = {}
-        normal = self._normal
+        memo = {}  # u -> {g: nf(u*g)}, the right translates (see `_walk`)
         for d in range(1, N + 1):
-            # candidates: each candidate word x*u of degree d -> its tail u
-            candidates = {intern[x][EMPTY_WORD]: EMPTY_WORD for x in gens if degrees[x] == d}
-            for x in gens:
-                rest = d - degrees[x]
-                if rest >= 1:
-                    xi = intern[x]
-                    for w in self._basis[rest]:
-                        xi[w] = cand = Word((x,) + w.letters, d)
-                        candidates[cand] = w
+            base = len(degree)  # first[d]: every index so far is below it
             ech = Echelon(self.field)
-            # relation tails share suffixes; their normal forms are kept only
-            # while this degree's relations are inserted
-            tails = {}
-            for r in relations_by_degree.get(d, ()):
-                ech.insert(self._free_to_candidates(r, tails))
-            del tails
-            for e in range(max(1, d - span), d):
-                right = [g for g in gens if e + degrees[g] == d]
-                if kernels[e] is None or not right:
-                    continue
-                # leading words lead(row)*g then arrive in ascending order, so
-                # back-reduction in `insert` finds almost no row above them
-                for row in kernels[e].ordered_rows():
-                    for g in right:
-                        ext = self._extend_right(row, g, memo)
-                        # an empty extension, or a multiple of a word whose row
-                        # is that word alone, reduces to zero: no insert
-                        if len(ext) > 1 or ext and not ech.is_unit_row(next(iter(ext))):
-                            ech.insert(ext)
-            kernels[d] = ech
+            for vec in self._ideal_vectors(d, base, relations_by_degree.get(d, ()), kernels, memo):
+                # an empty vector, or a multiple of a candidate whose row is
+                # that candidate alone, reduces to zero: no insert
+                if len(vec) > 1 or vec and not ech.is_unit_row(next(iter(vec))):
+                    ech.insert(vec)
+            kernels[d] = ech, base
             if d > span:
                 kernels[d - span] = None
-            # degree d + 1 reads nf(u*g) of degrees > d - span, and one letter
-            # step below those; lower levels would rarely be hit again
-            for k in [k for k in memo if k <= d - 2 * span]:
-                del memo[k]
+            # degree d + 1 reads nf(u*g) for deg(u) >= d + 1 - 2*span, and
+            # one letter step below those; lower degrees would rarely be read
+            # again, and dropping them keeps the peak RSS down
+            if d > 3 * span:
+                for u in range(first[d - 3 * span], first[d - 3 * span + 1]):
+                    memo.pop(u, None)
+            # the normal words: the candidates that are no pivot, in key order
             pivots = ech.pivots
-            self._basis[d] = basis = sorted(w for w in candidates if w not in pivots)
-            for w in basis:
-                normal[w] = candidates[w]
+            index = {}  # normal candidate key -> its basis index
+            for x in gens:
+                e = d - degrees[x]
+                if e < 0:
+                    continue
+                for u in range(first[e], first[e + 1]) if e else (unit,):
+                    key = x * base + u
+                    if key not in pivots:
+                        index[key] = letter[x][u] = len(degree)
+                        head.append(x)
+                        tail.append(u)
+                        degree.append(d)
+            first.append(len(degree))
+            for table in letter:
+                table.extend([None] * len(index))
             # a coefficient 1 is stored as the field's `one` itself, which
             # `_apply_letter` and `_extend_right` then pass on unmultiplied
             for key, row in ech.pivot_rows():
+                x, u = divmod(key, base)
                 if len(row) == 1:
-                    self._reduction[key] = _NO_TERMS
+                    letter[x][u] = _NO_TERMS
                 elif p:
-                    self._reduction[key] = {w: p - c for w, c in row.items() if w is not key}
+                    letter[x][u] = {index[k]: p - c for k, c in row.items() if k != key}
                 else:
-                    self._reduction[key] = {
-                        w: one if c == -1 else -c for w, c in row.items() if w is not key
+                    letter[x][u] = {
+                        index[k]: one if c == -1 else -c for k, c in row.items() if k != key
                     }
 
-    def _free_to_candidates(self, element: FreeElement, memo: dict) -> dict:
-        """Coordinates of a homogeneous free element in the candidate space.
+    def _ideal_vectors(self, d, base, relations, kernels, memo):
+        """Vectors spanning the degree-d ideal, in the candidate keys of `base`:
+        the degree-d relations, then the right translates of the kernels.
+
+        Each kernel's rows are extended in ascending pivot order, generators
+        innermost: the leading keys of the new rows then mostly arrive in
+        ascending order, and `Echelon.insert` finds almost no earlier row to
+        back-reduce.  The inserted set is the same in any order, so the basis
+        and the reductions are too.
+        """
+        # relation tails share suffixes; their normal forms are kept only
+        # while this degree's relations are read
+        tails = {}
+        for r in relations:
+            yield self._free_to_candidates(r, base, tails)
+        del tails
+        degrees = self.alphabet.degrees
+        for e in range(max(1, d - max(degrees, default=1)), d):
+            right = [g for g in range(len(degrees)) if e + degrees[g] == d]
+            if kernels[e] is None or not right:
+                continue
+            kernel, kernel_base = kernels[e]
+            for row in kernel.ordered_rows():
+                for g in right:
+                    yield self._extend_right(row, g, kernel_base, base, memo)
+
+    def _free_to_candidates(self, element: FreeElement, base: int, memo: dict) -> dict:
+        """Coordinates of a homogeneous free element in the candidate keys.
 
         A term x*a*b*w'' goes to x * (a * (b * nf(w''))): the normal forms
-        of the suffixes w'' are read through `_right_nf`, so `memo` shares
+        of the suffixes w'' are read through `_nf_word`, so `memo` shares
         them between terms.  Memoizing the two longer suffixes as well saved
         another 1,400 of the 36,389 letter steps of the bench's
         `sandwich_k4_N10` build, but raised its peak RSS by 0.2-0.3 MB.
@@ -231,73 +265,89 @@ class TruncatedAlgebra:
         vec = {}
         for w, c in element.terms.items():
             letters = w.letters
-            xi = self._intern[letters[0]]
+            shift = letters[0] * base
             split = min(len(letters), 3)
-            inner = w.degree - sum(degrees[g] for g in letters[:split])
-            tail = self._right_nf(letters[split:], inner, memo)  # {EMPTY_WORD: 1} if empty
+            tail = self._nf_word(letters[split:], memo)  # {unit: 1} if empty
             for a in reversed(letters[1:split]):
                 tail = self._apply_letter(a, tail)
             for u, beta in tail.items():
-                vec[xi[u]] = vec.get(xi[u], 0) + c * beta
+                vec[shift + u] = vec.get(shift + u, 0) + c * beta
         return reduced(vec, self.field.characteristic)
 
-    def _extend_right(self, row: dict, g: int, memo: dict) -> dict:
+    def _extend_right(self, row: dict, g: int, row_base: int, base: int, memo: dict) -> dict:
         """Image of an eliminant row under right multiplication by generator g.
 
-        A candidate x*u of the row goes to the candidates x*v of
-        nf(u*g) = sum beta_v v, read from `memo` (see `_right_nf`).
+        The candidate x*u of the row (key x*row_base + u) goes to the
+        candidates x*v (keys x*base + v) of nf(u*g) = sum beta_v v, read from
+        `memo` through `_walk`.
         """
         p, one = self.field.characteristic, self.field.one
-        degrees = self.alphabet.degrees
-        intern = self._intern
-        gd = degrees[g]
+        t = self._letter[g][self._unit]
+        start = {t: one} if type(t) is int else t  # nf(g)
         out = {}
         get = out.get
         for cand, c in row.items():
-            letters = cand.letters
-            x = letters[0]
-            xi = intern[x]
-            key, k = letters[1:] + (g,), cand.degree - degrees[x] + gd
-            level = memo.get(k)
-            nf = None if level is None else level.get(key)
+            x, u = divmod(cand, row_base)
+            products = memo.get(u)
+            nf = None if products is None else products.get(g)
             if nf is None:
-                nf = self._right_nf(key, k, memo)
-            for u, beta in nf.items():
-                w = xi[u]
+                nf = self._walk(u, g, memo, start)
+            shift = x * base
+            for v, beta in nf.items():
+                w = shift + v
                 t = c if beta is one else c * beta
                 old = get(w)
                 out[w] = t if old is None else old + t
-        # `linalg.reduced`, inline: this runs once per letter step
-        if p:
-            return {w: r for w, t in out.items() if (r := t % p)}
-        return {w: t for w, t in out.items() if t}
+        return reduced(out, p)
 
-    def _right_nf(self, letters: tuple, degree: int, memo: dict) -> dict:
-        """nf of the word with these letters and degree (in the build, u*g).
+    def _walk(self, u: int, v, cache: dict, start: dict) -> dict:
+        """nf(u*v) for a basis index u, stored in cache[u][v].
+
+        For u = x*u' the normal form is nf(u*v) = x * nf(u'*v), u' the tail
+        of u: one `_apply_letter` on the product of the tail.  A miss walks
+        down the tails, in a loop, to a stored product or to the unit, where
+        the product is `start` (the normal form of v), and fills every entry
+        on the way back up.  The word-pair products (`_pair_cache`, v a basis
+        index) and the build's right translates (its memo, v a generator)
+        both come from here.
+        """
+        head, tail, unit = self._head, self._tail, self._unit
+        todo = []
+        vec = None
+        while u != unit:
+            products = cache.get(u)
+            if products is None:
+                products = cache[u] = {}
+            vec = products.get(v)
+            if vec is not None:
+                break
+            todo.append((head[u], products))
+            u = tail[u]
+        if vec is None:
+            vec = start
+        for x, products in reversed(todo):
+            vec = products[v] = self._apply_letter(x, vec)
+        return vec
+
+    def _nf_word(self, letters: tuple, memo: dict) -> dict:
+        """Normal form of the word with these letters, of degree <= N.
 
         For a word a*w the normal form is nf(a*w) = a * nf(w): one
-        `_apply_letter` on the memoized normal form of the shorter word.
-        `memo` keeps them by degree: the build keeps one across degrees for
-        the right translates u*g, and one per degree for the suffixes of
-        relation tails.
+        `_apply_letter` on the normal form of the shorter word, which `memo`
+        keeps by its letters.
         """
-        degrees = self.alphabet.degrees
         todo = []
         vec = None
         while letters:
-            level = memo.get(degree)
-            if level is None:
-                level = memo[degree] = {}
-            vec = level.get(letters)
+            vec = memo.get(letters)
             if vec is not None:
                 break
-            todo.append((level, letters))
-            degree -= degrees[letters[0]]
+            todo.append(letters)
             letters = letters[1:]
         if vec is None:
-            vec = {EMPTY_WORD: self.field.one}
-        for level, letters in reversed(todo):
-            vec = level[letters] = self._apply_letter(letters[0], vec)
+            vec = {self._unit: self.field.one}
+        for letters in reversed(todo):
+            vec = memo[letters] = self._apply_letter(letters[0], vec)
         return vec
 
     def _apply_letter(self, x: int, vec: dict) -> dict:
@@ -305,37 +355,23 @@ class TruncatedAlgebra:
 
         The arithmetic is inline, as in `_mul_terms`.  A coefficient that is
         the field's `one` itself (a normal word's own coefficient, or a 1 in
-        the reduction table) is passed on without a multiplication.
+        a reduction) is passed on without a multiplication.
         """
         p, one = self.field.characteristic, self.field.one
-        xi = self._intern[x]
-        reduction = self._reduction
+        step = self._letter[x]
         out = {}
         get = out.get
         for u, beta in vec.items():
-            cand = xi[u]
-            red = reduction.get(cand)
-            if red is None:
-                old = get(cand)
-                out[cand] = beta if old is None else old + beta
+            red = step[u]
+            if type(red) is int:  # x*u is the basis word with that index
+                old = get(red)
+                out[red] = beta if old is None else old + beta
                 continue
             for v, gamma in red.items():
                 t = gamma if beta is one else beta * gamma
                 old = get(v)
                 out[v] = t if old is None else old + t
-        # `linalg.reduced`, inline: this runs once per letter step
-        if p:
-            return {w: r for w, t in out.items() if (r := t % p)}
-        return {w: t for w, t in out.items() if t}
-
-    def _nf_word(self, w: Word) -> dict:
-        """Normal form of a word of degree <= N, as normal-word coordinates."""
-        vec = {EMPTY_WORD: self.field.one}
-        for x in reversed(w.letters):
-            if not vec:
-                break
-            vec = self._apply_letter(x, vec)
-        return vec
+        return reduced(out, p)
 
     def _zero_certificate(self):
         """Least d0 with a certified A_e = 0 for all e >= d0, if any.
@@ -349,43 +385,62 @@ class TruncatedAlgebra:
             return 1  # no generators at all
         N = self.truncation_degree
         for d0 in range(1, N - maxg + 2):
-            if all(not self._basis[d0 + j] for j in range(maxg)):
+            if all(not self.graded_dim(d0 + j) for j in range(maxg)):
                 return d0
         return None
+
+    # -- basis indices and words -----------------------------------------
+
+    def _indices(self, d: int) -> range:
+        """The basis indices of degree d."""
+        if d == 0:
+            return range(self._unit, self._unit + self.unital)
+        if d > self.truncation_degree:
+            raise ValueError(f"degree {d} exceeds the truncation degree")
+        return range(self._first[d], self._first[d + 1])
+
+    def _word(self, i: int) -> Word:
+        """The basis word with index i."""
+        d, letters = self._degree[i], []
+        while i != self._unit:
+            letters.append(self._head[i])
+            i = self._tail[i]
+        return Word(tuple(letters), d)
+
+    def _index(self, w: Word):
+        """The basis index of a word, or None if it is not a basis word."""
+        if not w.letters:
+            return self._unit if self.unital else None
+        if w.degree > self.truncation_degree:
+            return None
+        i = self._unit
+        for x in reversed(w.letters):
+            i = self._letter[x][i]
+            if type(i) is not int:  # a suffix of a basis word is one
+                return None
+        return i
 
     # -- inspection -------------------------------------------------------
 
     def graded_dim(self, d: int) -> int:
-        if d == 0:
-            return 1 if self.unital else 0
-        if d > self.truncation_degree:
-            raise ValueError(f"degree {d} exceeds the truncation degree")
-        return len(self._basis[d])
+        return len(self._indices(d))
 
     def degree_basis(self, d: int):
-        if d == 0:
-            return [EMPTY_WORD] if self.unital else []
-        if d > self.truncation_degree:
-            raise ValueError(f"degree {d} exceeds the truncation degree")
-        return list(self._basis[d])
+        return [self._word(i) for i in self._indices(d)]
 
     def ideal_dim(self, d: int) -> int:
         """dim of the degree-d ideal component = word count minus quotient dim."""
         if d < 1 or d > self.truncation_degree:
             raise ValueError("degree out of range")
-        return self.alphabet.word_count(d) - len(self._basis[d])
+        return self.alphabet.word_count(d) - self.graded_dim(d)
 
     def total_dim(self, up_to=None) -> int:
         up_to = self.truncation_degree if up_to is None else up_to
-        n = 1 if self.unital else 0
-        return n + sum(len(self._basis[d]) for d in range(1, up_to + 1))
+        return self._first[up_to + 1] - 1
 
     def basis_words(self):
-        """All basis words, degree-major deglex (the unit word first if unital)."""
-        out = [EMPTY_WORD] if self.unital else []
-        for d in range(1, self.truncation_degree + 1):
-            out.extend(self._basis[d])
-        return out
+        """All basis words by index: degree-major deglex, the unit word first if unital."""
+        return [self._word(i) for i in range(1, self._first[-1])]
 
     @property
     def zero_above(self):
@@ -399,7 +454,7 @@ class TruncatedAlgebra:
     def unit(self) -> "AlgElement":
         if not self.unital:
             raise ValueError("algebra has no identity")
-        return AlgElement(self, {EMPTY_WORD: self.field.one})
+        return AlgElement(self, {self._unit: self.field.one})
 
     def gen(self, i) -> "AlgElement":
         if isinstance(i, str):
@@ -419,12 +474,12 @@ class TruncatedAlgebra:
             c = f.scalar(c).raw
             if not c:
                 continue
-            if w.is_empty:
-                if not self.unital:
+            i = self._index(w)
+            if i is None:
+                if w.is_empty:
                     raise ValueError("unit coordinate in a non-unital algebra")
-            elif w not in self._normal:
                 raise ValueError(f"{w!r} is not a normal basis word")
-            clean[w] = c
+            clean[i] = c
         return AlgElement(self, clean)
 
     def from_free(self, element: FreeElement) -> "AlgElement":
@@ -432,7 +487,7 @@ class TruncatedAlgebra:
             raise ValueError("element over a different alphabet")
         if element.field != self.field:
             raise FieldMismatchError("element over a different field")
-        terms, flag = {}, False
+        terms, flag, suffixes = {}, False, {}
         for w, c in element.terms.items():
             if w.is_empty and not self.unital:
                 raise ValueError("unit term in a non-unital algebra")
@@ -445,61 +500,47 @@ class TruncatedAlgebra:
                     )
                 flag = True
                 continue
-            for u, beta in self._nf_word(w).items():
+            for u, beta in self._nf_word(w.letters, suffixes).items():
                 terms[u] = terms.get(u, 0) + c * beta
         return AlgElement(self, reduced(terms, self.field.characteristic), flag)
 
-    def _word_pair_product(self, u: Word, v: Word):
-        """Normal form of a product of two basis words, stored in `_pair_cache`.
+    def _word_pair_product(self, u: int, v: int) -> dict:
+        """nf(u*v) for basis indices u and v, as stored in `_pair_cache`.
 
-        Returns (vector, escaped): `escaped` means the concatenation left the
-        truncation with an unknown (nonzero-certified) remainder.  For
-        u = x*u' the normal form is nf(u*v) = x * nf(u'*v), u' the tail that
-        `_normal` records: one `_apply_letter` on the cached product of the
-        tail.  A miss walks down the tails, in a loop, to a cached product or
-        to the empty tail (1*v = v), and fills every entry on the way back up.
+        Within the truncation the entry is filled through `_walk`.  Beyond it
+        the entry is empty: `_NO_TERMS` when the product is certified zero,
+        `_ESCAPED` when it left the truncation with an unknown remainder.
+        Read the entry, never mutate it.
         """
-        cache = self._pair_cache
-        d = u.degree + v.degree
-        if d > self.truncation_degree:
-            escaped = self._zero_above is None or d < self._zero_above
-            hit = cache.setdefault(u, {})[v] = ({}, escaped)
-            return hit
-        normal = self._normal
-        todo = []
-        hit = None
-        while u.letters:
-            products = cache.get(u)
-            if products is None:
-                products = cache[u] = {}
-            hit = products.get(v)
-            if hit is not None:
-                break
-            todo.append((u.letters[0], products))
-            u = normal[u]
-        vec = {v: self.field.one} if hit is None else hit[0]
-        for x, products in reversed(todo):
-            vec = self._apply_letter(x, vec)
-            products[v] = (vec, False)
-        return vec, False
+        one = self.field.one
+        if u == self._unit:
+            return {v: one}
+        if v == self._unit:
+            return {u: one}
+        d = self._degree[u] + self._degree[v]
+        if d <= self.truncation_degree:
+            return self._walk(u, v, self._pair_cache, {v: one})
+        zero = self._zero_above is not None and d >= self._zero_above
+        vec = self._pair_cache.setdefault(u, {})[v] = _NO_TERMS if zero else _ESCAPED
+        return vec
 
     def _mul_terms(self, a: dict, b: dict, policy: str):
         """Product of two normal-coordinate term maps; returns (terms, flag).
 
         Word-pair products come from `_pair_cache`, per left word (see
-        `_word_pair_product`).  The arithmetic is inline, as in
-        `linalg._eliminate`: over GF(p) the sums are reduced mod p once, at
-        the end; over the rationals they are sums of ints and `Fraction`s.
-        Either way the zeros are dropped at the end.  A coefficient that is
-        the field's `one` itself (the int 1) is passed on without a
-        multiplication.
+        `_word_pair_product`), and an `_ESCAPED` entry flags the product.
+        The arithmetic is inline, as in `linalg._eliminate`: over GF(p) the
+        sums are reduced mod p once, at the end; over the rationals they are
+        sums of ints and `Fraction`s.  Either way the zeros are dropped at the
+        end.  A coefficient that is the field's `one` itself (the int 1) is
+        passed on without a multiplication.
         """
         p, one = self.field.characteristic, self.field.one
-        cache = self._pair_cache
+        cache, unit = self._pair_cache, self._unit
         out, flag = {}, False
         get = out.get
         for u, cu in a.items():
-            if not u.letters:  # the unit word
+            if u == unit:
                 for v, cv in b.items():
                     c = cv if cu is one else cu if cv is one else cu * cv
                     x = get(v)
@@ -515,21 +556,21 @@ class TruncatedAlgebra:
                     c = cu
                 else:
                     c = cu * cv % p if p else cu * cv
-                if not v.letters:
+                if v == unit:
                     x = get(u)
                     out[u] = c if x is None else x + c
                     continue
-                hit = products.get(v)
-                if hit is None:
-                    hit = self._word_pair_product(u, v)
-                vec, escaped = hit
-                if escaped:
+                vec = products.get(v)
+                if vec is None:
+                    vec = self._word_pair_product(u, v)
+                if vec is _ESCAPED:
                     if policy == "reject":
                         raise TruncationOverflow(
-                            f"product of degrees {u.degree} and {v.degree} "
+                            f"product of degrees {self._degree[u]} and {self._degree[v]} "
                             f"exceeds {self.truncation_degree}"
                         )
                     flag = True
+                    continue
                 if c is one:
                     for w, cw in vec.items():
                         x = get(w)
@@ -539,20 +580,18 @@ class TruncatedAlgebra:
                         t = c if cw is one else c * cw
                         x = get(w)
                         out[w] = t if x is None else x + t
-        # `linalg.reduced`, inline: this runs once per product
-        if p:
-            return {w: r for w, x in out.items() if (r := x % p)}, flag
-        return {w: x for w, x in out.items() if x}, flag
+        return reduced(out, p), flag
 
     def __repr__(self):
         return (
             f"TruncatedAlgebra({self.alphabet!r}, N={self.truncation_degree}, "
-            f"dims={[len(self._basis[d]) for d in range(1, self.truncation_degree + 1)]})"
+            f"dims={[self.graded_dim(d) for d in range(1, self.truncation_degree + 1)]})"
         )
 
 
 class AlgElement(Combination):
-    """An element of a truncated algebra in normal-word coordinates.
+    """An element of a truncated algebra in normal-word coordinates, keyed by
+    basis index.
 
     `flag` records that some product escaped the truncation degree under the
     `truncate` policy: dimensions computed from flagged elements are lower
@@ -577,6 +616,12 @@ class AlgElement(Combination):
 
     def _like(self, terms, flag):
         return AlgElement(self.host, terms, flag)
+
+    def _word(self, i):
+        return self.host._word(i)
+
+    def _key(self, word):
+        return self.host._index(word)
 
     def _check(self, other: "AlgElement"):
         if self.host is not other.host:
@@ -620,7 +665,7 @@ class Subspace(Span):
 def degree_component(alg: TruncatedAlgebra, d: int) -> Subspace:
     """The degree-d component as a subspace (basis words as elements)."""
     one = alg.field.one
-    return Subspace(alg, [AlgElement(alg, {w: one}) for w in alg.degree_basis(d)])
+    return Subspace(alg, [AlgElement(alg, {i: one}) for i in alg._indices(d)])
 
 
 def growth_dims(alg: TruncatedAlgebra, generators, n_max: int):

@@ -12,8 +12,11 @@ b_i (x) entry -- i.e. columns are inputs, rows are outputs.  Multiplication:
     (b1, S1) * (b2, S2)  =  (b1*b2,  L(b1) S2  +  S1 L(b2)  +  S1 S2)
 
 where L(b) is the scalar matrix of left multiplication by b on the basis.
-L(b) is never multiplied out afresh: `BasisIndexing` tabulates w*b_j once
-per host basis word w, and L(b) follows from those tables by linearity.
+L(b) is never multiplied out afresh: `BasisIndexing` reads column j of L(w),
+for a host basis word w, from the host's word-pair product w*b_j, the one
+table of host products; L(b) follows from those columns by linearity.  The
+indices are the host's own basis indices, so host terms are coordinates as
+they stand and `wreath_coords` is offset arithmetic on them.
 S1 L(b2) is always exact within the truncation, since S1 vanishes on every
 basis vector outside its finite column support; L(b1) S2 genuinely loses the
 rows that escape the truncation and flags the result.
@@ -28,73 +31,74 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Span, closure, combine, reduced
-from .quotient import AlgElement, Subspace, TruncatedAlgebra
+from .quotient import _ESCAPED, AlgElement, Subspace, TruncatedAlgebra
 from .scalars import FieldMismatchError, Scalar
-from .words import EMPTY_WORD, Word
+from .words import Word
 
 
 class BasisIndexing:
     """1-based indexing of a truncated algebra's basis, degree-major deglex.
 
-    For a unital host index 1 is the identity; for a non-unital host the
-    indices enumerate the basis words directly.  With unipotent=True (unital
-    hosts only) index i >= 2 stands for the invertible element 1 + w_i
-    instead of the word w_i.
+    The indices are the host's own basis indices (`quotient`): for a unital
+    host index 1 is the identity, for a non-unital host the indices
+    enumerate the basis words directly.  With unipotent=True (unital hosts
+    only) index i >= 2 stands for the invertible element 1 + w_i instead of
+    the word w_i.
     """
 
-    __slots__ = ("host", "words", "_index", "unipotent", "_tables")
+    __slots__ = ("host", "unipotent", "_tables")
 
     def __init__(self, host: TruncatedAlgebra, unipotent: bool = False):
         if unipotent and not host.unital:
             raise ValueError("a unipotent indexing needs a unital host")
         self.host = host
         self.unipotent = unipotent
-        self.words = host.basis_words()
-        self._index = {w: i + 1 for i, w in enumerate(self.words)}
-        self._tables = {}  # basis word -> _LeftAction, filled on first use
+        self._tables = {}  # host basis index -> _LeftAction, filled on first use
 
     def __len__(self):
-        return len(self.words)
+        return self.host.total_dim()
 
     def word_at(self, i: int) -> Word:
-        if not 1 <= i <= len(self.words):
+        if not 1 <= i <= len(self):
             raise IndexError(f"basis index {i} out of range")
-        return self.words[i - 1]
+        return self.host._word(i)
 
     def index_of(self, w: Word) -> int:
-        try:
-            return self._index[w]
-        except KeyError:
-            raise KeyError(f"{w!r} is not a basis word") from None
+        i = self.host._index(w)
+        if i is None:
+            raise KeyError(f"{w!r} is not a basis word")
+        return i
 
     def basis_element(self, i: int) -> AlgElement:
-        w = self.word_at(i)
+        self.word_at(i)  # the range check
         host = self.host
-        if w.is_empty:
-            return host.unit()
-        e = host.element({w: host.field.one})
-        if self.unipotent:
+        e = AlgElement(host, {i: host.field.one})
+        if self.unipotent and i != 1:
             e = host.unit() + e
         return e
 
-    def left_action(self, w: Word) -> "_LeftAction":
-        """The table of x -> w*x on this basis, for a host basis word w.
+    def left_action(self, w: int) -> "_LeftAction":
+        """The table of x -> w*x on this basis, for a host basis index w.
 
-        Built on first use from one product w*b_j per basis index j; every
-        later left multiplication by an element with w among its terms reads
-        it instead of multiplying again.
+        Column j is w*b_j by linearity over b_j's host words t: a sum of the
+        host's word-pair products (w, t).  Under the plain indexing b_j is the
+        word j, and the column is that `_pair_cache` entry itself; the
+        unipotent indexing changes its coordinates.  Built on first use, it
+        serves every later left multiplication by an element with w among
+        its terms.
         """
         table = self._tables.get(w)
         if table is None:
             host = self.host
-            we = AlgElement(host, {w: host.field.one})
+            p = host.field.characteristic
             cols, escaped, rows = [None], [False], {}
-            for j in range(1, len(self.words) + 1):
-                prod = _mul_quiet(we, self.basis_element(j))
-                coords = self.element_coords(prod)
-                cols.append(coords)
-                escaped.append(prod.flag)
-                for i, c in coords.items():
+            for j in range(1, len(self) + 1):
+                b_j = self.basis_element(j).terms
+                parts = [(c, host._word_pair_product(w, t)) for t, c in b_j.items()]
+                escaped.append(any(vec is _ESCAPED for _, vec in parts))
+                vec = self.element_coords(AlgElement(host, combine(parts, p)))
+                cols.append(vec)
+                for i, c in vec.items():
                     rows.setdefault(i, {})[j] = c
             table = self._tables[w] = _LeftAction(cols, escaped, rows, any(escaped))
         return table
@@ -130,20 +134,23 @@ class BasisIndexing:
         return any(self.left_action(w).any_escaped for w in b.terms)
 
     def element_coords(self, e: AlgElement) -> dict:
-        """Coordinates of an element in this basis, as {index: raw}."""
+        """Coordinates of an element in this basis, as {index: raw}; under the
+        plain indexing its own terms, to be read, never mutated."""
         if not self.unipotent:
-            return {self._index[w]: c for w, c in e.terms.items()}
+            return e.terms
         # e = a*1 + sum b_w w  =  c_1*1 + sum_i c_i (1 + w_i)
         # with c_i = b_{w_i} and c_1 = a - sum b_w.
-        coords = {self._index[w]: c for w, c in e.terms.items() if not w.is_empty}
-        coords[1] = e.terms.get(EMPTY_WORD, 0) - sum(coords.values())
+        coords = {i: c for i, c in e.terms.items() if i != 1}
+        coords[1] = e.terms.get(1, 0) - sum(coords.values())
         return reduced(coords, self.host.field.characteristic)
 
     def coords_to_element(self, coords: dict) -> AlgElement:
-        terms = {self.word_at(i): c for i, c in coords.items()}
+        for i in coords:
+            self.word_at(i)  # the range check
+        terms = dict(coords)
         if self.unipotent:
             # every c_i (1 + w_i) also lands on the unit
-            terms[EMPTY_WORD] = sum(coords.values())
+            terms[1] = sum(coords.values())
         return AlgElement(self.host, reduced(terms, self.host.field.characteristic))
 
 
@@ -183,69 +190,6 @@ def _scaled_sum(terms, a_host: TruncatedAlgebra) -> dict:
         if t:
             out[key] = AlgElement(a_host, t, key in flagged)
     return out
-
-
-class ScalarMatrix:
-    """A finitely supported matrix of field scalars over a basis indexing."""
-
-    __slots__ = ("indexing", "entries", "flag")
-
-    def __init__(self, indexing: BasisIndexing, entries=None, flag=False):
-        self.indexing = indexing
-        self.entries = {key: c for key, c in entries.items() if c} if entries else {}
-        self.flag = flag
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarMatrix)
-            and self.indexing is other.indexing
-            and self.entries == other.entries
-        )
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def matmul(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        rows_of_other = {}
-        for (k, j), c in other.entries.items():
-            rows_of_other.setdefault(k, []).append((j, c))
-        out = {}
-        for (i, k), a in self.entries.items():
-            for j, b in rows_of_other.get(k, ()):
-                out[(i, j)] = out.get((i, j), 0) + a * b
-        p = self.indexing.host.field.characteristic
-        return ScalarMatrix(self.indexing, reduced(out, p), self.flag or other.flag)
-
-    @classmethod
-    def identity(cls, indexing: BasisIndexing) -> "ScalarMatrix":
-        one = indexing.host.field.one
-        return cls(indexing, {(i, i): one for i in range(1, len(indexing) + 1)})
-
-    def __repr__(self):
-        f = self.indexing.host.field
-        cells = ", ".join(f"({i},{j})={f.fmt(c)}" for (i, j), c in sorted(self.entries.items()))
-        return f"ScalarMatrix[{cells}]"
-
-
-def left_mult_matrix(b: AlgElement, indexing: BasisIndexing) -> ScalarMatrix:
-    """The matrix of x -> b*x on the indexed basis; column j expands b*b_j.
-
-    Expansions that escape the truncation flag the matrix: the lost part
-    would occupy rows outside the index set.
-    """
-    if b.host is not indexing.host:
-        raise ValueError("element and indexing over different algebras")
-    entries = {}
-    for j in range(1, len(indexing) + 1):
-        for i, c in indexing.product_column(b, j)[0].items():
-            entries[(i, j)] = c
-    return ScalarMatrix(indexing, entries, b.flag or indexing.escapes(b))
-
-
-def _mul_quiet(a: AlgElement, b: AlgElement) -> AlgElement:
-    """Product under the truncate policy regardless of the host default."""
-    terms, flag = a.host._mul_terms(a.terms, b.terms, "truncate")
-    return AlgElement(a.host, terms, flag or a.flag or b.flag)
 
 
 class SMatrix:
@@ -447,7 +391,7 @@ class GammaMap:
 class WreathAlgebra:
     """Factory and context for wreath elements over fixed hosts B and A."""
 
-    __slots__ = ("b_host", "a_host", "indexing", "a_indexing")
+    __slots__ = ("b_host", "a_host", "indexing")
 
     def __init__(self, b_host: TruncatedAlgebra, a_host: TruncatedAlgebra, indexing=None):
         if b_host.field != a_host.field:
@@ -457,8 +401,6 @@ class WreathAlgebra:
         self.indexing = indexing if indexing is not None else BasisIndexing(b_host)
         if self.indexing.host is not b_host:
             raise ValueError("indexing over a different host")
-        # A's basis words numbered once, for the packed span coordinates
-        self.a_indexing = BasisIndexing(a_host)
 
     @property
     def field(self):
@@ -472,7 +414,7 @@ class WreathAlgebra:
             b = self.b_host.zero()
         if b.host is not self.b_host:
             raise ValueError("b-part in the wrong algebra")
-        if EMPTY_WORD in b.terms:
+        if b.host._unit in b.terms:
             raise ValueError("the b-part must lie in the non-unital part of the host")
         if s is None:
             s = self.zero_matrix()
@@ -583,19 +525,18 @@ def wreath_coords(e: WreathElement) -> dict:
     """Sparse coordinates of a wreath element for exact span computations.
 
     Keys are ints that sort like the tuples ("b", w) < ("s", i, j, w): a
-    b-part word is its B index 1..nB, and the A-word w of entry (i, j) is
-    nB + ((i-1)*nB + (j-1))*nA + idx_A(w).  Both indexings number the words
+    b-part word is its B index 1..nB, and the A-word of index k in entry
+    (i, j) is nB + ((i-1)*nB + (j-1))*nA + k.  Both hosts number their words
     degree-major in deglex order, the order of `Word` itself, so pivots and
-    residuals come out as with the tuple keys, at the cost of int hashing.
+    residuals come out as with the tuple keys.
     """
     wa = e.algebra
-    b_index, a_index = wa.indexing._index, wa.a_indexing._index
-    nb, na = len(b_index), len(a_index)
-    vec = {b_index[w]: c for w, c in e.b.terms.items()}
+    nb, na = len(wa.indexing), wa.a_host.total_dim()
+    vec = dict(e.b.terms)
     for (i, j), a in e.s.entries.items():
         base = nb + ((i - 1) * nb + (j - 1)) * na
-        for w, c in a.terms.items():
-            vec[base + a_index[w]] = c
+        for k, c in a.terms.items():
+            vec[base + k] = c
     return vec
 
 
@@ -660,15 +601,16 @@ def unipotent_inverse(b: AlgElement) -> AlgElement:
     """Inverse of an element with nonzero unit coefficient, by the finite
     geometric series on its nilpotent part."""
     host = b.host
-    alpha = b.terms.get(EMPTY_WORD)
+    alpha = b.terms.get(host._unit)
     if not alpha:
         raise ValueError("element has no unit component, not invertible here")
     inv_alpha = Scalar(host.field, host.field.inv(alpha))
-    n = AlgElement(host, {w: c for w, c in b.terms.items() if w.letters}).scale(inv_alpha)
+    n = AlgElement(host, {i: c for i, c in b.terms.items() if i != host._unit}).scale(inv_alpha)
     out = host.unit()
     term = host.unit()
     while True:
-        term = _mul_quiet(-n, term)
+        # under the truncate policy whatever the host's; `out` collects the flags
+        term = AlgElement(host, *host._mul_terms((-n).terms, term.terms, "truncate"))
         if not term:
             break
         out = out + term

@@ -15,7 +15,6 @@ from wreathkit import (
     GammaMap,
     Presentation,
     Scalar,
-    ScalarMatrix,
     SMatrix,
     TruncatedAlgebra,
     WreathAlgebra,
@@ -312,13 +311,15 @@ def reference_product(b, indexing, j):
 
 
 def reference_left_mult_matrix(b, indexing):
+    """(entries, flag) of L(b): entries {(i, j): c} of every column b*b_j,
+    and whether b or some b*b_j was truncated."""
     entries, flag = {}, b.flag
     for j in range(1, len(indexing) + 1):
         coords, escaped = reference_product(b, indexing, j)
         flag = flag or escaped
         for i, c in coords.items():
             entries[(i, j)] = c
-    return ScalarMatrix(indexing, entries, flag)
+    return entries, flag
 
 
 def _sum_scaled(pieces):

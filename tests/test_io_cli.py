@@ -564,6 +564,14 @@ def test_python_dash_m_package_runs_the_cli():
     assert "wreath-eval" in out.stdout
 
 
+def test_cli_import_leaves_mpmath_out():
+    """Every CLI run imports `wreathkit.cli`; mpmath is imported only by the
+    log enclosures of `gk` and `faithful`, which need it."""
+    code = "import sys, wreathkit.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout == "False\n"
+
+
 def test_cli_span_bound(tmp_path):
     b = tmp_path / "b.pres"
     b.write_text(HULL2)

@@ -1,10 +1,11 @@
 """Differential tests: the tabulated left action against direct multiplication.
 
-`BasisIndexing.left_action` tabulates w*b_j once per host basis word w;
-`SMatrix.lmul_b`/`rmul_b`, `WreathElement.apply` and `left_mult_matrix` read
-those tables.  The references in helpers.py multiply by every basis element
-instead.  Entries and every flag must agree, on the call that fills a table
-and on later calls that only read it.
+`BasisIndexing.left_action` reads w*b_j from the host's word-pair products
+once per host basis word w; `product_column`, `product_row`, `escapes`,
+`SMatrix.lmul_b`/`rmul_b` and `WreathElement.apply` read those tables.  The
+references in helpers.py multiply by every basis element instead.  Entries
+and every flag must agree, on the call that fills a table and on later calls
+that only read it.
 """
 
 import random
@@ -17,9 +18,7 @@ from wreathkit import (
     Field,
     SMatrix,
     WreathAlgebra,
-    left_mult_matrix,
 )
-from wreathkit.words import EMPTY_WORD
 
 from helpers import (
     assert_raw,
@@ -29,6 +28,7 @@ from helpers import (
     reference_apply,
     reference_left_mult_matrix,
     reference_lmul_b,
+    reference_product,
     reference_rmul_b,
 )
 
@@ -85,6 +85,23 @@ def _matrices(wa, rng):
     return out
 
 
+def _same_left_action(idx, b):
+    """Every column, row and flag of L(b) as the tables give it, against
+    L(b) multiplied out by `reference_product`."""
+    entries, flag = reference_left_mult_matrix(b, idx)
+    n = len(idx)
+    for j in range(1, n + 1):
+        coords, escaped = idx.product_column(b, j)
+        ref, ref_flag = reference_product(b, idx, j)
+        assert coords == ref == {i: c for (i, jj), c in entries.items() if jj == j}
+        assert (escaped or b.flag) == ref_flag
+        for c in coords.values():
+            assert_raw(b.host.field, c)
+    for k in range(1, n + 1):
+        assert idx.product_row(b, k) == {j: c for (i, j), c in entries.items() if i == k}
+    assert (idx.escapes(b) or b.flag) == flag
+
+
 def _same_smatrix(got, ref):
     assert got == ref
     assert got.flag == ref.flag
@@ -113,19 +130,17 @@ def test_tables_match_direct_multiplication(field, host, unipotent):
     assert not idx._tables
     for _ in ("fill", "hit"):
         for b in elements:
-            got = left_mult_matrix(b, idx)
-            ref = reference_left_mult_matrix(b, idx)
-            assert got == ref and got.flag == ref.flag
+            _same_left_action(idx, b)
             for s in matrices:
                 _same_smatrix(s.lmul_b(b), reference_lmul_b(s, b))
                 _same_smatrix(s.rmul_b(b), reference_rmul_b(s, b))
-            if EMPTY_WORD in b.terms:
+            if b_host.unital and 1 in b.terms:
                 continue  # a wreath b-part has no unit component
             for s in matrices[:3]:
                 e = wa.element(b=b, s=s)
                 for j in range(1, len(idx) + 1):
                     assert e.apply(j) == reference_apply(e, j)
-    assert set(idx._tables) <= set(idx.words)
+    assert set(idx._tables) <= set(range(1, len(idx) + 1))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -151,6 +166,7 @@ def test_column_one_loss_under_unipotent_indexing(field):
 def test_killed_host_never_escapes():
     b_host = HOSTS["killed-unital"](Field.prime(101))
     idx = BasisIndexing(b_host, unipotent=True)
-    for w in idx.words:
+    for w in range(1, len(idx) + 1):
         assert not idx.left_action(w).any_escaped
-    assert not left_mult_matrix(b_host.gen("x"), idx).flag
+    x = b_host.gen("x")
+    assert not idx.escapes(x) and not reference_left_mult_matrix(x, idx)[1]

@@ -23,10 +23,13 @@ from wreathkit import (
 from wreathkit import linalg
 from wreathkit.growth import FiltrationSchedule
 from wreathkit.linalg import Echelon, dense_rank
+from wreathkit.quotient import _ESCAPED
 from wreathkit.section6 import build_layered_presentation
+from wreathkit.words import Word
 
 from helpers import (
     ReferenceQuotient,
+    _acc,
     all_fraction_copy,
     assert_raw,
     commutative_dim,
@@ -73,7 +76,7 @@ def test_normal_form_picks_deglex_smaller_word():
     x, y = alg.gen("x"), alg.gen("y")
     # the pivot is the deglex-greatest word yx, so y*x reduces to xy
     assert (y * x) == (x * y)
-    assert (y * x).terms == {alg.alphabet.word((0, 1)): Q.one}
+    assert (y * x).terms == {alg._index(alg.alphabet.word((0, 1))): Q.one}
 
 
 def test_nilpotent_product_vanishes():
@@ -184,17 +187,46 @@ def assert_build_matches_reference(pres, n):
     assert alg.zero_above == ref.zero_above
     for d in range(1, n + 1):
         assert alg.degree_basis(d) == ref.basis[d]
+        assert [alg._index(w) for w in ref.basis[d]] == list(alg._indices(d))
         for cand in ref.candidates[d]:
             nf = alg.from_free(FreeElement.from_word(alphabet, field, cand))
-            assert nf.terms == ref.reduction.get(cand, {cand: field.one}) and not nf.flag
+            expected = ref.reduction.get(cand, {cand: field.one})
+            assert word_terms(alg, nf.terms) == expected and not nf.flag
+            # the letter table's entry for cand = x*u
+            tail = Word(cand.letters[1:], d - alphabet.degrees[cand.letters[0]])
+            u = alg._index(tail) if tail.letters else alg._unit
+            entry = alg._letter[cand.letters[0]][u]
+            if cand in ref.reduction:
+                assert word_terms(alg, entry) == expected
+            else:
+                assert alg._word(entry) == cand
         if alphabet.word_count(d) <= 40:
             assert alg.ideal_dim(d) == brute_force_ideal_dim(pres, d)
     if 0 < field.characteristic < linalg.DENSE_P_LIMIT:
         # the same build with every kernel packed after its first row
         with dense_from(1):
             packed = TruncatedAlgebra(pres, n)
-        assert packed._basis == alg._basis
-        assert packed._reduction == alg._reduction
+        assert same_tables(packed, alg)
+
+
+def word_terms(alg, terms):
+    """Terms keyed by basis index, re-keyed by the words they stand for."""
+    return {alg._word(i): c for i, c in terms.items()}
+
+
+def same_tables(alg, other):
+    """The two builds numbered the same words and hold the same reductions."""
+    return (alg._first, alg._head, alg._tail, alg._letter) == (
+        other._first,
+        other._head,
+        other._tail,
+        other._letter,
+    )
+
+
+def reductions(alg):
+    """The reductions in the letter tables."""
+    return [t for table in alg._letter for t in table if t is not None and type(t) is not int]
 
 
 @settings(max_examples=100)
@@ -235,19 +267,18 @@ def assert_matches_all_fraction_build(pres, n, growth_n, pairs=300):
     alg = TruncatedAlgebra(pres, n)
     old = TruncatedAlgebra(all_fraction_copy(pres), n)
     # the oracle really is all-Fraction
-    assert all(type(c) is Fraction for red in old._reduction.values() for c in red.values())
-    assert alg._basis == old._basis
-    assert alg._reduction == old._reduction
-    for red in alg._reduction.values():
+    assert all(type(c) is Fraction for red in reductions(old) for c in red.values())
+    assert same_tables(alg, old)
+    for red in reductions(alg):
         for c in red.values():
             assert_raw(Q, c)
     rng = random.Random(n)
-    short = [w for w in alg.basis_words() if 1 <= w.degree <= n // 2]
+    short = [i for i in range(1, alg.total_dim() + 1) if 1 <= alg._degree[i] <= n // 2]
     for _ in range(pairs if short else 0):
         u, v = rng.choice(short), rng.choice(short)
         got = alg._word_pair_product(u, v)
         assert got == old._word_pair_product(u, v)
-        for c in got[0].values():
+        for c in got.values():
             assert_raw(Q, c)
     gens = range(len(pres.alphabet))
     assert growth_dims(alg, [alg.gen(g) for g in gens], growth_n) == growth_dims(
@@ -283,7 +314,7 @@ def text_presentation(gens, rels):
 def test_integral_values_as_ints_match_all_fraction_build(make, n, growth_n):
     alg = assert_matches_all_fraction_build(make(), n, growth_n)
     # the two builds do hold their values differently
-    assert any(type(c) is int for red in alg._reduction.values() for c in red.values())
+    assert any(type(c) is int for red in reductions(alg) for c in red.values())
 
 
 @settings(max_examples=100)
@@ -291,26 +322,6 @@ def test_integral_values_as_ints_match_all_fraction_build(make, n, growth_n):
 def test_integral_values_as_ints_match_all_fraction_build_drawn(case):
     pres, n = case
     assert_matches_all_fraction_build(pres, n, n, pairs=60)
-
-
-@pytest.mark.parametrize("field", BUILD_FIELDS, ids=repr)
-def test_products_and_degree_basis_share_the_basis_instances(field):
-    """Every normal word exists once: products, normal forms and degree_basis
-    hand out the instances stored in the basis, so dict lookups keyed by
-    words succeed on identity."""
-    rng = random.Random(47)
-    ab = Alphabet([("x", 1), ("y", 1), ("z", 2)])
-    rels = [parse_element(src, ab, field) for src in ("x*y - 2*y*x", "y*z - z*y + x*x*x")]
-    alg = TruncatedAlgebra(Presentation(ab, field, rels), 6)
-    canonical = {w: w for d in range(1, 7) for w in alg._basis[d]}
-    for d in range(1, 7):
-        assert all(a is b for a, b in zip(alg.degree_basis(d), alg._basis[d], strict=True))
-    for _ in range(30):
-        a, b = (random_element(alg, rng, max_degree=3) for _ in range(2))
-        terms, _ = alg._mul_terms(a.terms, b.terms, "truncate")
-        assert all(canonical[w] is w for w in terms)
-    free = parse_element("z*y*x + 3*x*z*y - y^4", ab, field)
-    assert all(canonical[w] is w for w in alg.from_free(free).terms)
 
 
 def test_build_work_counts(monkeypatch):
@@ -345,11 +356,12 @@ def test_build_work_counts(monkeypatch):
 
 
 def test_build_skips_inserts_that_add_nothing(monkeypatch):
-    """The build inserts no empty extension and no multiple of one word whose
-    row is that word alone: both reduce to zero.  On the bench's
-    `sandwich_k3_N8` presentation it makes 4,014 inserts, 2,075 of which raise
-    the rank; inserting every extension made 8,658.  The reference builder,
-    which inserts them all, finds the same basis and reductions."""
+    """The build inserts no empty extension or relation and no multiple of
+    one word whose row is that word alone: both reduce to zero.  On the
+    bench's `sandwich_k3_N8` presentation it makes 4,011 inserts, 2,075 of
+    which raise the rank; inserting every extension made 8,658, and skipping
+    only extensions 4,014.  The reference builder, which inserts them all,
+    finds the same basis and reductions."""
     pres = layered_k3_n8()
     counts = {"inserts": 0, "empty": 0}
     insert = Echelon.insert
@@ -362,8 +374,26 @@ def test_build_skips_inserts_that_add_nothing(monkeypatch):
     monkeypatch.setattr(Echelon, "insert", counted)
     TruncatedAlgebra(pres, 8)
     monkeypatch.undo()
-    assert counts["inserts"] <= 4014 and counts["empty"] == 0
+    assert counts["inserts"] <= 4011 and counts["empty"] == 0
     assert_build_matches_reference(pres, 8)
+
+
+def test_build_skips_relations_that_add_nothing(monkeypatch):
+    """A relation whose candidate vector is empty (y*x*x, with x*x = 0) or a
+    multiple of one word whose row is that word alone (2*x*y after x*y) is
+    not inserted, as an extension would not be."""
+    ab = Alphabet([("x", 1), ("y", 1)])
+    pres = Presentation(ab, Q, [parse_element(r, ab, Q) for r in ("x*x", "y*x*x", "x*y", "2*x*y")])
+    insert = Echelon.insert
+
+    def checked(self, vec, payload=None):
+        assert vec and not (len(vec) == 1 and self.is_unit_row(next(iter(vec))))
+        return insert(self, vec, payload)
+
+    monkeypatch.setattr(Echelon, "insert", checked)
+    TruncatedAlgebra(pres, 4)
+    monkeypatch.undo()
+    assert_build_matches_reference(pres, 4)
 
 
 def test_general_degree_generators():
@@ -549,7 +579,7 @@ def test_mul_terms_equals_reduced_product_of_free_lifts(field):
     for _ in range(60):
         a, b = (random_element(alg, rng, max_degree=3, unit=True) for _ in range(2))
         prod = a * b
-        fa, fb = (FreeElement(alg.alphabet, field, e.terms) for e in (a, b))
+        fa, fb = (FreeElement(alg.alphabet, field, word_terms(alg, e.terms)) for e in (a, b))
         lifted = fa * fb
         expected = alg.from_free(lifted)
         assert prod.terms == expected.terms
@@ -651,36 +681,40 @@ def assert_pair_products_match_fresh_normal_forms(pres, n, rng):
         d = u.degree + v.degree
         if d > n:
             return {}, oracle.zero_above is None or d < oracle.zero_above
-        return oracle._nf_word(u * v), False
+        return oracle._nf_word((u * v).letters, {}), False
 
     words = alg.basis_words()
     pairs = [(u, v) for u in words for v in words]
     rng.shuffle(pairs)
     for u, v in pairs:
-        assert alg._word_pair_product(u, v) == expected(u, v)
-        if u.degree + v.degree <= n:
-            # every tail of u now has its product with v in the cache
-            tail = u
-            while tail.letters:
-                assert v in alg._pair_cache[tail]
-                tail = alg._normal[tail]
+        iu, iv = alg._index(u), alg._index(v)
+        got, (vec, escaped) = alg._word_pair_product(iu, iv), expected(u, v)
+        assert got == vec and (got is _ESCAPED) == escaped
+        if u.degree + v.degree <= n and v.letters:
+            # every tail of u now has its product with v in the cache (a
+            # product with the unit is the word itself, and is not stored)
+            tail = iu
+            while tail != alg._unit:
+                assert iv in alg._pair_cache[tail]
+                tail = alg._tail[tail]
     for u, products in alg._pair_cache.items():
-        assert u in alg._normal
+        assert alg._degree[u] >= 1
         for v, hit in products.items():
-            assert hit == expected(u, v)
+            assert (hit, hit is _ESCAPED) == expected(alg._word(u), alg._word(v))
 
     # the same products through `_mul_terms`, on a filled and on a fresh cache
     strict = TruncatedAlgebra(pres, n, policy="reject")
     rng.shuffle(pairs)
     for u, v in pairs:
         vec, escaped = expected(u, v)
-        assert alg._mul_terms({u: one}, {v: one}, "truncate") == (vec, escaped)
+        iu, iv = alg._index(u), alg._index(v)
+        assert alg._mul_terms({iu: one}, {iv: one}, "truncate") == (vec, escaped)
         for host in (alg, strict, strict):  # the second `strict` call hits the cache
             if escaped:
                 with pytest.raises(TruncationOverflow):
-                    host._mul_terms({u: one}, {v: one}, "reject")
+                    host._mul_terms({iu: one}, {iv: one}, "reject")
             else:
-                assert host._mul_terms({u: one}, {v: one}, "reject") == (vec, False)
+                assert host._mul_terms({iu: one}, {iv: one}, "reject") == (vec, False)
 
 
 @pytest.mark.parametrize("field", BUILD_FIELDS, ids=repr)
@@ -707,15 +741,21 @@ def test_pair_products_match_fresh_normal_forms_pinned(field, gens, rels, n, uni
 
 
 def test_tails_are_basis_instances():
-    """`_normal` maps each basis word x*u to the basis instance of its tail u,
-    so the cache walk in `_word_pair_product` looks up on identity."""
+    """`_head` and `_tail` give the first letter and the tail index of each
+    basis word x*u, the basis words as `ReferenceQuotient` finds them, so the
+    walk in `_walk` steps from x*u to u."""
     alg = make_algebra(Q, ["x", "y", "z"], ["x*y - 2*y*x", "y*z - z*y + x*x"], n=6)
-    canonical = {w: w for w in alg.basis_words()}
-    assert set(alg._normal) == set(canonical)
-    for w, tail in alg._normal.items():
-        assert w.letters[1:] == tail.letters
-        assert tail.degree == w.degree - alg.alphabet.degrees[w.letters[0]]
-        assert tail.is_empty or canonical[tail] is tail
+    ref = ReferenceQuotient(alg.presentation, 6)
+    words = [w for d in range(1, 7) for w in ref.basis[d]]
+    assert alg.total_dim() == len(words)
+    for i, w in enumerate(words, start=1):
+        x, rest = w.letters[0], w.letters[1:]
+        assert alg._head[i] == x and alg._degree[i] == w.degree
+        if rest:
+            tail = Word(rest, w.degree - alg.alphabet.degrees[x])
+            assert alg._tail[i] == words.index(tail) + 1
+        else:
+            assert alg._tail[i] == alg._unit
 
 
 def count_letter_steps(monkeypatch):
@@ -751,3 +791,123 @@ def test_growth_work_counts(monkeypatch, rels, n, dim, bound):
     dims = growth_dims(alg, degree_one_generators(alg), n)
     assert dims[-1] == (dim, True)
     assert counts["steps"] <= bound
+
+
+# -- the basis numbering -----------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(graded_presentations())
+def test_indices_and_candidate_keys_sort_like_their_words(case):
+    """Basis indices run 1, 2, ... along the words in deglex order (the unit
+    first when unital), and the build's candidate keys x*M + u, M the least
+    index of the candidates' degree, sort like the candidate words x*u: every
+    key the build inserts is one of them."""
+    pres, n = case
+    seen = []
+    ideal_vectors = TruncatedAlgebra._ideal_vectors
+
+    def recording(self, d, base, *rest):
+        for vec in ideal_vectors(self, d, base, *rest):
+            seen.append((d, base, vec))
+            yield vec
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TruncatedAlgebra, "_ideal_vectors", recording)
+        alg = TruncatedAlgebra(pres, n)
+    words = alg.basis_words()
+    assert words == sorted(words) and len(set(words)) == len(words)
+    assert [alg._index(w) for w in words] == list(range(1, len(words) + 1))
+    assert (words[:1] == [Word((), 0)]) == pres.unital
+    degrees = pres.alphabet.degrees
+    for d in range(1, n + 1):
+        base = alg._first[d]
+        candidates = {}  # key -> word
+        for x, gd in enumerate(degrees):
+            if gd <= d:
+                for u in alg._indices(d - gd) if gd < d else [alg._unit]:
+                    candidates[x * base + u] = Word((x,) + alg._word(u).letters, d)
+        keys = sorted(candidates)
+        assert [candidates[k] for k in keys] == sorted(candidates.values())
+        # a candidate word has an index exactly when it is a basis word
+        basis = set(alg.degree_basis(d))
+        assert {w for w in candidates.values() if alg._index(w) is not None} == basis
+        for dd, b, vec in seen:
+            if dd == d:
+                assert b == base and set(vec) <= set(candidates)
+
+
+def reference_product(ref, a, b):
+    """(a*b, escaped) for Word-keyed normal forms, through `ReferenceQuotient`."""
+    f, out, escaped = ref.field, {}, False
+    for u, cu in a.items():
+        for v, cv in b.items():
+            w = u * v
+            if w.degree > len(ref.basis) - 1:
+                escaped = escaped or ref.zero_above is None or w.degree < ref.zero_above
+                continue
+            for t, c in ref.nf_word(w).items():
+                _acc(out, t, f.mul(f.mul(cu, cv), c), f)
+    return out, escaped
+
+
+def reference_growth_dims(ref, gens, n_max):
+    """`growth_dims` of Word-keyed generators: the same frontier closure, with
+    products from `reference_product` and ranks from `dense_rank`."""
+    reps, exact = [], True
+
+    def add(vec, escaped):
+        nonlocal exact
+        exact = exact and not escaped
+        if dense_rank(reps + [vec], ref.field) > len(reps):
+            reps.append(vec)
+            return True
+        return False
+
+    frontier = [g for g in gens if add(g, False)]
+    dims = [(len(reps), exact)]
+    for _ in range(n_max - 1):
+        new = []
+        for e in frontier:
+            for g in gens:
+                p, escaped = reference_product(ref, e, g)
+                if add(p, escaped):
+                    new.append(p)
+        frontier = new
+        dims.append((len(reps), exact))
+    return dims
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(3)], ids=repr)
+@pytest.mark.parametrize("unital", [False, True], ids=["non-unital", "unital"])
+@pytest.mark.parametrize(
+    "gens, rel, n",
+    [([("x", 1), ("y", 1)], "x - y", 6), ([("x", 1), ("z", 2)], "x*z - z*x", 8)],
+    ids=["generator-not-basis", "degree-two-letter"],
+)
+def test_pinned_numbering_matches_reference(field, unital, gens, rel, n):
+    """`x - y` makes the generator y a pivot, not a basis word; `x*z - z*x`
+    has a letter of degree 2.  The build, its word-pair products and
+    `growth_dims` of the generators agree with `ReferenceQuotient`."""
+    ab = Alphabet(gens)
+    pres = Presentation(ab, field, [parse_element(rel, ab, field)], unital=unital)
+    assert_build_matches_reference(pres, n)
+    alg, ref = TruncatedAlgebra(pres, n), ReferenceQuotient(pres, n)
+    if rel == "x - y":  # y, the greater word, is the pivot: no basis word
+        y = ab.gen(1)
+        assert alg._index(y) is None and alg.gen("y") == alg.gen("x")
+        with pytest.raises(ValueError, match="not a normal basis word"):
+            alg.element({y: 1})
+    words = [w for w in alg.basis_words() if w.letters]
+    for u in words:
+        for v in words:
+            got = alg._word_pair_product(alg._index(u), alg._index(v))
+            if u.degree + v.degree <= n:
+                assert word_terms(alg, got) == ref.nf_word(u * v)
+            else:
+                d = u.degree + v.degree
+                assert not got
+                assert (got is _ESCAPED) == (ref.zero_above is None or d < ref.zero_above)
+    gen_words = [ab.gen(g) for g in range(len(ab))]
+    expected = reference_growth_dims(ref, [ref.nf_word(w) for w in gen_words], n)
+    assert growth_dims(alg, [alg.gen(g) for g in range(len(ab))], n) == expected
