@@ -174,32 +174,32 @@ def cmd_gk(args):
     return EXIT_OK
 
 
+def _blist(alg, text):
+    """The `--blist` elements: `;`-separated expressions over alg."""
+    return [alg.from_free(parse_element(src, alg.alphabet, alg.field)) for src in text.split(";")]
+
+
+def _emit_witness(args, meta, rep):
+    witness = rep.witness.format() if rep.found else ""
+    rows = [(rep.found, witness, rep.checked, rep.verified, rep.note)]
+    _emit(args, meta, ["found", "witness", "checked", "verified", "note"], rows)
+
+
 def cmd_density_witness(args):
     b_alg, a_alg, indexing, gamma = _gamma_context(args)
     if gamma is None:
         raise ValueError("a gamma file is required")
-    b_list = [
-        b_alg.from_free(parse_element(src, b_alg.alphabet, b_alg.field))
-        for src in args.blist.split(";")
-    ]
+    b_list = _blist(b_alg, args.blist)
     a = a_alg.from_free(parse_element(args.a, a_alg.alphabet, a_alg.field))
     rep = density_witness(gamma, b_list, a, args.cap)
-    witness = rep.witness.format() if rep.found else ""
-    rows = [(rep.found, witness, rep.checked, rep.verified, rep.note)]
-    _emit(args, _meta(args), ["found", "witness", "checked", "verified", "note"], rows)
+    _emit_witness(args, _meta(args), rep)
     return EXIT_OK if rep.found else EXIT_INEXACT
 
 
 def cmd_shift_witness(args):
     b_alg = _load_algebra(args.B, args.NB, args.policy)
-    b_list = [
-        b_alg.from_free(parse_element(src, b_alg.alphabet, b_alg.field))
-        for src in args.blist.split(";")
-    ]
-    rep = shift_independence_witness(b_alg, b_list, args.s, args.cap)
-    witness = rep.witness.format() if rep.found else ""
-    rows = [(rep.found, witness, rep.checked, rep.verified, rep.note)]
-    _emit(args, _meta(args, s=args.s), ["found", "witness", "checked", "verified", "note"], rows)
+    rep = shift_independence_witness(b_alg, _blist(b_alg, args.blist), args.s, args.cap)
+    _emit_witness(args, _meta(args, s=args.s), rep)
     return EXIT_OK if rep.found and rep.verified else EXIT_INEXACT
 
 

@@ -36,14 +36,15 @@ nf(x*u): the basis index of x*u when that word is normal, its reduction (a
 dict) otherwise.
 
 Right translation costs one letter step per term.  For u = a*u' the normal
-form nf(u*g) is a * nf(u'*g): one `_apply_letter` on a normal form found
+form nf(u*v) is a * nf(u'*v): one `_apply_letter` on a normal form found
 before.  `_walk` walks down the tails to a known product and takes one letter
-step per level on the way back; the build's memo of the right translates
-nf(u*g) and the word-pair products u*v after the build both go through it.
-The memo lives only while the build runs.  A relation term x*a*b*w'' is read
-as a * b * nf(w''), from a memo of the suffixes w'' kept only while one
-degree's relations are read.  A relation or an extension that is empty, or a
-multiple c*w of one candidate whose row is {w: 1}, reduces to zero and is not
+step per level on the way back.  It fills `_pair_cache`, the one table of
+products u*v of basis words, within the truncation.  The build's right
+translates are its entries with v a generator that is a normal word; the
+build drops the entries of low degrees as it goes.  Any other word is read
+off the letter tables as far as they go, then one letter step per letter
+left (`_nf_word`).  A relation or an extension that is empty, or a multiple
+c*w of one candidate whose row is {w: 1}, reduces to zero and is not
 inserted.
 
 Degrees above N follow the overflow policy: `reject` raises, `truncate`
@@ -161,7 +162,7 @@ class TruncatedAlgebra:
         # _letter[x][u] = nf(x*u): an int or a reduction (module docstring),
         # None while x*u is above N or not built yet
         self._letter = [[None] * (unit + 1) for _ in self.alphabet.degrees]
-        self._pair_cache = {}  # u -> {v: nf(u*v) or _ESCAPED}, see `_word_pair_product`
+        self._pair_cache = {}  # u -> {v: nf(u*v) or _ESCAPED}, see `_walk`
         self._build(by_degree)
         self._zero_above = self._zero_certificate()
 
@@ -178,11 +179,10 @@ class TruncatedAlgebra:
         # kernels[e]: the degree-e eliminant and its key base, kept only while
         # a later degree d = e + deg(g) still extends it on the right
         kernels = [None] * (N + 1)
-        memo = {}  # u -> {g: nf(u*g)}, the right translates (see `_walk`)
         for d in range(1, N + 1):
             base = len(degree)  # first[d]: every index so far is below it
             ech = Echelon(self.field)
-            for vec in self._ideal_vectors(d, base, relations_by_degree.get(d, ()), kernels, memo):
+            for vec in self._ideal_vectors(d, base, relations_by_degree.get(d, ()), kernels):
                 # an empty vector, or a multiple of a candidate whose row is
                 # that candidate alone, reduces to zero: no insert
                 if len(vec) > 1 or vec and not ech.is_unit_row(next(iter(vec))):
@@ -195,7 +195,7 @@ class TruncatedAlgebra:
             # again, and dropping them keeps the peak RSS down
             if d > 3 * span:
                 for u in range(first[d - 3 * span], first[d - 3 * span + 1]):
-                    memo.pop(u, None)
+                    self._pair_cache.pop(u, None)
             # the normal words: the candidates that are no pivot, in key order
             pivots = ech.pivots
             index = {}  # normal candidate key -> its basis index
@@ -226,9 +226,19 @@ class TruncatedAlgebra:
                         index[k]: one if c == -1 else -c for k, c in row.items() if k != key
                     }
 
-    def _ideal_vectors(self, d, base, relations, kernels, memo):
+    def _ideal_vectors(self, d, base, relations, kernels):
         """Vectors spanning the degree-d ideal, in the candidate keys of `base`:
-        the degree-d relations, then the right translates of the kernels.
+        the degree-d relations, then the right translates of the kernels by
+        the generators that are normal words.
+
+        A generator g that is not normal needs no translates.  Take f in the
+        ideal and nf(g) = sum c_t t, each t = t'*y with y its last letter.
+        Then f*g = sum c_t (f*t')*y + f*(g - nf(g)).  The letter y is normal,
+        since a suffix of a normal word is, and f*t' lies in the ideal, so
+        (f*t')*y lies in the span of the translates by y of the degree
+        d - deg(y) kernel and of the left multiples x*I.  f*(g - nf(g)) is a
+        left multiple itself, and the left multiples vanish in candidate
+        coordinates.
 
         Each kernel's rows are extended in ascending pivot order, generators
         innermost: the leading keys of the new rows then mostly arrive in
@@ -236,82 +246,69 @@ class TruncatedAlgebra:
         back-reduce.  The inserted set is the same in any order, so the basis
         and the reductions are too.
         """
-        # relation tails share suffixes; their normal forms are kept only
-        # while this degree's relations are read
-        tails = {}
         for r in relations:
-            yield self._free_to_candidates(r, base, tails)
-        del tails
-        degrees = self.alphabet.degrees
+            yield self._free_to_candidates(r, base)
+        degrees, unit = self.alphabet.degrees, self._unit
         for e in range(max(1, d - max(degrees, default=1)), d):
-            right = [g for g in range(len(degrees)) if e + degrees[g] == d]
+            # the generators of degree d - e that are normal, by basis index
+            right = [t[unit] for g, t in enumerate(self._letter) if e + degrees[g] == d]
+            right = [v for v in right if type(v) is int]
             if kernels[e] is None or not right:
                 continue
             kernel, kernel_base = kernels[e]
             for row in kernel.ordered_rows():
-                for g in right:
-                    yield self._extend_right(row, g, kernel_base, base, memo)
+                for v in right:
+                    yield self._extend_right(row, v, kernel_base, base)
 
-    def _free_to_candidates(self, element: FreeElement, base: int, memo: dict) -> dict:
-        """Coordinates of a homogeneous free element in the candidate keys.
-
-        A term x*a*b*w'' goes to x * (a * (b * nf(w''))): the normal forms
-        of the suffixes w'' are read through `_nf_word`, so `memo` shares
-        them between terms.  Memoizing the two longer suffixes as well saved
-        another 1,400 of the 36,389 letter steps of the bench's
-        `sandwich_k4_N10` build, but raised its peak RSS by 0.2-0.3 MB.
-        """
-        degrees = self.alphabet.degrees
+    def _free_to_candidates(self, element: FreeElement, base: int) -> dict:
+        """Coordinates of a homogeneous free element in the candidate keys:
+        a term x*w goes to x * nf(w)."""
         vec = {}
         for w, c in element.terms.items():
             letters = w.letters
             shift = letters[0] * base
-            split = min(len(letters), 3)
-            tail = self._nf_word(letters[split:], memo)  # {unit: 1} if empty
-            for a in reversed(letters[1:split]):
-                tail = self._apply_letter(a, tail)
-            for u, beta in tail.items():
+            for u, beta in self._nf_word(letters[1:]).items():
                 vec[shift + u] = vec.get(shift + u, 0) + c * beta
         return reduced(vec, self.field.characteristic)
 
-    def _extend_right(self, row: dict, g: int, row_base: int, base: int, memo: dict) -> dict:
-        """Image of an eliminant row under right multiplication by generator g.
+    def _extend_right(self, row: dict, v: int, row_base: int, base: int) -> dict:
+        """Image of an eliminant row under right multiplication by the normal
+        generator with basis index v.
 
         The candidate x*u of the row (key x*row_base + u) goes to the
-        candidates x*v (keys x*base + v) of nf(u*g) = sum beta_v v, read from
-        `memo` through `_walk`.
+        candidates x*w (keys x*base + w) of nf(u*v) = sum beta_w w, the
+        `_pair_cache` entry read through `_walk`.
         """
         p, one = self.field.characteristic, self.field.one
-        t = self._letter[g][self._unit]
-        start = {t: one} if type(t) is int else t  # nf(g)
+        cache = self._pair_cache
         out = {}
         get = out.get
         for cand, c in row.items():
             x, u = divmod(cand, row_base)
-            products = memo.get(u)
-            nf = None if products is None else products.get(g)
+            products = cache.get(u)
+            nf = None if products is None else products.get(v)
             if nf is None:
-                nf = self._walk(u, g, memo, start)
+                nf = self._walk(u, v)
             shift = x * base
-            for v, beta in nf.items():
-                w = shift + v
+            for w, beta in nf.items():
+                w += shift
                 t = c if beta is one else c * beta
                 old = get(w)
                 out[w] = t if old is None else old + t
         return reduced(out, p)
 
-    def _walk(self, u: int, v, cache: dict, start: dict) -> dict:
-        """nf(u*v) for a basis index u, stored in cache[u][v].
+    def _walk(self, u: int, v: int) -> dict:
+        """nf(u*v) for basis indices u and v, stored in `_pair_cache[u][v]`.
 
         For u = x*u' the normal form is nf(u*v) = x * nf(u'*v), u' the tail
         of u: one `_apply_letter` on the product of the tail.  A miss walks
         down the tails, in a loop, to a stored product or to the unit, where
-        the product is `start` (the normal form of v), and fills every entry
-        on the way back up.  The word-pair products (`_pair_cache`, v a basis
-        index) and the build's right translates (its memo, v a generator)
-        both come from here.
+        the product is v itself, and fills every entry on the way back up.
+        Once a product is zero, every entry above it is `_NO_TERMS`, with no
+        letter step.  The build's right translates (v a generator) and the
+        word-pair products both come from here.
         """
-        head, tail, unit = self._head, self._tail, self._unit
+        cache, head, tail, unit = self._pair_cache, self._head, self._tail, self._unit
         todo = []
         vec = None
         while u != unit:
@@ -324,30 +321,35 @@ class TruncatedAlgebra:
             todo.append((head[u], products))
             u = tail[u]
         if vec is None:
-            vec = start
+            vec = {v: self.field.one}
         for x, products in reversed(todo):
-            vec = products[v] = self._apply_letter(x, vec)
+            if vec:
+                vec = self._apply_letter(x, vec) or _NO_TERMS
+            products[v] = vec
         return vec
 
-    def _nf_word(self, letters: tuple, memo: dict) -> dict:
-        """Normal form of the word with these letters, of degree <= N.
+    def _read_letters(self, letters: tuple):
+        """(t, k): the letters read off the letter tables from the right
+        while they spell a basis word.  t is nf(letters[k:]): the index of
+        that word, or the reduction at the first letter that leaves the
+        basis, and letters[:k] are left to apply."""
+        letter = self._letter
+        t, k = self._unit, len(letters)
+        while k and type(t) is int:
+            k -= 1
+            t = letter[letters[k]][t]
+        return t, k
 
-        For a word a*w the normal form is nf(a*w) = a * nf(w): one
-        `_apply_letter` on the normal form of the shorter word, which `memo`
-        keeps by its letters.
-        """
-        todo = []
-        vec = None
-        while letters:
-            vec = memo.get(letters)
-            if vec is not None:
-                break
-            todo.append(letters)
-            letters = letters[1:]
-        if vec is None:
-            vec = {self._unit: self.field.one}
-        for letters in reversed(todo):
-            vec = memo[letters] = self._apply_letter(letters[0], vec)
+    def _nf_word(self, letters: tuple) -> dict:
+        """Normal form of the word with these letters, of degree <= N: read
+        off the letter tables as far as they go, then one `_apply_letter`
+        per letter, nf(a*w) = a * nf(w), until the form vanishes.  The result
+        may be a letter-table entry: read it, never mutate it."""
+        t, k = self._read_letters(letters)
+        vec = {t: self.field.one} if type(t) is int else t
+        while k and vec:
+            k -= 1
+            vec = self._apply_letter(letters[k], vec)
         return vec
 
     def _apply_letter(self, x: int, vec: dict) -> dict:
@@ -413,12 +415,8 @@ class TruncatedAlgebra:
             return self._unit if self.unital else None
         if w.degree > self.truncation_degree:
             return None
-        i = self._unit
-        for x in reversed(w.letters):
-            i = self._letter[x][i]
-            if type(i) is not int:  # a suffix of a basis word is one
-                return None
-        return i
+        t, _ = self._read_letters(w.letters)  # a suffix of a basis word is one
+        return t if type(t) is int else None
 
     # -- inspection -------------------------------------------------------
 
@@ -487,7 +485,7 @@ class TruncatedAlgebra:
             raise ValueError("element over a different alphabet")
         if element.field != self.field:
             raise FieldMismatchError("element over a different field")
-        terms, flag, suffixes = {}, False, {}
+        terms, flag = {}, False
         for w, c in element.terms.items():
             if w.is_empty and not self.unital:
                 raise ValueError("unit term in a non-unital algebra")
@@ -500,7 +498,7 @@ class TruncatedAlgebra:
                     )
                 flag = True
                 continue
-            for u, beta in self._nf_word(w.letters, suffixes).items():
+            for u, beta in self._nf_word(w.letters).items():
                 terms[u] = terms.get(u, 0) + c * beta
         return AlgElement(self, reduced(terms, self.field.characteristic), flag)
 
@@ -519,7 +517,7 @@ class TruncatedAlgebra:
             return {u: one}
         d = self._degree[u] + self._degree[v]
         if d <= self.truncation_degree:
-            return self._walk(u, v, self._pair_cache, {v: one})
+            return self._walk(u, v)
         zero = self._zero_above is not None and d >= self._zero_above
         vec = self._pair_cache.setdefault(u, {})[v] = _NO_TERMS if zero else _ESCAPED
         return vec

@@ -6,6 +6,7 @@ renames one of them (say `Subspace.add`, now inherited from `linalg.Span`)
 breaks the traced benchmark run without failing any other test.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -65,3 +66,42 @@ def test_field_op_counter_installs_and_uninstalls(tracing):
         counter.uninstall()
     assert counter.summary()["field_ops"] == 2
     assert {op: Field.__dict__[op] for op in tracing.FIELD_OPS} == ops
+
+
+def test_wreath_gfp_jobs_pass_their_checks(tmp_path, capsys):
+    """The wreath-gfp workload has no golden rows, and `bench/child.py`
+    imports kernel names of its own (`growth._scale_row`, `power_chain`,
+    `weighted_image_spans`, `wreath.wreath_coords`).  One seed's inputs,
+    one dense-law draw with its numpy rank oracle, and the wgamma,
+    nil-check and wreath-eval jobs pass the checks the benchmark applies."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import child
+        import run as bench_run
+    finally:
+        sys.path.remove(str(BENCH))
+    bench_run.write_inputs(5, tmp_path)
+    jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
+
+    dense = jobs["dense_law_0"]
+    objects, rep = child._dense_job(dense.dense)
+    report = {"lhs_dim": rep.lhs_dim, "product_bound": rep.product_bound,
+              "leq": rep.leq, "exact": rep.exact}
+    assert dense.check(([], [json.dumps(report)]), {}) == []
+    assert child._dense_oracle(objects, dense.dense["n"]) == rep.lhs_dim
+
+    outputs = {}
+    for name in ("wgamma_n4", "nil_check", "wreath_eval"):
+        job = jobs[name]
+        argv = list(job.argv)
+        if job.emit:
+            argv += ["--emit", str(tmp_path / f"{name}.csv")]
+        capsys.readouterr()
+        assert wreathkit.cli.main(argv) == 0, name
+        stdout = capsys.readouterr().out
+        if job.emit:
+            outputs[name] = bench_run._csv_rows((tmp_path / f"{name}.csv").read_text())
+        else:
+            outputs[name] = ([], stdout.splitlines())
+    for name, out in outputs.items():
+        assert jobs[name].check(out, outputs) == [], name
