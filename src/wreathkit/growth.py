@@ -327,7 +327,6 @@ def span_inclusion_check(
 def _scale_row(wa: WreathAlgebra, gamma: GammaMap, a: AlgElement):
     """The row map b -> 1 (x) a*gamma(b), i.e. the left translate a*c."""
     entries = {(1, j): a * v for j, v in gamma.values.items()}
-    entries = {k: v for k, v in entries.items() if v}
     return wa.from_matrix(SMatrix(wa.indexing, wa.a_host, entries))
 
 

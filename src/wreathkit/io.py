@@ -139,8 +139,7 @@ def parse_gamma(text: str, indexing: BasisIndexing, a_host: TruncatedAlgebra) ->
             value = a_host.from_free(parse_element(rhs, a_host.alphabet, a_host.field))
         except (ParseError, ValueError) as exc:
             raise FileFormatError(str(exc), lineno) from None
-        if value:
-            values[index] = value
+        values[index] = value
     return GammaMap(indexing, a_host, values)
 
 

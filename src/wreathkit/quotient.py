@@ -39,10 +39,10 @@ Right translation costs one letter step per term.  For u = a*u' the normal
 form nf(u*v) is a * nf(u'*v): one `_apply_letter` on a normal form found
 before.  `_walk` walks down the tails to a known product and takes one letter
 step per level on the way back.  It fills `_pair_cache`, the one table of
-products u*v of basis words, within the truncation.  The build's right
-translates are its entries with v a generator that is a normal word; the
-build drops the entries of low degrees as it goes.  Any other word is read
-off the letter tables as far as they go, then one letter step per letter
+products u*v of basis words, and only with products inside the truncation.
+The build's right translates are its entries with v a generator that is a
+normal word; the build drops the entries of low degrees as it goes.  Any
+other word is read off the letter tables, then one letter step per letter
 left (`_nf_word`).  A relation or an extension that is empty, or a multiple
 c*w of one candidate whose row is {w: 1}, reduces to zero and is not
 inserted.
@@ -50,9 +50,11 @@ inserted.
 Degrees above N follow the overflow policy: `reject` raises, `truncate`
 drops the escaping terms and flags the element so downstream dimension
 reports can mark themselves as lower bounds.  When the computed dimensions
-certify that every component above some degree is zero (a zero window of
-length max generator degree), products beyond N are exact zeros, not
-truncations, and no flag is raised.
+certify that every component from some degree on is zero (a zero window of
+length max generator degree), products there are exact zeros, not
+truncations, and no flag is raised.  Indices being degree-major, a word
+pair (u, v) is inside iff v < `_first[top - deg u + 1]`, top the degree
+below that zero, or N; a pair outside is skipped or flagged, never stored.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ from .words import EMPTY_WORD, Alphabet, Word
 # pivots share this one read-only mapping.
 _NO_TERMS = MappingProxyType({})
 
-# The `_pair_cache` entry of a word pair whose product leaves the truncation
-# with a remainder that is not certified zero: empty, and flagged by identity.
+# The product of a word pair that leaves the truncation with a remainder that
+# is not certified zero: empty, and flagged by identity.
 _ESCAPED = MappingProxyType({})
 
 
@@ -162,7 +164,7 @@ class TruncatedAlgebra:
         # _letter[x][u] = nf(x*u): an int or a reduction (module docstring),
         # None while x*u is above N or not built yet
         self._letter = [[None] * (unit + 1) for _ in self.alphabet.degrees]
-        self._pair_cache = {}  # u -> {v: nf(u*v) or _ESCAPED}, see `_walk`
+        self._pair_cache = {}  # u -> {v: nf(u*v)} inside the truncation, see `_walk`
         self._build(by_degree)
         self._zero_above = self._zero_certificate()
 
@@ -503,13 +505,10 @@ class TruncatedAlgebra:
         return AlgElement(self, reduced(terms, self.field.characteristic), flag)
 
     def _word_pair_product(self, u: int, v: int) -> dict:
-        """nf(u*v) for basis indices u and v, as stored in `_pair_cache`.
-
-        Within the truncation the entry is filled through `_walk`.  Beyond it
-        the entry is empty: `_NO_TERMS` when the product is certified zero,
-        `_ESCAPED` when it left the truncation with an unknown remainder.
-        Read the entry, never mutate it.
-        """
+        """nf(u*v) for basis indices u and v: within the truncation the
+        `_pair_cache` entry, through `_walk`; beyond it `_NO_TERMS` when
+        certified zero, else `_ESCAPED`, and nothing is stored, so the cache
+        holds only products inside the truncation.  Read, never mutate it."""
         one = self.field.one
         if u == self._unit:
             return {v: one}
@@ -518,23 +517,24 @@ class TruncatedAlgebra:
         d = self._degree[u] + self._degree[v]
         if d <= self.truncation_degree:
             return self._walk(u, v)
-        zero = self._zero_above is not None and d >= self._zero_above
-        vec = self._pair_cache.setdefault(u, {})[v] = _NO_TERMS if zero else _ESCAPED
-        return vec
+        return _NO_TERMS if self._zero_above is not None else _ESCAPED
 
     def _mul_terms(self, a: dict, b: dict, policy: str):
         """Product of two normal-coordinate term maps; returns (terms, flag).
 
-        Word-pair products come from `_pair_cache`, per left word (see
-        `_word_pair_product`), and an `_ESCAPED` entry flags the product.
-        The arithmetic is inline, as in `linalg._eliminate`: over GF(p) the
-        sums are reduced mod p once, at the end; over the rationals they are
-        sums of ints and `Fraction`s.  Either way the zeros are dropped at the
-        end.  A coefficient that is the field's `one` itself (the int 1) is
-        passed on without a multiplication.
+        A word pair is settled by degree first (module docstring): v at or
+        above the limit `_first[top - deg u + 1]`, taken once per left word
+        u, is a certified zero, skipped, or an escape, which flags the product
+        (raises under `reject`), and is never looked up.  A pair inside is
+        read from `_pair_cache`, through `_walk` on a miss.  The arithmetic is
+        inline, as in `linalg._eliminate`: sums are reduced mod p, and their
+        zeros dropped, once at the end; a coefficient that is the field's
+        `one` itself (the int 1) is passed on without a multiplication.
         """
         p, one = self.field.characteristic, self.field.one
-        cache, unit = self._pair_cache, self._unit
+        cache, unit, first, degree = self._pair_cache, self._unit, self._first, self._degree
+        certified = self._zero_above is not None
+        top = self._zero_above - 1 if certified else self.truncation_degree
         out, flag = {}, False
         get = out.get
         for u, cu in a.items():
@@ -544,10 +544,18 @@ class TruncatedAlgebra:
                     x = get(v)
                     out[v] = c if x is None else x + c
                 continue
-            products = cache.get(u)
-            if products is None:
-                products = cache[u] = {}
+            limit = first[top - degree[u] + 1]
+            products = cache.get(u, _NO_TERMS)  # `_walk` adds it on a miss
             for v, cv in b.items():
+                if v >= limit:
+                    if not certified:
+                        if policy == "reject":
+                            raise TruncationOverflow(
+                                f"product of degrees {degree[u]} and {degree[v]} "
+                                f"exceeds {self.truncation_degree}"
+                            )
+                        flag = True
+                    continue
                 if cu is one:
                     c = cv
                 elif cv is one:
@@ -560,15 +568,7 @@ class TruncatedAlgebra:
                     continue
                 vec = products.get(v)
                 if vec is None:
-                    vec = self._word_pair_product(u, v)
-                if vec is _ESCAPED:
-                    if policy == "reject":
-                        raise TruncationOverflow(
-                            f"product of degrees {self._degree[u]} and {self._degree[v]} "
-                            f"exceeds {self.truncation_degree}"
-                        )
-                    flag = True
-                    continue
+                    vec = self._walk(u, v)
                 if c is one:
                     for w, cw in vec.items():
                         x = get(w)

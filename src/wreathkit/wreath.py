@@ -338,7 +338,9 @@ class GammaMap:
     """A linear map from the indexed host basis into the coefficient algebra.
 
     Values default to zero off the stored support; the unit's value (index 1
-    of a unital indexing) is explicit and configurable.
+    of a unital indexing) is explicit and configurable.  A zero value that is
+    flagged (its terms escaped the truncation) is stored, so that `apply`
+    flags what it touches.
     """
 
     __slots__ = ("indexing", "a_host", "values", "generating")
@@ -353,7 +355,7 @@ class GammaMap:
                     raise IndexError(f"basis index {i} out of range")
                 if a.host is not a_host:
                     raise ValueError("gamma value in the wrong algebra")
-                if a:
+                if a or a.flag:
                     self.values[i] = a
         self.generating = None
 
@@ -433,7 +435,7 @@ class WreathAlgebra:
         self.indexing.word_at(i), self.indexing.word_at(j)
         if a.host is not self.a_host:
             raise ValueError("entry in the wrong algebra")
-        return SMatrix(self.indexing, self.a_host, {(i, j): a} if a else {})
+        return SMatrix(self.indexing, self.a_host, {(i, j): a})
 
     def gamma_row(self, gamma: GammaMap, target: int = 1) -> SMatrix:
         """The rank-one-row transformation b_j -> b_target (x) gamma(b_j)."""

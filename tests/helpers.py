@@ -17,6 +17,7 @@ from wreathkit import (
     Scalar,
     SMatrix,
     TruncatedAlgebra,
+    TruncationOverflow,
     WreathAlgebra,
     WreathSpan,
     degree_one_generators,
@@ -25,6 +26,7 @@ from wreathkit import (
 from wreathkit import linalg
 from wreathkit.growth import _scale_row, power_chain, weighted_image_spans
 from wreathkit.linalg import Echelon
+from wreathkit.quotient import _ESCAPED
 from wreathkit.words import Word
 
 
@@ -295,6 +297,29 @@ class ReferenceQuotient:
                 break
             vec = self.apply_letter(x, vec)
         return vec
+
+
+# -- all-pairs word products ---------------------------------------------------
+
+
+def all_pairs_mul_terms(alg, a, b, policy):
+    """(terms, flag) of the product of two term maps, visiting every word
+    pair: the oracle for `_mul_terms`, which settles the pairs outside the
+    truncation by degree without looking them up.  Each pair's product is
+    `_word_pair_product`, and an `_ESCAPED` one flags the product, or raises
+    under `reject`."""
+    out, flag = {}, False
+    for u, cu in a.items():
+        for v, cv in b.items():
+            vec = alg._word_pair_product(u, v)
+            if vec is _ESCAPED:
+                if policy == "reject":
+                    raise TruncationOverflow(f"word pair ({u}, {v}) escapes")
+                flag = True
+                continue
+            for w, cw in vec.items():
+                out[w] = out.get(w, 0) + cu * cv * cw
+    return linalg.reduced(out, alg.field.characteristic), flag
 
 
 # -- reference host multiplication ---------------------------------------------

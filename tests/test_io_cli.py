@@ -654,6 +654,37 @@ def test_cli_wgamma(tmp_path):
     assert rows[1:] == ["1,1,True", "2,2,True", "3,3,True", "4,4,True"]
 
 
+# A on s alone certifies no zero degree, so s^2 * s^2 and s^3 escape NA=2
+ESCAPE_A = "field gf 101\nunital true\ngenerators s:1\n"
+ESCAPE_B = "field gf 101\nunital true\ngenerators x:1 y:1\n"
+
+
+@pytest.mark.parametrize(
+    "command, gamma, expected",
+    [
+        (["span-bound", "-n", "2"], "map x -> s*s\nmap y -> s\n", "# exact=False"),
+        (["wreath-eval", "--expr", "x + e(1,1,s^3)"], "map x -> s*s\nmap y -> s\n", "flag: truncated"),
+        (["wgamma", "-n", "2"], "map x -> s*s*s\n", "1,0,False"),
+    ],
+    ids=["scale-row", "matrix-unit", "gamma-value"],
+)
+def test_cli_flag_of_a_vanished_escape_is_kept(tmp_path, command, gamma, expected):
+    """An entry or gamma value whose every term escaped is zero and flagged:
+    the flag reaches the report, and the exit status is 2."""
+    b = tmp_path / "b.pres"
+    b.write_text(ESCAPE_B)
+    a = tmp_path / "a.pres"
+    a.write_text(ESCAPE_A)
+    g = tmp_path / "g.map"
+    g.write_text(gamma)
+    out = run_cli(
+        command[0], "--B", str(b), "--A", str(a), "--gamma", str(g),
+        "--NB", "3", "--NA", "2", *command[1:],
+    )
+    assert out.returncode == 2
+    assert any(line.startswith(expected) for line in out.stdout.splitlines())
+
+
 @pytest.mark.parametrize(
     "command",
     [

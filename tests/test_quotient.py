@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from wreathkit import (
     Alphabet,
+    BasisIndexing,
     Field,
     FreeElement,
+    GammaMap,
     Presentation,
     PresentationError,
     Subspace,
@@ -21,7 +23,7 @@ from wreathkit import (
     parse_element,
 )
 from wreathkit import linalg
-from wreathkit.growth import FiltrationSchedule
+from wreathkit.growth import FiltrationSchedule, dense_dim_check
 from wreathkit.linalg import Echelon, dense_rank
 from wreathkit.quotient import _ESCAPED
 from wreathkit.section6 import build_layered_presentation
@@ -31,6 +33,7 @@ from helpers import (
     ReferenceQuotient,
     _acc,
     all_fraction_copy,
+    all_pairs_mul_terms,
     assert_raw,
     commutative_dim,
     dense_from,
@@ -754,6 +757,67 @@ def test_pair_products_match_fresh_normal_forms_pinned(field, gens, rels, n, uni
     ab = Alphabet(gens)
     pres = Presentation(ab, field, [parse_element(r, ab, field) for r in rels], unital=unital)
     assert_pair_products_match_fresh_normal_forms(pres, n, random.Random(53))
+
+
+@st.composite
+def term_maps(draw, alg):
+    """A term map of up to five basis words with small coefficients (the
+    field's `one` among them), possibly empty, and with a unit term on a
+    drawn coin when the algebra is unital."""
+    f = alg.field
+    words = range(alg._unit + 1, alg._first[-1])
+    coeffs = st.integers(-3, 3).map(lambda c: f.scalar(c).raw).filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(words), coeffs, max_size=5)) if words else {}
+    if alg.unital and draw(st.booleans()):
+        terms[alg._unit] = draw(coeffs)
+    return terms
+
+
+@pytest.mark.parametrize("field", BUILD_FIELDS, ids=repr)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_mul_terms_matches_all_pairs_oracle(field, data):
+    """`_mul_terms`, which settles the pairs outside the truncation by
+    degree, gives the terms and the flag of the all-pairs loop, raises under
+    `reject` iff that loop flags, and leaves in `_pair_cache` only products
+    inside the truncation."""
+    pres, n, _ = data.draw(pair_product_cases(field))
+    alg, strict, oracle = (TruncatedAlgebra(pres, n, policy=p) for p in ("truncate", "reject", "truncate"))
+    for _ in range(4):
+        a, b = data.draw(term_maps(alg)), data.draw(term_maps(alg))
+        expected = all_pairs_mul_terms(oracle, a, b, "truncate")
+        assert alg._mul_terms(a, b, "truncate") == expected
+        if expected[1]:
+            with pytest.raises(TruncationOverflow):
+                strict._mul_terms(a, b, "reject")
+        else:
+            assert strict._mul_terms(a, b, "reject") == expected
+    for host in (alg, strict):
+        for u, products in host._pair_cache.items():
+            for v, vec in products.items():
+                assert vec is not _ESCAPED and host._degree[u] + host._degree[v] <= n
+
+
+def test_pair_cache_holds_products_inside_the_truncation_only():
+    """After the dense-law check on the acceptance test's A (every degree-4
+    word killed, N=4, so zero from degree 4 on), every stored pair has
+    degree <= 3; a left action on a free B stores no escaped pair."""
+    field = Field.prime(101)
+    b_alg = make_algebra(field, ["x", "y"], [], n=3, unital=True)
+    a_alg = killed_above(field, ["s", "t", "u"], kill_degree=4, n=4, unital=True)
+    assert a_alg.zero_above == 4
+    rng = random.Random(909)
+    idx = BasisIndexing(b_alg)
+    values = {i: random_element(a_alg, rng, density=1.0, unit=True) for i in range(1, len(idx) + 1)}
+    dense_dim_check(b_alg, a_alg, GammaMap(idx, a_alg, values), 2)
+    degree = a_alg._degree
+    assert a_alg._pair_cache
+    assert all(degree[u] + degree[v] <= 3 for u, vs in a_alg._pair_cache.items() for v in vs)
+
+    for w in range(2, len(idx) + 1):
+        idx.left_action(w)
+    assert idx.left_action(len(idx)).any_escaped
+    assert not any(vec is _ESCAPED for vs in b_alg._pair_cache.values() for vec in vs.values())
 
 
 def test_tails_are_basis_instances():
