@@ -12,7 +12,6 @@ from .growth import (
     density_witness,
     gk_estimate,
     growth_bound_report,
-    growth_table,
     power_chain,
     shift_independence_witness,
     span_inclusion_check,

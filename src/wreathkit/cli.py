@@ -10,7 +10,6 @@ inconclusive, 1 for hard errors and usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -32,20 +31,12 @@ from .gs import golod_shafarevich_check
 from .quotient import Presentation, TruncatedAlgebra
 from .scalars import Field
 from .section6 import build_layered_presentation, sandwich_report
+from .words import Alphabet
 from .wreath import BasisIndexing, GammaMap, WreathAlgebra, nilpotency_check
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INEXACT = 2
-
-
-def _field_from_env():
-    spec = os.environ.get("WREATHKIT_FIELD", "rational").split()
-    if spec == ["rational"]:
-        return Field.rationals()
-    if len(spec) == 2 and spec[0] == "gf":
-        return Field.prime(int(spec[1]))
-    raise ValueError(f"bad WREATHKIT_FIELD {' '.join(spec)!r}")
 
 
 def _meta(args, **extra):
@@ -207,20 +198,13 @@ def cmd_sandwich(args):
     schedule = FiltrationSchedule([int(t) for t in args.schedule.split(",")])
     if args.J:
         two_pres = wio.load_presentation(args.J)
-        field = two_pres.field
-    else:
-        field = _field_from_env()
-        two_pres = None
-    j_relations = list(two_pres.relations) if two_pres else []
+    else:  # the free algebra on x, y over Q
+        xy = Alphabet([("x", 1), ("y", 1)])
+        two_pres = Presentation(xy, Field.rationals(), [], unital=False)
     layered_pres = build_layered_presentation(
-        field, args.kmax, schedule, j_relations, truncation_degree=args.N
+        two_pres.field, args.kmax, schedule, list(two_pres.relations), truncation_degree=args.N
     )
     layered = TruncatedAlgebra(layered_pres, args.N, args.policy)
-    if two_pres is None:
-        two_alphabet = [("x", 1), ("y", 1)]
-        from .words import Alphabet
-
-        two_pres = Presentation(Alphabet(two_alphabet), field, [], unital=False)
     two_alg = TruncatedAlgebra(two_pres, args.N, args.policy)
     report = sandwich_report(layered, two_alg, schedule)
     rows = [

@@ -216,9 +216,6 @@ class FreeElement(Combination):
             raise ValueError("degree is defined for nonzero homogeneous elements")
         return degrees.pop()
 
-    def words(self):
-        return sorted(self.terms)
-
 
 # -- expression parser ---------------------------------------------------
 

@@ -40,11 +40,6 @@ class GrowthTable:
         return all(e for _, e in self.entries.values())
 
 
-def growth_table(alg: TruncatedAlgebra, generators, n_max: int, label="g") -> GrowthTable:
-    dims = growth_dims(alg, generators, n_max)
-    return GrowthTable(label, {n + 1: dims[n] for n in range(n_max)})
-
-
 def degree_one_generators(alg: TruncatedAlgebra):
     one = alg.field.one
     return [alg.element({w: one}) for w in alg.degree_basis(1)]
@@ -596,10 +591,6 @@ class RatInterval:
     def scale(self, c: Fraction):
         a, b = self.lo * c, self.hi * c
         return RatInterval(min(a, b), max(a, b))
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     @property
     def width(self) -> Fraction:

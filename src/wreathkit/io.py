@@ -144,12 +144,17 @@ def parse_gamma(text: str, indexing: BasisIndexing, a_host: TruncatedAlgebra) ->
 
 
 def gamma_to_text(gamma: GammaMap) -> str:
+    """The gamma file text of the map.  A value flagged as escaping A's
+    truncation raises ValueError: its text would read back unflagged."""
     lines = []
     alphabet = gamma.indexing.host.alphabet
     for i in sorted(gamma.values):
         w = gamma.indexing.word_at(i)
         lhs = "1" if w.is_empty else alphabet.format_word(w)
-        lines.append(f"map {lhs} -> {gamma.values[i].format()}")
+        value = gamma.values[i]
+        if value.flag:
+            raise ValueError(f"the value of {lhs!r} escapes the truncation of A")
+        lines.append(f"map {lhs} -> {value.format()}")
     return "\n".join(lines) + "\n"
 
 

@@ -43,10 +43,14 @@ tens of thousands of steps.  Rows stay reduced-echelon mod p, so `reduce`
 subtracts (input coefficient at a pivot) * (its row) for each pivot key of
 the input, no row changing another pivot's coefficient, and unpacks the sum
 mod p once; back-reduction reads one slot of each row with a greater pivot.
-`rows`, `pivots`, `reps`, `ordered_rows()` and `pivot_rows()` return the
-same values in both modes.
 
-`Span` is a subspace of an algebra's elements kept as one `Echelon`, and
+Either way the rows live in one dict, pivot key -> row (a sparse dict, or a
+packed int), in insertion order, beside the ascending list of pivot keys.
+`key in echelon`, `ordered_rows()`, `pivot_rows()` and `is_unit_row` read
+them, and return the same values in both modes.
+
+`Span` is a subspace of an algebra's elements kept as one `Echelon` beside
+the elements that raised its dimension, and
 `closure` grows a span under a step map until it stops changing; every
 growth function, power chain and generation check runs through the two.
 
@@ -138,37 +142,28 @@ def _eliminate(v: dict, row: dict, c, p: int) -> None:
 class Echelon:
     """A reduced-echelon span of sparse vectors; see the module docstring.
 
-    `rows` (by insertion index), `pivots` (pivot key -> row index), `reps`,
-    `ordered_rows()` and `pivot_rows()` are the public view of the rows, the
+    `key in echelon` (whether key is a pivot), `ordered_rows()`,
+    `pivot_rows()` and `is_unit_row` are the public view of the rows, the
     same in the sparse and in the dense mode.
     """
 
-    __slots__ = ("field", "pivots", "reps", "_rows", "_order", "_ordered_rows", "_packed")
+    __slots__ = ("field", "_rows", "_order", "_packed")
 
     def __init__(self, field: Field):
         self.field = field
-        self.pivots = {}  # key -> row index
-        self.reps = []  # payloads of the inserts that increased rank
-        self._rows = []  # dict key -> raw, pivot coefficient 1 (dense: _packed.rows)
+        # pivot key -> row, in insertion order: a dict key -> raw with pivot
+        # coefficient 1, or in the dense mode a packed int (_packed.rows)
+        self._rows = {}
         self._order = []  # pivot keys, ascending
-        self._ordered_rows = []  # the sparse rows, in the same order as _order
         self._packed = None  # the `packed.PackedRows` once the rows are packed
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    @property
-    def rows(self) -> list:
-        """The rows by insertion index, as dicts key -> raw value.
-
-        In the sparse mode this is the echelon's own list: read it, never
-        mutate it.  In the dense mode every access unpacks every row; read
-        the rows once, through `pivot_rows()` or `ordered_rows()`.
-        """
-        if self._packed is None:
-            return self._rows
-        return [self._packed.unpack(x) for x in self._rows]
+    def __contains__(self, key) -> bool:
+        """Whether key is the pivot of a row."""
+        return key in self._rows
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after eliminating every pivot key.  Input not mutated.
@@ -177,21 +172,21 @@ class Echelon:
         every row `insert` makes of one) holds residues in [0, p).
         """
         if self._packed is not None:
-            return self._packed.reduce(vec, self.pivots)
+            return self._packed.reduce(vec)
         p = self.field.characteristic
         if p:
             v = {k: r for k, c in vec.items() if (r := c % p)}
         else:
             v = {k: c for k, c in vec.items() if c}
-        pivots, rows = self.pivots, self._rows
+        rows = self._rows
         # rows hold no other row's pivot, so eliminating one never adds a hit
-        for k in sorted((k for k in v if k in pivots), reverse=True):
+        for k in sorted((k for k in v if k in rows), reverse=True):
             c = v.get(k)
             if c:
-                _eliminate(v, rows[pivots[k]], c, p)
+                _eliminate(v, rows[k], c, p)
         return v
 
-    def insert(self, vec: dict, payload=None) -> bool:
+    def insert(self, vec: dict) -> bool:
         """Add a vector; returns True when it increased the rank."""
         v = self.reduce(vec)
         if not v:
@@ -200,7 +195,7 @@ class Echelon:
         p = f.characteristic
         pivot = max(v)
         lead = v[pivot]
-        order, pivots = self._order, self.pivots
+        order, rows = self._order, self._rows
         # pivots mostly arrive in ascending order: one comparison, no bisection
         if not order or order[-1] < pivot:
             at = len(order)
@@ -208,7 +203,7 @@ class Echelon:
             at = bisect_right(order, pivot)
         if self._packed is not None:
             inv = 1 if lead == 1 else f.inv(lead)
-            self._packed.append(v, pivot, inv, [pivots[k] for k in order[at:]])
+            self._packed.append(v, pivot, inv, order[at:])
         else:
             if lead == 1:
                 row = v  # already normalized: inv * c would be c
@@ -218,17 +213,14 @@ class Echelon:
                     row = {k: inv * c % p for k, c in v.items()}
                 else:
                     row = {k: inv * c for k, c in v.items()}
-            ordered_rows = self._ordered_rows
-            for other in ordered_rows[at:]:
+            for k in order[at:]:
+                other = rows[k]
                 c = other.get(pivot)
                 if c is not None:
                     _eliminate(other, row, c, p)
-            ordered_rows.insert(at, row)
-            self._rows.append(row)
-        n = len(self._rows)
-        pivots[pivot] = n - 1
+            rows[pivot] = row
         order.insert(at, pivot)
-        self.reps.append(payload)
+        n = len(rows)
         if n >= DENSE_MIN_RANK and not n & (n - 1) and self._packed is None:
             self._maybe_pack()
         return True
@@ -238,42 +230,38 @@ class Echelon:
         p = self.field.characteristic
         if not 0 < p < DENSE_P_LIMIT:
             return
-        rows = self._rows
+        rows = self._rows.values()
         columns = len(set().union(*rows))
         if sum(map(len, rows)) * DENSE_MIN_FILL < len(rows) * columns:
             return
         from . import packed  # compiled only by the runs that pack a span
 
-        self._packed = packed.PackedRows(p, rows)
+        self._packed = packed.PackedRows(p, self._rows)
         self._rows = self._packed.rows
-        self._ordered_rows = None
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def ordered_rows(self) -> tuple:
         """The rows in ascending pivot order; read them, never mutate them."""
+        rows = self._rows
         if self._packed is None:
-            return tuple(self._ordered_rows)
-        unpack, rows, pivots = self._packed.unpack, self._rows, self.pivots
-        return tuple(unpack(rows[pivots[k]]) for k in self._order)
+            return tuple(rows[k] for k in self._order)
+        unpack = self._packed.unpack
+        return tuple(unpack(rows[k]) for k in self._order)
 
     def pivot_rows(self):
         """(pivot key, row) for every row, in insertion order, each row read once."""
         if self._packed is None:
-            return zip(self.pivots, self._rows)
-        return zip(self.pivots, map(self._packed.unpack, self._rows))
-
-    def pivot_keys(self):
-        return set(self.pivots)
+            return self._rows.items()
+        return zip(self._rows, map(self._packed.unpack, self._rows.values()))
 
     def is_unit_row(self, key) -> bool:
         """Whether the row with pivot `key` is {key: 1}, so that every
         multiple of key reduces to zero."""
-        i = self.pivots.get(key)
-        if i is None:
+        row = self._rows.get(key)
+        if row is None:
             return False
-        row = self._rows[i]
         return len(row if self._packed is None else self._packed.unpack(row)) == 1
 
 
@@ -288,11 +276,12 @@ class Span:
     bound only.
     """
 
-    __slots__ = ("owner", "_ech", "exact")
+    __slots__ = ("owner", "_ech", "_reps", "exact")
 
     def __init__(self, owner, elements=()):
         self.owner = owner
         self._ech = Echelon(owner.field)
+        self._reps = []  # the elements that raised the dimension
         self.exact = True
         for e in elements:
             self.add(e)
@@ -309,7 +298,10 @@ class Span:
         coords = self._coords(e)
         if e.flag:
             self.exact = False
-        return self._ech.insert(coords, payload=e)
+        if not self._ech.insert(coords):
+            return False
+        self._reps.append(e)
+        return True
 
     def extend(self, elements):
         for e in elements:
@@ -317,7 +309,7 @@ class Span:
         return self
 
     def representatives(self):
-        return list(self._ech.reps)
+        return list(self._reps)
 
     def contains(self, e) -> bool:
         return self._ech.contains(self._coords(e))

@@ -20,19 +20,20 @@ _BYTEORDER = sys.byteorder  # memoryview "Q" items are native-endian
 class PackedRows:
     """Reduced-echelon rows over GF(p), packed; the dense `Echelon` store.
 
-    `rows[idx]` is row idx (pivot coefficient 1 mod p, every other pivot
-    column 0 mod p) and `bounds[idx]` an upper bound on its slots.  A key
-    gets a slot the first time a packed vector holds it.
+    `rows[k]` is the row with pivot key k (pivot coefficient 1 mod p, every
+    other pivot column 0 mod p), in insertion order, and `bounds[k]` an upper
+    bound on its slots.  A key gets a slot the first time a packed vector
+    holds it.
     """
 
     __slots__ = ("p", "slot", "keys", "rows", "bounds")
 
-    def __init__(self, p: int, rows):
+    def __init__(self, p: int, rows: dict):
         self.p = p
         self.slot = {}  # key -> slot index
         self.keys = []  # slot index -> key
-        self.rows = [self.pack(row) for row in rows]
-        self.bounds = [p - 1] * len(self.rows)
+        self.rows = {k: self.pack(row) for k, row in rows.items()}
+        self.bounds = dict.fromkeys(self.rows, p - 1)
 
     def pack(self, vec: dict, scale: int = 1) -> int:
         """scale * vec mod p (vec of residues) packed; unseen keys get slots."""
@@ -63,7 +64,7 @@ class PackedRows:
         """x with every slot reduced mod p."""
         return self.pack(self.unpack(x))
 
-    def reduce(self, vec: dict, pivots: dict) -> dict:
+    def reduce(self, vec: dict) -> dict:
         """`Echelon.reduce`: one multiply-add per pivot key of vec.
 
         The rows are reduced-echelon mod p, so the multiple of a row to
@@ -83,21 +84,20 @@ class PackedRows:
                 rest[k] = c  # a key without a slot: no row holds it
                 continue
             arr[s] = c
-            i = pivots.get(k)
-            if i is not None:
-                hits.append((p - c, i))
+            if k in rows:
+                hits.append((p - c, k))
         acc = int.from_bytes(buf, _BYTEORDER)
         bound = p - 1
-        for m, i in hits:
-            b = bounds[i]
+        for m, k in hits:
+            b = bounds[k]
             if bound + m * b > _SLOT_MAX:
                 if m * b > _SLOT_MAX >> 1:
-                    rows[i] = self.renormalize(rows[i])
-                    b = bounds[i] = p - 1
+                    rows[k] = self.renormalize(rows[k])
+                    b = bounds[k] = p - 1
                 if bound + m * b > _SLOT_MAX:
                     acc = self.renormalize(acc)
                     bound = p - 1
-            acc += m * rows[i]
+            acc += m * rows[k]
             bound += m * b
         out = self.unpack(acc)
         out.update(rest)
@@ -105,21 +105,22 @@ class PackedRows:
 
     def append(self, v: dict, pivot, inv: int, greater) -> None:
         """Add the row inv * v (v a residual, v[pivot] * inv = 1 mod p) and
-        clear its pivot column from the rows `greater` (indices) that have a
-        greater pivot: one slot read each, and a multiply-add where nonzero."""
+        clear its pivot column from the rows whose pivots `greater` lists (the
+        pivots above this one): one slot read each, and a multiply-add where
+        nonzero."""
         p, rows, bounds = self.p, self.rows, self.bounds
         row = self.pack(v, inv)
         shift = 64 * self.slot[pivot]
-        for j in greater:
-            other = rows[j]
+        for k in greater:
+            other = rows[k]
             c = (other >> shift & _SLOT_MASK) % p
             if c:
                 m = p - c
-                b = bounds[j] + m * (p - 1)
+                b = bounds[k] + m * (p - 1)
                 if b > _SLOT_MAX:
                     other = self.renormalize(other)
                     b = (m + 1) * (p - 1)
-                rows[j] = other + m * row
-                bounds[j] = b
-        rows.append(row)
-        bounds.append(p - 1)
+                rows[k] = other + m * row
+                bounds[k] = b
+        rows[pivot] = row
+        bounds[pivot] = p - 1

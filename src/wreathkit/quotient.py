@@ -199,7 +199,6 @@ class TruncatedAlgebra:
                 for u in range(first[d - 3 * span], first[d - 3 * span + 1]):
                     self._pair_cache.pop(u, None)
             # the normal words: the candidates that are no pivot, in key order
-            pivots = ech.pivots
             index = {}  # normal candidate key -> its basis index
             for x in gens:
                 e = d - degrees[x]
@@ -207,7 +206,7 @@ class TruncatedAlgebra:
                     continue
                 for u in range(first[e], first[e + 1]) if e else (unit,):
                     key = x * base + u
-                    if key not in pivots:
+                    if key not in ech:
                         index[key] = letter[x][u] = len(degree)
                         head.append(x)
                         tail.append(u)

@@ -129,12 +129,12 @@ def build_layered_presentation(
             relations.append(a - b)
         relations.append(word_elem((yi, yi)))
 
-    # drop duplicate relations (commutators appear once per unordered pair)
+    # drop duplicate relations (commutators appear once per unordered pair);
+    # raw values are canonical, so equal relations have equal term sets
     seen, unique = set(), []
     for r in relations:
-        key = frozenset((w, field.fmt(c)) for w, c in r.terms.items())
-        negkey = frozenset((w, field.fmt(field.neg(c))) for w, c in r.terms.items())
-        if key in seen or negkey in seen:
+        key = frozenset(r.terms.items())
+        if key in seen or frozenset((-r).terms.items()) in seen:
             continue
         seen.add(key)
         unique.append(r)

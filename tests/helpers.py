@@ -232,13 +232,12 @@ class ReferenceQuotient:
                 for g in gens:
                     if e + alphabet.degrees[g] != d:
                         continue
-                    for row in kernel.rows:
+                    for _, row in kernel.pivot_rows():
                         ech.insert(self.extend_right(row, g))
             kernels[d] = ech
             if d > span:
                 kernels[d - span] = None
-            pivots = ech.pivot_keys()
-            self.basis[d] = sorted(w for w in candidates if w not in pivots)
+            self.basis[d] = sorted(w for w in candidates if w not in ech)
             for key, row in ech.pivot_rows():
                 self.reduction[key] = {w: f.neg(c) for w, c in row.items() if w != key}
         maxg = max(alphabet.degrees, default=0)

@@ -116,6 +116,21 @@ def test_gamma_round_trip(gamma_env):
     assert back.values == g.values
 
 
+@pytest.mark.parametrize("rhs", ["s*s*s", "s + s*s*s"])
+def test_gamma_to_text_refuses_flagged_values(rhs):
+    """A value that escapes A's truncation has no text that reads back with
+    its flag: a flagged zero would be written `0` and dropped, a flagged
+    nonzero value written without its escaping part."""
+    b_alg = TruncatedAlgebra(parse_presentation(HULL2), 2)
+    gf101 = "field gf 101\nunital true\ngenerators s:1\n"
+    a_alg = TruncatedAlgebra(parse_presentation(gf101), 2)
+    idx = BasisIndexing(b_alg)
+    g = parse_gamma(f"map y -> s\nmap x -> {rhs}\n", idx, a_alg)
+    assert [v.flag for _, v in sorted(g.values.items())] == [True, False]  # x, then y
+    with pytest.raises(ValueError, match="'x'"):
+        gamma_to_text(g)
+
+
 # -- wreath expressions ------------------------------------------------------------
 
 
@@ -593,6 +608,19 @@ def test_cli_sandwich(tmp_path):
     out = run_cli("sandwich", "--kmax", "2", "--schedule", "1,2", "--J", str(j), "-N", "4")
     assert out.returncode == 0
     assert "faithful=no" in out.stdout
+
+
+def test_cli_sandwich_without_j_is_the_free_rational_xy(tmp_path):
+    """Without --J the two-letter algebra is free on x, y over Q: the report
+    is the one a relation-free rational x, y file gives."""
+    j = tmp_path / "j.pres"
+    j.write_text(FREE2)
+    args = ["sandwich", "--kmax", "3", "--schedule", "1,2,3", "-N", "5"]
+    plain = run_cli(*args)
+    with_j = run_cli(*args, "--J", str(j))
+    assert plain.returncode == with_j.returncode
+    assert plain.stdout == with_j.stdout
+    assert plain.stdout.count("\n") > 5
 
 
 def test_cli_shift_witness(tmp_path):

@@ -36,6 +36,11 @@ Q = Field.rationals()
 GF7 = Field.prime(7)
 
 
+def pivot_keys(e):
+    """The pivots of e's rows, in insertion order."""
+    return [k for k, _ in e.pivot_rows()]
+
+
 def test_insert_and_dim():
     e = Echelon(Q)
     assert e.insert({"a": Q.from_int(1)})
@@ -61,27 +66,18 @@ def test_rref_invariant():
     for _ in range(30):
         vec = {k: GF7.sample(rng) for k in keys if rng.random() < 0.5}
         e.insert(vec)
-    pivots = e.pivot_keys()
-    for i, row in enumerate(e.rows):
-        own = max(row)
-        assert row[own] == 1
+    for own, row in e.pivot_rows():
+        assert max(row) == own and row[own] == 1
         for key in row:
             if key != own:
-                assert key not in pivots, "row contains a foreign pivot"
+                assert key not in e, "row contains a foreign pivot"
 
 
 def test_pivot_is_greatest_key():
     e = Echelon(Q)
     e.insert({"a": Q.from_int(1), "z": Q.from_int(1)})
-    assert set(e.pivots) == {"z"}
-
-
-def test_payloads_track_rank_increases():
-    e = Echelon(Q)
-    e.insert({"a": Q.from_int(1)}, payload="first")
-    e.insert({"a": Q.from_int(5)}, payload="shadow")
-    e.insert({"b": Q.from_int(1)}, payload="second")
-    assert e.reps == ["first", "second"]
+    assert pivot_keys(e) == ["z"]
+    assert "z" in e and "a" not in e
 
 
 def test_echelon_agrees_with_dense_rank():
@@ -126,24 +122,23 @@ def coefficients(field):
 
 
 def assert_rref(e):
-    """Rows normalized, each pivot its row's greatest key, fully inter-reduced.
+    """Rows normalized, each pivot its row's greatest key, fully inter-reduced,
+    and `ordered_rows()` the same rows in ascending pivot order.
 
-    Reads only the public view (`rows`, `pivots`, `ordered_rows()`,
-    `pivot_rows()`), so it checks the sparse and the dense mode alike."""
+    Reads only the public view (`pivot_rows()`, `ordered_rows()`, pivot
+    membership), so it checks the sparse and the dense mode alike."""
     f = e.field
-    rows = e.rows
-    assert len(rows) == len(e.pivots) == len(e.reps) == e.dim
-    assert sorted(e.pivots.values()) == list(range(e.dim))
-    assert list(e.pivot_rows()) == [(k, rows[i]) for k, i in e.pivots.items()]
-    assert list(e.ordered_rows()) == [rows[e.pivots[k]] for k in sorted(e.pivots)]
-    assert e.pivot_keys() == set(e.pivots)
-    for key, idx in e.pivots.items():
-        row = rows[idx]
+    pivot_rows = list(e.pivot_rows())
+    keys = [k for k, _ in pivot_rows]
+    assert len(pivot_rows) == len(set(keys)) == e.dim
+    assert list(e.ordered_rows()) == [row for _, row in sorted(pivot_rows)]
+    for key, row in pivot_rows:
+        assert key in e
         assert max(row) == key and row[key] == f.one
         for k, c in row.items():
             assert_raw(f, c)
             if k != key:
-                assert k not in e.pivots, "row contains a foreign pivot"
+                assert k not in e, "row contains a foreign pivot"
 
 
 @st.composite
@@ -193,7 +188,7 @@ def insert_checked(field, vecs, canonical=dict):
     e = Echelon(field)
     for n, v in enumerate(vecs, start=1):
         before = dict(v)
-        e.insert(v, payload=n)
+        e.insert(v)
         assert v == before, "insert mutated its input"
         assert_rref(e)
         assert e.dim == dense_rank([canonical(w) for w in vecs[:n]], field)
@@ -213,7 +208,7 @@ def test_echelon_random_orders_agree_with_dense_rank(case, rng):
     rng.shuffle(shuffled)
     e1 = insert_checked(field, vecs)
     e2 = insert_checked(field, shuffled)
-    assert e1.pivot_keys() == e2.pivot_keys()
+    assert set(pivot_keys(e1)) == set(pivot_keys(e2))
     for p in probes(field, keys):
         assert e1.reduce(p) == e2.reduce(p)
         assert e1.contains(p) == (dense_rank(vecs + [p], field) == e1.dim)
@@ -226,8 +221,8 @@ def test_echelon_descending_pivots_back_reduce(case):
     e1 = insert_checked(field, vecs)
     assert e1.dim == len(vecs)  # distinct greatest keys: independent
     e2 = insert_checked(field, vecs[::-1])
-    assert sorted(map(sorted, (r.items() for r in e1.rows))) == sorted(
-        map(sorted, (r.items() for r in e2.rows))
+    assert sorted(map(sorted, (r.items() for _, r in e1.pivot_rows()))) == sorted(
+        map(sorted, (r.items() for _, r in e2.pivot_rows()))
     )
     for p in probes(field, keys):
         assert e1.reduce(p) == e2.reduce(p)
@@ -283,9 +278,8 @@ def test_echelon_lead_one_and_raw_ints(case):
     three = field.from_int(3)
     scaled = [{k: field.mul(three, c) for k, c in canonical(field, v).items()} for v in vecs]
     ref = insert_checked(field, scaled)
-    assert e.pivots == ref.pivots
-    assert e.rows == ref.rows
-    for a, b in zip(e.rows, ref.rows):
+    assert list(e.pivot_rows()) == list(ref.pivot_rows())
+    for (_, a), (_, b) in zip(e.pivot_rows(), ref.pivot_rows()):
         for k in a:
             assert_raw(field, a[k])
             assert_raw(field, b[k])
@@ -324,7 +318,7 @@ def test_ascending_pivots_skip_the_bisection(monkeypatch):
     for i in range(0, len(words), 2):
         assert e.insert({words[i]: 1, words[i // 2]: 3})
     assert not calls
-    assert sorted(e.pivots) == list(e.pivots) == words[::2]
+    assert sorted(pivot_keys(e)) == pivot_keys(e) == words[::2]
     assert e.insert({words[3]: 1, words[0]: -1})  # below the last pivot
     assert len(calls) == 1
     assert_rref(e)
@@ -353,9 +347,9 @@ def insert_modes(field, vecs, switch_rank):
 
 
 def assert_same_echelon(a, b, vecs):
-    """a and b hold the same rows, pivots and payloads, and reduce alike."""
-    assert a.dim == b.dim and a.pivots == b.pivots and a.reps == b.reps
-    assert a.rows == b.rows
+    """a and b hold the same rows under the same pivots, inserted in the same
+    order, and reduce alike."""
+    assert a.dim == b.dim
     assert a.ordered_rows() == b.ordered_rows()
     assert list(a.pivot_rows()) == list(b.pivot_rows())
     for v in vecs:
@@ -373,7 +367,7 @@ def assert_same_echelon(a, b, vecs):
 def test_dense_mode_matches_sparse(case, switch_rank):
     """Packed from the first insert or mid-stream, with random, ascending or
     strictly descending pivots (back-reduction on every insert) and raw ints
-    in [-3p, 3p]: the packed echelon has the sparse run's rows, pivots, reps,
+    in [-3p, 3p]: the packed echelon has the sparse run's rows, pivots,
     reductions and membership, and `dense_rank`'s rank."""
     field, keys, vecs = case
     sparse, dense = insert_modes(field, vecs, switch_rank)
@@ -402,17 +396,17 @@ def dense_vectors(field, rng, tops, width):
 def test_dense_switch_under_the_real_rule(field, order):
     """Dense vectors switch at rank DENSE_MIN_RANK, mid-stream, by the real
     density rule; afterwards the packed echelon keeps the sparse run's rows,
-    pivots, reps and reductions, and `dense_rank`'s rank."""
+    pivots and reductions, and `dense_rank`'s rank."""
     rng = random.Random(field.characteristic)
     tops = range(63, 15, -1) if order == "descending" else rng.sample(range(16, 64), 48)
     vecs = dense_vectors(field, rng, tops, 24)
     with sparse_only():
         sparse = Echelon(field)
-        for n, v in enumerate(vecs):
-            sparse.insert(v, payload=n)
+        for v in vecs:
+            sparse.insert(v)
     dense = Echelon(field)
-    for n, v in enumerate(vecs):
-        dense.insert(v, payload=n)
+    for v in vecs:
+        dense.insert(v)
         assert is_packed(dense) == (dense.dim >= linalg.DENSE_MIN_RANK)
     assert dense.dim == 48 == dense_rank([canonical(field, v) for v in vecs], field)
     assert_rref(dense)
@@ -431,14 +425,14 @@ def test_slot_renormalisation_near_the_p_limit():
     renormalised = []  # True for a stored row, False for a reduce sum
     with sparse_only():
         sparse = Echelon(field)
-        for n, v in enumerate(vecs):
-            sparse.insert(v, payload=n)
+        for v in vecs:
+            sparse.insert(v)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packed, "_SLOT_MAX", (1 << 36) - 1)
         renormalize = packed.PackedRows.renormalize
 
         def recorded(pk, x):
-            renormalised.append(any(x is row for row in pk.rows))
+            renormalised.append(any(x is row for row in pk.rows.values()))
             return renormalize(pk, x)
 
         mp.setattr(packed.PackedRows, "renormalize", recorded)
@@ -451,11 +445,12 @@ def test_slot_renormalisation_near_the_p_limit():
         mp.setattr(packed.PackedRows, "unpack", bounded)
         with dense_from(4):
             dense = Echelon(field)
-            for n, v in enumerate(vecs):
-                dense.insert(v, payload=n)
+            for v in vecs:
+                dense.insert(v)
                 pk = dense._packed
                 if pk is not None:
-                    for x, bound in zip(pk.rows, pk.bounds):
+                    for k, x in pk.rows.items():
+                        bound = pk.bounds[k]
                         assert max(pk._slots(x), default=0) <= bound <= packed._SLOT_MAX
         assert is_packed(dense)
         assert_same_echelon(sparse, dense, probes(field, range(48)) + vecs)

@@ -369,10 +369,10 @@ def test_build_skips_inserts_that_add_nothing(monkeypatch):
     counts = {"inserts": 0, "empty": 0}
     insert = Echelon.insert
 
-    def counted(self, vec, payload=None):
+    def counted(self, vec):
         counts["inserts"] += 1
         counts["empty"] += not vec
-        return insert(self, vec, payload)
+        return insert(self, vec)
 
     monkeypatch.setattr(Echelon, "insert", counted)
     TruncatedAlgebra(pres, 8)
@@ -401,9 +401,9 @@ def test_build_skips_relations_that_add_nothing(monkeypatch):
     pres = Presentation(ab, Q, [parse_element(r, ab, Q) for r in ("x*x", "y*x*x", "x*y", "2*x*y")])
     insert = Echelon.insert
 
-    def checked(self, vec, payload=None):
+    def checked(self, vec):
         assert vec and not (len(vec) == 1 and self.is_unit_row(next(iter(vec))))
-        return insert(self, vec, payload)
+        return insert(self, vec)
 
     monkeypatch.setattr(Echelon, "insert", checked)
     TruncatedAlgebra(pres, 4)
@@ -1022,9 +1022,9 @@ def test_build_extends_by_normal_generators_only(monkeypatch, name, inserts):
     counts = {"inserts": 0}
     insert = Echelon.insert
 
-    def counted(self, vec, payload=None):
+    def counted(self, vec):
         counts["inserts"] += 1
-        return insert(self, vec, payload)
+        return insert(self, vec)
 
     monkeypatch.setattr(Echelon, "insert", counted)
     TruncatedAlgebra(pres, n)

@@ -92,6 +92,28 @@ def test_pair_relations_validated():
         build_layered_presentation(Q, 2, FiltrationSchedule([2]), [bad])
 
 
+@pytest.mark.parametrize("field", [Q, Field.prime(101)], ids=repr)
+@pytest.mark.parametrize(
+    "k_max, schedule, n, count",
+    [(4, [2, 4, 6, 8], 10, 2397), (3, [2, 4, 6, 2000, 100000], 8, 24)],
+    ids=["sandwich_k4_N10", "sandwich_k3_N8"],
+)
+def test_bench_presentations_relation_count(field, k_max, schedule, n, count):
+    """The layered presentations of the bench's two sandwich jobs (J
+    commutative) keep one relation per class of equal or opposite relations:
+    the commutators [g, y] and [y, g] of two y's appear once."""
+    comm = parse_element("x*y - y*x", TWO, field)
+    pres = build_layered_presentation(
+        field, k_max, FiltrationSchedule(schedule), [comm], truncation_degree=n
+    )
+    assert len(pres.relations) == count
+    assert len(set(relation_strings(pres))) == count
+    ab = pres.alphabet
+    y1, y2 = ab.index("y1"), ab.index("y2")
+    commutator = {ab.word((y1, y2)), ab.word((y2, y1))}
+    assert sum(set(r.terms) == commutator for r in pres.relations) == 1
+
+
 def test_sandwich_equality_at_two_layers():
     schedule = FiltrationSchedule([2, 4])
     pres = build_layered_presentation(Q, 2, schedule, [COMM], truncation_degree=6)

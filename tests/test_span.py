@@ -229,3 +229,19 @@ def test_shared_methods_and_accessors():
     ws = WreathSpan(wa, [wa.embed(wa.b_host.gen("b"))])
     assert ws.algebra is wa
     assert repr(ws.product_span(ws)) == "WreathSpan(dim=1, exact=True)"
+
+
+def test_representatives_track_rank_increases():
+    """`add` returns whether the element raised the dimension, and only such
+    elements become representatives, in insertion order."""
+    alg = make_algebra(Q, ["a", "b"], [], n=2)
+    a, b = alg.gen("a"), alg.gen("b")
+    shadow = a.scale(Q.from_int(5))
+    span = Subspace(alg)
+    assert span.add(a)
+    assert not span.add(shadow)  # dependent: no representative
+    assert span.add(b)
+    assert not span.add(a + b)
+    reps = span.representatives()
+    assert span.dim == 2 and len(reps) == 2
+    assert reps[0] is a and reps[1] is b
