@@ -232,24 +232,29 @@ class InclusionReport:
         return all(r[3] for r in self.rows) and all(r[5] for r in self.rows)
 
 
-def _triple_products(v_chain, middles, n):
-    """Spanning elements of sum_{i+j+k = n} V^i * M_j * V^k.
+def _triple_products(fresh, middles, m, lefts):
+    """The products of sum_{i+j+k = m} V^i * M_j * V^k that no lower weight made.
 
-    v_chain[i - 1] spans V^i and middles[j] spans M_j.  The middle weight j
-    starts at 0: the bare middle (the row map itself, or the corner unit) is
-    the degenerate term the inductive proof consumes, and without it the
-    inclusion already fails at n = 1.
+    fresh[i] lists the representatives new at level i of the V chain (all of
+    V^1 at i = 1) and fresh[0] is empty: index 0 stands for no factor, so the
+    bare middle (the row map itself, or the corner unit) is the degenerate
+    term the inductive proof consumes, and without it the inclusion already
+    fails at n = 1.  middles[j] spans M_j.  lefts keeps each list le * mid
+    across the weights, keyed by (i, j, position of mid).  The products come
+    in the order j, mid, i, le, ri.
     """
     out = []
-    for j in range(n + 1):
-        for mid in middles[j]:
-            for i in range(n - j + 1):
-                k = n - j - i
-                lefts = [mid] if i == 0 else [le * mid for le in v_chain[i - 1]]
+    for j in range(m + 1):
+        for t, mid in enumerate(middles[j]):
+            for i in range(m - j + 1):
+                lms = lefts.get((i, j, t))
+                if lms is None:
+                    lms = lefts[i, j, t] = [mid] if i == 0 else [le * mid for le in fresh[i]]
+                k = m - j - i
                 if k == 0:
-                    out.extend(lefts)
+                    out.extend(lms)
                 else:
-                    out.extend(lm * ri for lm in lefts for ri in v_chain[k - 1])
+                    out.extend(lm * ri for lm in lms for ri in fresh[k])
     return out
 
 
@@ -268,6 +273,28 @@ def span_inclusion_check(
 
     and that the dimension obeys the counting bound
     sum_{i+j+k<=n} g(i) w(j) g(k) + g(n).
+
+    Precondition: gamma(1) = 0 when B is unital.  W_j is built from the
+    images gamma(V^i) with i >= 1 only, while c * c has the entry
+    gamma(1) * gamma(b_j); a nonzero gamma(1) can therefore leave products
+    outside the predicted span, and the check then reports them as not
+    included.
+
+    The predicted span at weight m receives only what no lower weight gave
+    it, and the result is the same as inserting every product of weight
+    <= m again:
+    - `power_chain` levels are prefix-nested (level r is its first d_r
+      representatives) and the middles are fixed across m, so a product
+      le * mid * ri whose left factor is not new at level i >= 2 (or whose
+      right factor is not new at level k >= 2) is the very product weight
+      m - 1 made as (i - 1, j, k) (or (i, j, k - 1)); each product is made
+      once, at the least weight whose levels hold its factors;
+    - re-inserting an element the span already holds changes neither its
+      rows, nor its representatives, nor `exact`, whose flag was recorded the
+      first time; the remaining inserts keep their order;
+    - the predicted span only grows, so a representative of the generated
+      span found inside it at weight m stays inside, and the inclusion test
+      resumes at the first representative not yet found.
     """
     gens = degree_one_generators(b_host) if generators is None else generators
     wa = WreathAlgebra(b_host, a_host, indexing=gamma.indexing)
@@ -277,13 +304,14 @@ def span_inclusion_check(
 
     b_chain = power_chain(b_host, gens, n)
     ws = weighted_image_spans(gamma, b_chain, a_host, n)
-    wv_chain = [[wa.embed(v) for v in sub.representatives()] for sub in b_chain]
-
-    corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
-    u_chain = power_chain(wa, wv_chain[0] + [c] + corner, n)
-
     g_dims = [b_chain[i].dim for i in range(n)]
     w_dims = [ws[j].dim for j in range(n)]
+    # fresh[i]: the representatives of V^i that V^{i-1} lacks (V^0 = 0)
+    wv = [wa.embed(v) for v in b_chain[-1].representatives()]
+    fresh = [[]] + [wv[d:e] for d, e in zip([0] + g_dims, g_dims)]
+
+    corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
+    u_chain = power_chain(wa, fresh[1] + [c] + corner, n)
 
     # middles[j] spans W_j c (and corner_middles[j] spans e_11(W_j)), j = 0..n
     middles = [[c]] + [[_scale_row(wa, gamma, a) for a in w.representatives()] for w in ws]
@@ -291,19 +319,24 @@ def span_inclusion_check(
         corner_middles = [corner] + [
             [wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in w.representatives()] for w in ws
         ]
+    lefts, corner_lefts = {}, {}
 
-    # rhs grows with m, adding only the terms of weight exactly m
+    # rhs grows with m, adding only the products no lower weight made
     rhs = WreathSpan(wa, [c] + corner)
     rows = []
     exact = True
+    found = 0  # the first `found` representatives of u_chain[-1] lie in rhs
     for m in range(1, n + 1):
-        rhs.extend(wv_chain[m - 1])
-        rhs.extend(_triple_products(wv_chain, middles, m))
+        rhs.extend(fresh[m])
+        rhs.extend(_triple_products(fresh, middles, m, lefts))
         if with_corner:
-            rhs.extend(_triple_products(wv_chain, corner_middles, m))
+            rhs.extend(_triple_products(fresh, corner_middles, m, corner_lefts))
 
         lhs = u_chain[m - 1]
-        included = rhs.contains_subspace(lhs)
+        reps = lhs.representatives()
+        while found < lhs.dim and rhs.contains(reps[found]):
+            found += 1
+        included = found == lhs.dim
         bound = g_dims[m - 1]
         for i in range(0, m + 1):
             for j in range(0, m - i + 1):

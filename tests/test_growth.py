@@ -1,9 +1,13 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathkit import (
     BasisIndexing,
@@ -24,6 +28,7 @@ from wreathkit import (
     span_inclusion_check,
     w_gamma_table,
 )
+from wreathkit import cli
 from wreathkit.growth import exp_bounds, log_interval, power_chain, weighted_image_spans
 from wreathkit.linalg import dense_rank
 
@@ -37,6 +42,7 @@ from helpers import (
 
 Q = Field.rationals()
 GF7 = Field.prime(7)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def single_image_pair(n=8):
@@ -500,26 +506,130 @@ def test_log_interval_encloses():
     assert iv.width < Fraction(1, 10**30)
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["exact", "corner", "truncated"],
-)
-def test_inclusion_rows_match_per_m_rebuild(case):
-    """The predicted span grown across m gives the rows of a per-m rebuild."""
+def inclusion_case(case):
+    """(b_alg, a_alg, gamma, n, corner) of a named span-inclusion case."""
     if case == "exact":
         b_alg, a_alg, gamma = small_instance(4)
-        n, corner = 4, False
-    elif case == "corner":
+        return b_alg, a_alg, gamma, 4, False
+    if case == "corner":
         b_alg = killed_above(GF7, ["x", "y"], kill_degree=3, n=3, unital=True)
         a_alg = make_algebra(GF7, ["z"], ["z^3"], n=3, unital=True)
         gamma = random_gamma(BasisIndexing(b_alg), a_alg, random.Random(5), density=0.5)
-        n, corner = 3, True
-    else:
-        b_alg = make_algebra(GF7, ["x", "y"], [], n=2)
-        a_alg = make_algebra(GF7, ["z"], [], n=2)
-        gamma = random_gamma(BasisIndexing(b_alg), a_alg, random.Random(6), density=0.8)
-        n, corner = 4, False
+        return b_alg, a_alg, gamma, 3, True
+    b_alg = make_algebra(GF7, ["x", "y"], [], n=2)
+    a_alg = make_algebra(GF7, ["z"], [], n=2)
+    gamma = random_gamma(BasisIndexing(b_alg), a_alg, random.Random(6), density=0.8)
+    return b_alg, a_alg, gamma, 4, False
+
+
+INCLUSION_CASES = ["exact", "corner", "truncated"]
+
+
+@pytest.mark.parametrize("case", INCLUSION_CASES)
+def test_inclusion_rows_match_per_m_rebuild(case):
+    """The predicted span grown across m gives the rows of a per-m rebuild."""
+    b_alg, a_alg, gamma, n, corner = inclusion_case(case)
     report = span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
     rows, exact = reference_span_inclusion(b_alg, a_alg, gamma, n, with_corner=corner)
     assert report.rows == rows
     assert report.exact == exact == (case != "truncated")
+
+
+@pytest.mark.parametrize("case", INCLUSION_CASES)
+def test_inclusion_inserts_each_product_once(case, monkeypatch):
+    """The predicted span receives each product once: at weight m, the new
+    representatives of V^m and the products le * mid * ri of weight m whose
+    outer factors are new at their levels, after the initial c and corner.
+
+    With f(0) = 1, f(1) = d_1 and f(i) = d_i - d_{i-1}, that is
+    1 + [corner] + sum_m [f(m) + sum_{i+j+k=m} |M_j| f(i) f(k)], where M_j
+    runs over both middle lists with the corner.  Each case's chain stops
+    growing at or before n, so some f(i) are 0.
+    """
+    b_alg, a_alg, gamma, n, corner = inclusion_case(case)
+    adds = []
+    add = WreathSpan.add
+
+    def counting_add(self, e):
+        adds.append(self)
+        return add(self, e)
+
+    monkeypatch.setattr(WreathSpan, "add", counting_add)
+    span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
+    rhs = adds[-1]  # the predicted span is made last and fed to the end
+    inserts = sum(1 for s in adds if s is rhs)
+
+    chain = power_chain(b_alg, degree_one_generators(b_alg), n)
+    d = [0] + [level.dim for level in chain]
+    f = [1] + [d[i] - d[i - 1] for i in range(1, n + 1)]
+    mids = [1] + [w.dim for w in weighted_image_spans(gamma, chain, a_alg, n)]
+    lists = 2 if corner else 1
+    expected = lists + sum(
+        f[m]
+        + sum(
+            lists * mids[j] * f[i] * f[m - i - j]
+            for j in range(m + 1)
+            for i in range(m - j + 1)
+        )
+        for m in range(1, n + 1)
+    )
+    assert 0 in f  # each chain has a level that adds nothing
+    assert inserts == expected
+
+
+@settings(max_examples=40, deadline=5000)
+@given(
+    seed=st.integers(0, 2**16),
+    density=st.sampled_from([0.3, 0.6, 0.9]),
+    n=st.integers(1, 4),
+    corner=st.booleans(),
+    b_kills=st.booleans(),
+    a_kills=st.booleans(),
+)
+def test_inclusion_matches_per_m_rebuild_on_drawn_cases(seed, density, n, corner, b_kills, a_kills):
+    """Drawn GF(7) cases, exact and flagged: without kills the hosts truncate
+    at degree 2, so products of degree 3 escape."""
+    if b_kills:
+        b_alg = killed_above(GF7, ["x", "y"], kill_degree=3, n=3, unital=True)
+    else:
+        b_alg = make_algebra(GF7, ["x", "y"], [], n=2, unital=True)
+    if a_kills:
+        a_alg = make_algebra(GF7, ["z"], ["z^3"], n=3, unital=True)
+    else:
+        a_alg = make_algebra(GF7, ["z"], [], n=2, unital=True)
+    gamma = random_gamma(BasisIndexing(b_alg), a_alg, random.Random(seed), density=density)
+    report = span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
+    rows, exact = reference_span_inclusion(b_alg, a_alg, gamma, n, with_corner=corner)
+    assert report.rows == rows
+    assert report.exact == exact
+
+
+def test_inclusion_needs_gamma_of_one_zero(tmp_path, capsys):
+    """A nonzero gamma(1) puts gamma(1) * gamma(b_j) into c * c, outside the
+    predicted span: seed 5's first dense-law map of the benchmark (it maps
+    the unit) is not included from n = 2, and the same map without its unit
+    line is included at every n."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import run as bench_run
+    finally:
+        sys.path.remove(str(BENCH))
+    bench_run.write_inputs(5, tmp_path)
+    with_unit = (tmp_path / "dense0.map").read_text()
+    assert with_unit.startswith("map 1 -> ")
+    (tmp_path / "no_unit.map").write_text(with_unit.split("\n", 1)[1])
+    hosts = ["--B", str(BENCH / "inputs" / "host_gf101.pres"), "--NB", "3",
+             "--A", str(BENCH / "inputs" / "coeff_gf101.pres"), "--NA", "4"]
+    included = {}
+    for name, code in (("dense0.map", 2), ("no_unit.map", 0)):
+        argv = ["span-bound", *hosts, "--gamma", str(tmp_path / name), "-n", "3",
+                "--emit", str(tmp_path / f"{name}.csv")]
+        assert cli.main(argv) == code, name
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")][1:]
+        included[name] = [r[3] for r in rows]
+    capsys.readouterr()
+    assert included == {
+        "dense0.map": ["True", "False", "False"],
+        "no_unit.map": ["True", "True", "True"],
+    }
