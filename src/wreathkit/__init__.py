@@ -27,7 +27,6 @@ from .quotient import (
     TruncationOverflow,
     degree_component,
     growth_dims,
-    growth_g,
 )
 from .scalars import Field, FieldMismatchError, Scalar
 from .section6 import build_layered_presentation, sandwich_check, sandwich_report

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import closure, dense_rank
+from .linalg import dense_rank, power_levels
 from .quotient import AlgElement, Subspace, TruncatedAlgebra, growth_dims
 from .wreath import GammaMap, SMatrix, WreathAlgebra, WreathSpan
 
@@ -149,59 +149,49 @@ def _exceeds(x: "RatInterval", lo, hi):
 
 
 def power_chain(alg, generators, n: int):
-    """Spans of the products of at most 1, 2, ..., n factors.
-
-    alg is a `TruncatedAlgebra` or a `WreathAlgebra`.  One span grows by
-    `closure`; its representatives are appended in insertion order and its
-    reduced echelon form is unique, so level r is the span of its first d_r
-    representatives, and level n is the grown span itself.
-    """
-    if n < 1:
-        raise ValueError(f"the factor count must be at least 1, not {n}")
+    """Levels 1..n of the products of at most 1, 2, ..., n factors, grown
+    in one span by `linalg.power_levels`; alg is a `TruncatedAlgebra` or a
+    `WreathAlgebra`."""
     kind = WreathSpan if isinstance(alg, WreathAlgebra) else Subspace
-    span = kind(alg, generators)
-    gens = span.representatives()
-    dims = closure(span, lambda e: [e * g for g in gens], n - 1)
-    dims += dims[-1:] * (n - len(dims))
-    reps = span.representatives()
-    chain = []
-    for d, exact in dims[: n - 1]:
-        level = kind(alg, reps[:d])
-        level.exact = exact
-        chain.append(level)
-    chain.append(span)
-    return chain
+    return power_levels(kind(alg, generators), n)
+
+
+def _fresh(levels, k):
+    """The representatives new at level k (1-based) of a filtration."""
+    below = levels[k - 2].dim if k > 1 else 0
+    return levels[k - 1].reps[below : levels[k - 1].dim]
 
 
 def weighted_image_spans(gamma: GammaMap, v_chain, a_host: TruncatedAlgebra, n: int):
     """The chain W_1 <= ... <= W_n where W_n is spanned by all products of
     images gamma(V^{i_1}) ... gamma(V^{i_r}) with i_1 + ... + i_r <= n.
 
-    Computed by weight: splitting a product at its first factor gives
-    W_n = sum_i gamma(V^i) + gamma(V^i) * W_{n-i}, a dynamic program over the
-    total weight instead of an enumeration of factorizations.
+    Splitting a product at its first factor gives the dynamic program
+    W_m = G_m + sum_{i<m} G_i W_{m-i} over the weight, with G_i = gamma(V^i).
+    G and W each grow in one span (v_chain is a `power_chain`), one level
+    per weight.  At weight m, W's span receives s * t for s new at level i
+    of G and t new at level m - i of W, i < m (each pair once, at weight
+    level(s) + level(t)), then the representatives new at level m of G:
+    products first keeps W's representatives sparser (230 terms, not 292,
+    at n = 5 on the benchmark's span-bound inputs).
+
+    The representatives differ from those of a W_m rebuilt at every m; the
+    subspaces, so the dimensions, are the same, and so are the exactness
+    bits: the flag of s * t is the flag of s or t, or a pair of words of
+    their supports whose product escapes; the words that a spanning set's
+    supports meet are the words that its span meets; and W_m's bit includes
+    the bits of G_1..G_m and of W_{m-1}.
     """
-    gv = []
-    for i in range(n):
-        images = [gamma.apply(v) for v in v_chain[i].representatives()]
-        sub = Subspace(a_host, images)
-        sub.exact = sub.exact and v_chain[i].exact
-        gv.append(sub)
-    ws = []
+    g_span, g_levels = Subspace(a_host), []
+    for k, v in enumerate(v_chain[:n], 1):
+        g_span.extend(gamma.apply(b) for b in _fresh(v_chain, k))
+        g_levels.append(g_span.level(v.exact))
+    w_span, ws = Subspace(a_host), []
     for m in range(1, n + 1):
-        w = Subspace(a_host)
-        exact = True
-        for i in range(1, m + 1):
-            for rep in gv[i - 1].representatives():
-                w.add(rep)
-            exact = exact and gv[i - 1].exact
-            if m - i >= 1:
-                prod = gv[i - 1].product_span(ws[m - i - 1])
-                for rep in prod.representatives():
-                    w.add(rep)
-                exact = exact and prod.exact
-        w.exact = w.exact and exact
-        ws.append(w)
+        for i in range(1, m):
+            w_span.extend(s * t for s in _fresh(g_levels, i) for t in _fresh(ws, m - i))
+        w_span.extend(_fresh(g_levels, m))
+        ws.append(w_span.level(all(g.exact for g in g_levels[:m])))
     return ws
 
 
@@ -307,8 +297,7 @@ def span_inclusion_check(
     g_dims = [b_chain[i].dim for i in range(n)]
     w_dims = [ws[j].dim for j in range(n)]
     # fresh[i]: the representatives of V^i that V^{i-1} lacks (V^0 = 0)
-    wv = [wa.embed(v) for v in b_chain[-1].representatives()]
-    fresh = [[]] + [wv[d:e] for d, e in zip([0] + g_dims, g_dims)]
+    fresh = [[]] + [[wa.embed(v) for v in _fresh(b_chain, i)] for i in range(1, n + 1)]
 
     corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
     u_chain = power_chain(wa, fresh[1] + [c] + corner, n)
@@ -388,12 +377,12 @@ def dense_dim_check(
     wn = ws[n - 1]
     span = WreathSpan(wa)
     middles = [_scale_row(wa, gamma, a) for a in wn.representatives()]
-    for bi in vn.representatives():
-        emb_i = wa.embed(bi)
+    embedded = [wa.embed(b) for b in vn.representatives()]
+    for emb_i in embedded:
         for row in middles:
             mid = emb_i * row
-            for bk in vn.representatives():
-                span.add(mid * wa.embed(bk))
+            for emb_k in embedded:
+                span.add(mid * emb_k)
     bound = vn.dim * vn.dim * wn.dim
     return DenseCheckReport(
         span.dim,

@@ -53,6 +53,9 @@ them, and return the same values in both modes.
 the elements that raised its dimension, and
 `closure` grows a span under a step map until it stops changing; every
 growth function, power chain and generation check runs through the two.
+A filtration is one grown span and its level marks: a `Level` is the span
+of a prefix of one shared representative list, and `power_levels`, the one
+grower of the powers V, V + V^2, ..., hands them out.
 
 `dense_rank` is a deliberately independent second route (dense rows,
 first-column pivoting) used to cross-check ranks.
@@ -60,6 +63,7 @@ first-column pivoting) used to cross-check ranks.
 
 from __future__ import annotations
 
+import dataclasses
 from bisect import bisect_right
 
 from .scalars import Field
@@ -311,29 +315,16 @@ class Span:
     def representatives(self):
         return list(self._reps)
 
+    def level(self, exact=True) -> "Level":
+        """The span as it stands, as a level; exact=False makes it inexact."""
+        return Level(self.dim, self.exact and exact, self._reps)
+
     def contains(self, e) -> bool:
         return self._ech.contains(self._coords(e))
 
     def contains_subspace(self, other: "Span") -> bool:
         self._check_span(other)
         return all(self.contains(e) for e in other.representatives())
-
-    def sum(self, other: "Span") -> "Span":
-        self._check_span(other)
-        out = type(self)(self.owner, self.representatives())
-        out.extend(other.representatives())
-        out.exact = out.exact and self.exact and other.exact
-        return out
-
-    def product_span(self, other: "Span") -> "Span":
-        """span{s*t : s, t spanning elements} of the two spans."""
-        self._check_span(other)
-        out = type(self)(self.owner)
-        for s in self.representatives():
-            for t in other.representatives():
-                out.add(s * t)
-        out.exact = out.exact and self.exact and other.exact
-        return out
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, exact={self.exact})"
@@ -360,6 +351,36 @@ def closure(span: Span, step, rounds=None):
         frontier = new
         history.append((span.dim, span.exact))
     return history
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Level:
+    """A level of a filtration grown in one span: the span of the first `dim`
+    of the span's representatives, with the span's bit at that point.  All
+    levels of a filtration read the span's one list; none copies it."""
+
+    dim: int
+    exact: bool
+    reps: list = dataclasses.field(repr=False)
+
+    def representatives(self):
+        return self.reps[: self.dim]
+
+
+def power_levels(span: Span, n: int):
+    """Levels 1..n of the powers of span's representatives, grown in span.
+
+    Level r spans the products of at most r of them.  Round r of `closure`
+    multiplies the elements new in round r - 1 by those generators, all that
+    V^{r+1} = V^r + V^r V adds to V^r, and ends a level; once a round adds
+    nothing, the last level repeats.
+    """
+    if n < 1:
+        raise ValueError(f"the factor count must be at least 1, not {n}")
+    gens = span.representatives()
+    history = closure(span, lambda e: [e * g for g in gens], n - 1)
+    history += history[-1:] * (n - len(history))
+    return [Level(d, exact, span._reps) for d, exact in history]
 
 
 def dense_rank(vectors, field: Field) -> int:

@@ -62,7 +62,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .freealg import Combination, FreeElement
-from .linalg import Echelon, Span, closure, reduced
+from .linalg import Echelon, Span, power_levels, reduced
 from .scalars import Field, FieldMismatchError
 from .words import EMPTY_WORD, Alphabet, Word
 
@@ -670,18 +670,8 @@ def growth_dims(alg: TruncatedAlgebra, generators, n_max: int):
 
     Entry n (1-based) is dim span{v_1 ... v_k : k <= n, v_i in the spanning
     set}, together with an exactness bit that goes False as soon as a product
-    escapes the truncation.  The chain is monotone by construction.
+    escapes the truncation: level n of `linalg.power_levels`.
     """
-    if n_max < 1:
-        raise ValueError(f"the factor count must be at least 1, not {n_max}")
     if isinstance(generators, Subspace):
         generators = generators.representatives()
-    span = Subspace(alg, generators)
-    gens = span.representatives()
-    dims = closure(span, lambda e: [e * g for g in gens], n_max - 1)
-    return dims + dims[-1:] * (n_max - len(dims))
-
-
-def growth_g(alg: TruncatedAlgebra, generators, n: int):
-    """dim of the span of products of at most n factors, with exactness bit."""
-    return growth_dims(alg, generators, n)[n - 1]
+    return [(lv.dim, lv.exact) for lv in power_levels(Subspace(alg, generators), n_max)]

@@ -16,6 +16,7 @@ from wreathkit import (
     Presentation,
     Scalar,
     SMatrix,
+    Subspace,
     TruncatedAlgebra,
     TruncationOverflow,
     WreathAlgebra,
@@ -24,7 +25,7 @@ from wreathkit import (
     parse_element,
 )
 from wreathkit import linalg
-from wreathkit.growth import _scale_row, power_chain, weighted_image_spans
+from wreathkit.growth import _scale_row
 from wreathkit.linalg import Echelon
 from wreathkit.quotient import _ESCAPED
 from wreathkit.words import Word
@@ -386,16 +387,66 @@ def reference_apply(e, j):
     return b_coords, e.s.apply_column(j), escaped
 
 
+# -- reference filtrations ------------------------------------------------------
+# Every level built from scratch, as a span of its own: the oracles for the
+# filtrations that `power_chain` and `weighted_image_spans` grow in one span.
+
+
+def brute_products(generators, n):
+    """Products of k factors, computed left to right, for k = 1..n."""
+    by_length = [list(generators)]
+    for _ in range(2, n + 1):
+        by_length.append([p * g for p in by_length[-1] for g in generators])
+    return by_length
+
+
+def brute_power_chain(kind, alg, generators, n):
+    """Level k (k = 1..n) is a fresh `kind` span of every left-to-right
+    product of at most k generators, inexact once one of them is flagged."""
+    by_length = brute_products(generators, n)
+    return [kind(alg, [p for level in by_length[:k] for p in level]) for k in range(1, n + 1)]
+
+
+def reference_weighted_image_spans(gamma, v_chain, a_host, n):
+    """W_1..W_n of `weighted_image_spans`, each W_m a fresh `Subspace`
+    rebuilt at every m: the images gamma(V^i), i <= m, and every product of a
+    representative of gamma(V^i) with one of W_{m-i}, i < m.  W_m is inexact
+    when an image or a product it receives is flagged, or a G_i = gamma(V^i)
+    (i <= m) or W_{m-i} (i < m) it is built from is inexact."""
+    gv = []
+    for level in v_chain[:n]:
+        g = Subspace(a_host, [gamma.apply(v) for v in level.representatives()])
+        g.exact = g.exact and level.exact
+        gv.append(g)
+    ws = []
+    for m in range(1, n + 1):
+        w = Subspace(a_host)
+        exact = True
+        for i in range(1, m + 1):
+            w.extend(gv[i - 1].representatives())
+            exact = exact and gv[i - 1].exact
+            if i < m:
+                lower = ws[m - i - 1]
+                w.extend(s * t for s in gv[i - 1].representatives() for t in lower.representatives())
+                exact = exact and lower.exact
+        w.exact = w.exact and exact
+        ws.append(w)
+    return ws
+
+
 def reference_span_inclusion(b_host, a_host, gamma, n, with_corner=False):
     """(rows, exact) of `span_inclusion_check`, with the predicted span rebuilt
-    at every m from all products V^i M_j V^k of weight i + j + k <= m."""
+    at every m from all products V^i M_j V^k of weight i + j + k <= m.  The V,
+    W and generated chains come from `brute_power_chain` and
+    `reference_weighted_image_spans`, not from the code they check."""
     wa = WreathAlgebra(b_host, a_host, indexing=gamma.indexing)
     c = wa.from_matrix(wa.gamma_row(gamma))
-    b_chain = power_chain(b_host, degree_one_generators(b_host), n)
-    ws = weighted_image_spans(gamma, b_chain, a_host, n)
+    gens = degree_one_generators(b_host)
+    b_chain = brute_power_chain(Subspace, b_host, gens, n)
+    ws = reference_weighted_image_spans(gamma, b_chain, a_host, n)
     v_chain = [[wa.embed(v) for v in sub.representatives()] for sub in b_chain]
     corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
-    u_chain = power_chain(wa, v_chain[0] + [c] + corner, n)
+    u_chain = brute_power_chain(WreathSpan, wa, [wa.embed(v) for v in gens] + [c] + corner, n)
     middle_lists = [[[c]] + [[_scale_row(wa, gamma, a) for a in w.representatives()] for w in ws]]
     if with_corner:
         middle_lists.append(
@@ -419,6 +470,7 @@ def reference_span_inclusion(b_host, a_host, gamma, n, with_corner=False):
                             e = mid if le is None else le * mid
                             rhs.add(e if ri is None else e * ri)
         lhs = u_chain[m - 1]
-        rows.append((m, lhs.dim, rhs.dim, rhs.contains_subspace(lhs), bound, lhs.dim <= bound))
+        included = all(rhs.contains(e) for e in lhs.representatives())
+        rows.append((m, lhs.dim, rhs.dim, included, bound, lhs.dim <= bound))
         exact = exact and lhs.exact and rhs.exact
     return rows, exact

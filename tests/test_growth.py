@@ -16,6 +16,7 @@ from wreathkit import (
     GammaMap,
     GrowthTable,
     Subspace,
+    TruncatedAlgebra,
     WreathAlgebra,
     WreathSpan,
     build_slow_gamma,
@@ -29,6 +30,7 @@ from wreathkit import (
     w_gamma_table,
 )
 from wreathkit import cli
+from wreathkit import io as wio
 from wreathkit.growth import exp_bounds, log_interval, power_chain, weighted_image_spans
 from wreathkit.linalg import dense_rank
 
@@ -38,6 +40,7 @@ from helpers import (
     random_element,
     random_gamma,
     reference_span_inclusion,
+    reference_weighted_image_spans,
 )
 
 Q = Field.rationals()
@@ -76,7 +79,7 @@ def test_weight_one_is_the_image_of_v():
     gens = degree_one_generators(b_alg)
     chain = power_chain(b_alg, gens, 1)
     w1 = weighted_image_spans(gamma, chain, a_alg, 1)[0]
-    assert w1.dim == 1 and w1.contains(a_alg.gen("x"))
+    assert w1.dim == 1 and Subspace(a_alg, w1.representatives()).contains(a_alg.gen("x"))
 
 
 def test_finite_dimensional_image_stabilizes():
@@ -152,7 +155,8 @@ def test_w_chain_monotone():
     chain = power_chain(b_alg, gens, 3)
     ws = weighted_image_spans(gamma, chain, a_alg, 3)
     for smaller, larger in zip(ws, ws[1:]):
-        assert larger.contains_subspace(smaller)
+        assert smaller.dim <= larger.dim
+        assert smaller.representatives() == larger.representatives()[: smaller.dim]
 
 
 # -- inclusion checks ----------------------------------------------------------
@@ -577,18 +581,9 @@ def test_inclusion_inserts_each_product_once(case, monkeypatch):
     assert inserts == expected
 
 
-@settings(max_examples=40, deadline=5000)
-@given(
-    seed=st.integers(0, 2**16),
-    density=st.sampled_from([0.3, 0.6, 0.9]),
-    n=st.integers(1, 4),
-    corner=st.booleans(),
-    b_kills=st.booleans(),
-    a_kills=st.booleans(),
-)
-def test_inclusion_matches_per_m_rebuild_on_drawn_cases(seed, density, n, corner, b_kills, a_kills):
-    """Drawn GF(7) cases, exact and flagged: without kills the hosts truncate
-    at degree 2, so products of degree 3 escape."""
+def drawn_case(seed, density, b_kills, a_kills):
+    """(b_alg, a_alg, gamma) of a drawn GF(7) case, exact or flagged: without
+    kills the hosts truncate at degree 2, so products of degree 3 escape."""
     if b_kills:
         b_alg = killed_above(GF7, ["x", "y"], kill_degree=3, n=3, unital=True)
     else:
@@ -598,10 +593,107 @@ def test_inclusion_matches_per_m_rebuild_on_drawn_cases(seed, density, n, corner
     else:
         a_alg = make_algebra(GF7, ["z"], [], n=2, unital=True)
     gamma = random_gamma(BasisIndexing(b_alg), a_alg, random.Random(seed), density=density)
+    return b_alg, a_alg, gamma
+
+
+DRAWN = dict(
+    seed=st.integers(0, 2**16),
+    density=st.sampled_from([0.3, 0.6, 0.9]),
+    n=st.integers(1, 4),
+    b_kills=st.booleans(),
+    a_kills=st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(corner=st.booleans(), **DRAWN)
+def test_inclusion_matches_per_m_rebuild_on_drawn_cases(seed, density, n, corner, b_kills, a_kills):
+    b_alg, a_alg, gamma = drawn_case(seed, density, b_kills, a_kills)
     report = span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
     rows, exact = reference_span_inclusion(b_alg, a_alg, gamma, n, with_corner=corner)
     assert report.rows == rows
     assert report.exact == exact
+
+
+@settings(max_examples=40, deadline=5000)
+@given(**DRAWN)
+def test_w_chain_matches_per_m_rebuild_on_drawn_cases(seed, density, n, b_kills, a_kills):
+    """W grown in one span against W_m rebuilt at every m: the same dimension
+    and exactness at every level, and the same subspace."""
+    b_alg, a_alg, gamma = drawn_case(seed, density, b_kills, a_kills)
+    chain = power_chain(b_alg, degree_one_generators(b_alg), n)
+    ws = weighted_image_spans(gamma, chain, a_alg, n)
+    ref = reference_weighted_image_spans(gamma, chain, a_alg, n)
+    assert [(w.dim, w.exact) for w in ws] == [(r.dim, r.exact) for r in ref]
+    for w, r in zip(ws, ref):
+        assert all(r.contains(e) for e in w.representatives())
+
+
+def write_bench_inputs(seed, work):
+    """The benchmark's seeded input files, written into work."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import run as bench_run
+    finally:
+        sys.path.remove(str(BENCH))
+    bench_run.write_inputs(seed, work)
+
+
+def test_w_chain_inserts_each_product_once(tmp_path, monkeypatch):
+    """The W chain inserts the image of each representative of V^n once,
+    into G = gamma(V), and each representative of G and each product s * t
+    once, into W: with f_G(i) and f_W(k) the representatives new at level i
+    of G and at level k of W, dim V^n + g(n) + sum_{i+k<=n} f_G(i) f_W(k)
+    inserts.  On the benchmark's wgamma job at seed 5 (n = 4) there are 124
+    products; rebuilding every W_m from scratch made 192."""
+    write_bench_inputs(5, tmp_path)
+    b_alg = TruncatedAlgebra(wio.load_presentation(BENCH / "inputs" / "host_gf101.pres"), 5)
+    a_alg = TruncatedAlgebra(wio.load_presentation(BENCH / "inputs" / "coeff_gf101.pres"), 4)
+    gamma = wio.load_gamma(tmp_path / "gamma.map", BasisIndexing(b_alg), a_alg)
+    n = 4
+    chain = power_chain(b_alg, degree_one_generators(b_alg), n)
+    adds = []
+    add = Subspace.add
+
+    def counting_add(self, e):
+        adds.append(self)
+        return add(self, e)
+
+    monkeypatch.setattr(Subspace, "add", counting_add)
+    ws = weighted_image_spans(gamma, chain, a_alg, n)
+    monkeypatch.undo()
+
+    g = [0] + [Subspace(a_alg, [gamma.apply(v) for v in lv.representatives()]).dim for lv in chain]
+    w = [0] + [lv.dim for lv in ws]
+    products = sum(
+        (g[i] - g[i - 1]) * (w[k] - w[k - 1]) for i in range(1, n) for k in range(1, n - i + 1)
+    )
+    assert products == 124
+    assert len(adds) == chain[-1].dim + g[n] + products
+
+
+def test_flagged_wgamma_and_span_bound_rows(tmp_path, capsys):
+    """No benchmark job is inexact.  Over the free unital s, t, u algebra at
+    NA 3 the images of the benchmark's gamma (seed 5) multiply past the
+    truncation: the rows are flagged and the exit status is 2, and under
+    --policy reject the first escaping product is an error."""
+    write_bench_inputs(5, tmp_path)
+    free = tmp_path / "free_stu.pres"
+    free.write_text("field gf 101\nunital true\ngenerators s:1 t:1 u:1\n")
+    args = ["--B", str(BENCH / "inputs" / "host_gf101.pres"), "--NB", "3",
+            "--A", str(free), "--NA", "3", "--gamma", str(tmp_path / "gamma.map"), "-n", "3"]
+    expected = {
+        "wgamma": ["1,2,True", "2,10,False", "3,34,False"],
+        "span-bound": ["1,3,9,True,9,True", "2,11,41,True,47,True", "3,33,139,True,213,True"],
+    }
+    for command, rows in expected.items():
+        csv = tmp_path / f"{command}.csv"
+        assert cli.main([command, *args, "--emit", str(csv)]) == 2, command
+        lines = csv.read_text().splitlines()
+        assert [ln for ln in lines if ln and not ln.startswith("#")][1:] == rows
+        capsys.readouterr()
+        assert cli.main([command, *args, "--policy", "reject"]) == 1, command
+        assert capsys.readouterr().err == "error: product of degrees 1 and 3 exceeds 3\n"
 
 
 def test_inclusion_needs_gamma_of_one_zero(tmp_path, capsys):
@@ -609,12 +701,7 @@ def test_inclusion_needs_gamma_of_one_zero(tmp_path, capsys):
     predicted span: seed 5's first dense-law map of the benchmark (it maps
     the unit) is not included from n = 2, and the same map without its unit
     line is included at every n."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import run as bench_run
-    finally:
-        sys.path.remove(str(BENCH))
-    bench_run.write_inputs(5, tmp_path)
+    write_bench_inputs(5, tmp_path)
     with_unit = (tmp_path / "dense0.map").read_text()
     assert with_unit.startswith("map 1 -> ")
     (tmp_path / "no_unit.map").write_text(with_unit.split("\n", 1)[1])

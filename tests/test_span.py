@@ -1,11 +1,14 @@
-"""The shared span type and closure routine, against brute-force oracles.
+"""The shared span type, `closure` and the filtrations grown by
+`linalg.power_levels`, against brute-force oracles.
 
-`growth_dims` and `power_chain` grow one span with `linalg.closure`; the
-oracle here spans every left-to-right product of at most n generators,
-enumerated directly, and is inexact as soon as one of those products is
-flagged.
+`growth_dims` and `power_chain` grow one span with `power_levels` and hand
+out its levels: level r is a `Level`, the span of the first d_r of one
+shared list of representatives.  The oracle here spans every left-to-right
+product of at most n generators, enumerated directly, and is inexact as soon
+as one of those products is flagged.
 """
 
+import dataclasses
 import random
 from itertools import product
 
@@ -26,21 +29,13 @@ from wreathkit import (
     growth_dims,
 )
 from wreathkit.growth import power_chain
-from wreathkit.linalg import Span, closure, dense_rank
+from wreathkit.linalg import Level, Span, closure, dense_rank
 from wreathkit.wreath import wreath_coords
 
-from helpers import killed_above, make_algebra, random_wreath
+from helpers import brute_products, killed_above, make_algebra, random_wreath
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
-
-
-def brute_products(generators, n):
-    """Products of k factors, computed left to right, for k = 1..n."""
-    by_length = [list(generators)]
-    for _ in range(2, n + 1):
-        by_length.append([p * g for p in by_length[-1] for g in generators])
-    return by_length
 
 
 def oracle(generators, n, coords, field):
@@ -56,10 +51,12 @@ def oracle(generators, n, coords, field):
 def check_chain(chain, generators, n, coords, field):
     expected = oracle(generators, n, coords, field)
     assert [(s.dim, s.exact) for s in chain] == expected
-    # each level's representatives are a prefix of the next level's
+    # each level's representatives are a prefix of the next level's, and all
+    # levels read one list
     for lower, upper in zip(chain, chain[1:]):
         reps = upper.representatives()
         assert lower.representatives() == reps[: lower.dim]
+        assert lower.reps is upper.reps
     return expected
 
 
@@ -133,11 +130,27 @@ def test_power_chain_on_a_wreath_algebra(seed):
     wa = WreathAlgebra(b_alg, a_alg)
     gens = [random_wreath(wa, rng) for _ in range(2)]
     chain = power_chain(wa, gens, 4)
-    assert all(isinstance(s, WreathSpan) for s in chain)
+    assert all(isinstance(s, Level) for s in chain)
     expected = check_chain(chain, gens, 4, wreath_coords, GF2)
     assert expected[-1][0] > expected[0][0]
     brute = WreathSpan(wa, [p for level in brute_products(gens, 4) for p in level])
-    assert brute.dim == chain[-1].dim and brute.contains_subspace(chain[-1])
+    assert brute.dim == chain[-1].dim
+    assert all(brute.contains(e) for e in chain[-1].representatives())
+
+
+def test_levels_read_one_list():
+    """A level prints without its list and is read-only; `Span.level` marks
+    the span as it stands."""
+    alg = make_algebra(Q, ["x", "y"], [], n=3)
+    chain = power_chain(alg, [alg.gen("x"), alg.gen("y")], 3)
+    assert repr(chain[0]) == "Level(dim=2, exact=True)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain[0].dim = 3
+    span = Subspace(alg, [alg.gen("x")])
+    level = span.level(False)
+    span.add(alg.gen("y"))
+    assert (level.dim, level.exact, level.representatives()) == (1, False, [alg.gen("x")])
+    assert level.reps is span.level().reps
 
 
 # -- closure ------------------------------------------------------------------
@@ -207,8 +220,6 @@ def test_spans_reject_elements_and_spans_of_other_algebras(case):
     for call in (
         lambda: span.add(e_other),
         lambda: span.contains(e_other),
-        lambda: span.sum(foreign),
-        lambda: span.product_span(foreign),
         lambda: span.contains_subspace(foreign),
         lambda: span.contains_subspace(kind(other)),
     ):
@@ -222,13 +233,14 @@ def test_shared_methods_and_accessors():
     x, y = alg.gen("x"), alg.gen("y")
     s = Subspace(alg, [x])
     assert s.host is alg
-    total = s.sum(Subspace(alg, [y]))
-    assert type(total) is Subspace and total.dim == 2 and total.contains_subspace(s)
+    total = Subspace(alg, [x, y])
+    assert total.dim == 2 and total.contains_subspace(s) and not s.contains_subspace(total)
     assert repr(total) == "Subspace(dim=2, exact=True)"
     wa = WreathAlgebra(make_algebra(Q, ["b"], ["b^3"], n=3), make_algebra(Q, ["z"], ["z^3"], n=3))
-    ws = WreathSpan(wa, [wa.embed(wa.b_host.gen("b"))])
+    b = wa.embed(wa.b_host.gen("b"))
+    ws = WreathSpan(wa, [b])
     assert ws.algebra is wa
-    assert repr(ws.product_span(ws)) == "WreathSpan(dim=1, exact=True)"
+    assert repr(ws.extend([b * b, b.scale(Q.from_int(2))])) == "WreathSpan(dim=2, exact=True)"
 
 
 def test_representatives_track_rank_increases():
