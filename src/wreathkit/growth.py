@@ -229,9 +229,10 @@ def _triple_products(fresh, middles, m, lefts):
     V^1 at i = 1) and fresh[0] is empty: index 0 stands for no factor, so the
     bare middle (the row map itself, or the corner unit) is the degenerate
     term the inductive proof consumes, and without it the inclusion already
-    fails at n = 1.  middles[j] spans M_j.  lefts keeps each list le * mid
-    across the weights, keyed by (i, j, position of mid).  The products come
-    in the order j, mid, i, le, ri.
+    fails at n = 1.  middles[j] lists the middles new at level j: M_0 is
+    spanned by middles[0], and M_j (j >= 1) by middles[1..j].  lefts keeps
+    each list le * mid across the weights, keyed by (i, j, position of mid).
+    The products come in the order j, mid, i, le, ri.
     """
     out = []
     for j in range(m + 1):
@@ -279,6 +280,11 @@ def span_inclusion_check(
       right factor is not new at level k >= 2) is the very product weight
       m - 1 made as (i - 1, j, k) (or (i, j, k - 1)); each product is made
       once, at the least weight whose levels hold its factors;
+    - W's levels are prefix-nested too, so M_j = W_j c is spanned by the
+      middles new at levels 1..j; a middle new at level j0 < j, taken as a
+      middle of M_j, makes le * mid * ri at weight m only as the product
+      that weight m - (j - j0) made with it at level j0, so middles[j] lists
+      only the middles new at level j;
     - re-inserting an element the span already holds changes neither its
       rows, nor its representatives, nor `exact`, whose flag was recorded the
       first time; the remaining inserts keep their order;
@@ -302,11 +308,13 @@ def span_inclusion_check(
     corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
     u_chain = power_chain(wa, fresh[1] + [c] + corner, n)
 
-    # middles[j] spans W_j c (and corner_middles[j] spans e_11(W_j)), j = 0..n
-    middles = [[c]] + [[_scale_row(wa, gamma, a) for a in w.representatives()] for w in ws]
+    # middles[j] (and corner_middles[j]) hold c (the corner unit) at j = 0 and
+    # the images of W's representatives new at level j, j = 1..n
+    new_w = [_fresh(ws, j) for j in range(1, n + 1)]
+    middles = [[c]] + [[_scale_row(wa, gamma, a) for a in w] for w in new_w]
     if with_corner:
         corner_middles = [corner] + [
-            [wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in w.representatives()] for w in ws
+            [wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in w] for w in new_w
         ]
     lefts, corner_lefts = {}, {}
 

@@ -1,14 +1,20 @@
 """Packed dense rows over a small prime: the dense mode of `linalg.Echelon`.
 
-The `linalg` docstring describes the packing, the slot-bound invariant and
-when an echelon switches.  `linalg` imports this module on the first switch
-only: most runs never pack a span, and every CLI run compiles the modules it
-imports.
+`PackedRows` keeps the rows in blocks of disjoint support, each `Block`
+with its own column slots.  `reduce` routes each key of its input to the
+key's block, `append` back-reduces within the new pivot's block, and a
+residual that meets several blocks merges them, the smaller into the
+larger, shifting the rows it moves.  The `linalg` docstring describes the
+packing, the slot-bound invariant, when an echelon switches, and why the
+blocks give the rows a single store would.  `linalg` imports this module
+on the first switch only: most runs never pack a span, and every CLI run
+compiles the modules it imports.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right, insort
 from itertools import compress, repeat
 from operator import mod
 
@@ -17,32 +23,23 @@ _SLOT_MAX = _SLOT_MASK  # the largest value a slot may reach
 _BYTEORDER = sys.byteorder  # memoryview "Q" items are native-endian
 
 
-class PackedRows:
-    """Reduced-echelon rows over GF(p), packed; the dense `Echelon` store.
+class Block:
+    """The column slots of one block of rows: `slot[k]` is key k's slot,
+    `keys` the keys in slot order, `pivots` the block's pivot keys, ascending.
+    A row of the block is an int holding slot i in bits 64i .. 64i + 63."""
 
-    `rows[k]` is the row with pivot key k (pivot coefficient 1 mod p, every
-    other pivot column 0 mod p), in insertion order, and `bounds[k]` an upper
-    bound on its slots.  A key gets a slot the first time a packed vector
-    holds it.
-    """
+    __slots__ = ("p", "slot", "keys", "pivots")
 
-    __slots__ = ("p", "slot", "keys", "rows", "bounds")
-
-    def __init__(self, p: int, rows: dict):
+    def __init__(self, p: int):
         self.p = p
         self.slot = {}  # key -> slot index
         self.keys = []  # slot index -> key
-        self.rows = {k: self.pack(row) for k, row in rows.items()}
-        self.bounds = dict.fromkeys(self.rows, p - 1)
+        self.pivots = []
 
     def pack(self, vec: dict, scale: int = 1) -> int:
-        """scale * vec mod p (vec of residues) packed; unseen keys get slots."""
-        p, slot, keys = self.p, self.slot, self.keys
-        for k in vec:
-            if k not in slot:
-                slot[k] = len(keys)
-                keys.append(k)
-        buf = bytearray(8 * len(keys))
+        """scale * vec mod p (vec of residues, every key with a slot) packed."""
+        p, slot = self.p, self.slot
+        buf = bytearray(8 * len(self.keys))
         arr = memoryview(buf).cast("Q")
         if scale == 1:
             for k, c in vec.items():
@@ -64,63 +61,141 @@ class PackedRows:
         """x with every slot reduced mod p."""
         return self.pack(self.unpack(x))
 
+
+class PackedRows:
+    """Reduced-echelon rows over GF(p), packed in blocks of disjoint support;
+    the dense `Echelon` store.
+
+    `rows[k]` is the row with pivot key k (pivot coefficient 1 mod p, every
+    other pivot column 0 mod p), packed in the slots of its block
+    `block_of[k]`, in insertion order, and `bounds[k]` an upper bound on its
+    slots.  `block_of` maps every key that a placed row or residual held to
+    its block (a key keeps its slot when back-reduction clears it), and a
+    row holds only keys of its own block.
+    """
+
+    __slots__ = ("p", "block_of", "rows", "bounds")
+
+    def __init__(self, p: int, rows: dict):
+        self.p = p
+        self.block_of = {}
+        self.rows = {}
+        self.bounds = {}
+        for k, row in rows.items():
+            block = self._place(row)
+            self.rows[k] = block.pack(row)
+            self.bounds[k] = p - 1
+            insort(block.pivots, k)
+
+    def _place(self, vec: dict) -> Block:
+        """The block for a row with vec's keys: the blocks vec meets merged
+        into the one with most keys (or a new block), with a slot for each of
+        vec's keys that no block holds."""
+        where = self.block_of
+        met = dict.fromkeys(map(where.get, vec))
+        met.pop(None, None)
+        if met:
+            block = max(met, key=lambda b: len(b.keys))
+            for other in met:
+                if other is not block:
+                    self._merge(block, other)
+        else:
+            block = Block(self.p)
+        slot, keys = block.slot, block.keys
+        for k in vec:
+            if k not in slot:
+                slot[k] = len(keys)
+                keys.append(k)
+                where[k] = block
+        return block
+
+    def _merge(self, block: Block, other: Block) -> None:
+        """Move other's keys to slots after block's, in their order, so each
+        of other's rows moves up by the same number of slots: a shift, which
+        keeps its slot values and so its bound."""
+        where, rows = self.block_of, self.rows
+        offset = len(block.keys)
+        for i, k in enumerate(other.keys, offset):
+            block.slot[k] = i
+            where[k] = block
+        block.keys += other.keys
+        shift = 64 * offset
+        for k in other.pivots:
+            rows[k] <<= shift
+        block.pivots = sorted(block.pivots + other.pivots)
+
+    def row(self, key) -> dict:
+        """The row with pivot key, unpacked."""
+        return self.block_of[key].unpack(self.rows[key])
+
     def reduce(self, vec: dict) -> dict:
-        """`Echelon.reduce`: one multiply-add per pivot key of vec.
+        """`Echelon.reduce`: one multiply-add per pivot key of vec, in the
+        block of that key, and a key that no block holds passes through.
 
         The rows are reduced-echelon mod p, so the multiple of a row to
         subtract is the input's own coefficient at its pivot: no row changes
-        another pivot's coefficient.  The sum is unpacked mod p once.
+        another pivot's coefficient.  Each block's sum is unpacked mod p once.
         """
-        p, slot, rows, bounds = self.p, self.slot, self.rows, self.bounds
-        buf = bytearray(8 * len(self.keys))
-        arr = memoryview(buf).cast("Q")
-        rest, hits = {}, []
+        p, where, rows, bounds = self.p, self.block_of, self.rows, self.bounds
+        parts, out = {}, {}
+        block = None
         for k, c in vec.items():
             c %= p
             if not c:
                 continue
-            s = slot.get(k)
-            if s is None:
-                rest[k] = c  # a key without a slot: no row holds it
+            owner = where.get(k)
+            if owner is None:
+                out[k] = c  # a key without a slot: no row holds it
                 continue
-            arr[s] = c
+            if owner is not block:  # keys of one block mostly come together
+                block, slot = owner, owner.slot
+                part = parts.get(block)
+                if part is None:
+                    buf = bytearray(8 * len(block.keys))
+                    part = parts[block] = (buf, memoryview(buf).cast("Q"), [])
+                _, arr, hits = part
+            arr[slot[k]] = c
             if k in rows:
                 hits.append((p - c, k))
-        acc = int.from_bytes(buf, _BYTEORDER)
-        bound = p - 1
-        for m, k in hits:
-            b = bounds[k]
-            if bound + m * b > _SLOT_MAX:
-                if m * b > _SLOT_MAX >> 1:
-                    rows[k] = self.renormalize(rows[k])
-                    b = bounds[k] = p - 1
+        for block, (buf, _, hits) in parts.items():
+            acc = int.from_bytes(buf, _BYTEORDER)
+            bound = p - 1
+            for m, k in hits:
+                b = bounds[k]
                 if bound + m * b > _SLOT_MAX:
-                    acc = self.renormalize(acc)
-                    bound = p - 1
-            acc += m * rows[k]
-            bound += m * b
-        out = self.unpack(acc)
-        out.update(rest)
+                    if m * b > _SLOT_MAX >> 1:
+                        rows[k] = block.renormalize(rows[k])
+                        b = bounds[k] = p - 1
+                    if bound + m * b > _SLOT_MAX:
+                        acc = block.renormalize(acc)
+                        bound = p - 1
+                acc += m * rows[k]
+                bound += m * b
+            out.update(block.unpack(acc))
         return out
 
-    def append(self, v: dict, pivot, inv: int, greater) -> None:
-        """Add the row inv * v (v a residual, v[pivot] * inv = 1 mod p) and
-        clear its pivot column from the rows whose pivots `greater` lists (the
-        pivots above this one): one slot read each, and a multiply-add where
-        nonzero."""
+    def append(self, v: dict, pivot, inv: int) -> None:
+        """Add the row inv * v (v a residual, v[pivot] * inv = 1 mod p) to the
+        block of its keys and clear its pivot column from that block's rows
+        with a greater pivot: one slot read each, and a multiply-add where
+        nonzero.  Rows of other blocks do not hold the pivot key."""
         p, rows, bounds = self.p, self.rows, self.bounds
-        row = self.pack(v, inv)
-        shift = 64 * self.slot[pivot]
-        for k in greater:
+        block = self._place(v)
+        row = block.pack(v, inv)
+        shift = 64 * block.slot[pivot]
+        pivots = block.pivots
+        at = bisect_right(pivots, pivot)
+        for k in pivots[at:]:
             other = rows[k]
             c = (other >> shift & _SLOT_MASK) % p
             if c:
                 m = p - c
                 b = bounds[k] + m * (p - 1)
                 if b > _SLOT_MAX:
-                    other = self.renormalize(other)
+                    other = block.renormalize(other)
                     b = (m + 1) * (p - 1)
                 rows[k] = other + m * row
                 bounds[k] = b
+        pivots.insert(at, pivot)
         rows[pivot] = row
         bounds[pivot] = p - 1

@@ -191,6 +191,12 @@ def sparse_only():
         yield
 
 
+def contains_span(span, other):
+    """Whether span holds every representative of other, checked one at a
+    time by `Span.contains` (which refuses an element of another algebra)."""
+    return all(span.contains(e) for e in other.representatives())
+
+
 # -- reference quotient build ---------------------------------------------------
 # The degree-by-degree build without the right-action memo, interned words or
 # ascending-pivot extension: every term of an extended row replays its tail word

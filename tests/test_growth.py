@@ -547,8 +547,9 @@ def test_inclusion_inserts_each_product_once(case, monkeypatch):
 
     With f(0) = 1, f(1) = d_1 and f(i) = d_i - d_{i-1}, that is
     1 + [corner] + sum_m [f(m) + sum_{i+j+k=m} |M_j| f(i) f(k)], where M_j
-    runs over both middle lists with the corner.  Each case's chain stops
-    growing at or before n, so some f(i) are 0.
+    holds the middles new at level j (|M_0| = 1, |M_j| = dim W_j - dim
+    W_{j-1}) and runs over both middle lists with the corner.  Each case's
+    chain stops growing at or before n, so some f(i) are 0.
     """
     b_alg, a_alg, gamma, n, corner = inclusion_case(case)
     adds = []
@@ -566,7 +567,8 @@ def test_inclusion_inserts_each_product_once(case, monkeypatch):
     chain = power_chain(b_alg, degree_one_generators(b_alg), n)
     d = [0] + [level.dim for level in chain]
     f = [1] + [d[i] - d[i - 1] for i in range(1, n + 1)]
-    mids = [1] + [w.dim for w in weighted_image_spans(gamma, chain, a_alg, n)]
+    w = [0] + [level.dim for level in weighted_image_spans(gamma, chain, a_alg, n)]
+    mids = [1] + [w[j] - w[j - 1] for j in range(1, n + 1)]
     lists = 2 if corner else 1
     expected = lists + sum(
         f[m]

@@ -413,11 +413,21 @@ def test_dense_switch_under_the_real_rule(field, order):
     assert_same_echelon(sparse, dense, probes(field, range(64)) + vecs)
 
 
+def assert_slots_bounded(e):
+    """Every packed row's slots within its bound, within the slot bound, and
+    every row's keys in its pivot's block."""
+    pk = e._packed
+    for k, x in pk.rows.items():
+        block = pk.block_of[k]
+        assert max(block._slots(x), default=0) <= pk.bounds[k] <= packed._SLOT_MAX
+        assert all(pk.block_of[key] is block for key in block.unpack(x))
+
+
 def test_slot_renormalisation_near_the_p_limit():
     """With p just under DENSE_P_LIMIT and the slot bound cut to 2^36, a few
     steps pass the bound: rows and reduce sums are renormalised, every slot
-    stays within its row's bound, no sum that is unpacked passes the bound,
-    and the results equal the sparse run's."""
+    of every block stays within its row's bound, no sum that is unpacked
+    passes the bound, and the results equal the sparse run's."""
     field = Field.prime(65521)
     assert field.characteristic < linalg.DENSE_P_LIMIT
     rng = random.Random(3)
@@ -429,32 +439,174 @@ def test_slot_renormalisation_near_the_p_limit():
             sparse.insert(v)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packed, "_SLOT_MAX", (1 << 36) - 1)
-        renormalize = packed.PackedRows.renormalize
+        renormalize = packed.Block.renormalize
 
-        def recorded(pk, x):
-            renormalised.append(any(x is row for row in pk.rows.values()))
-            return renormalize(pk, x)
+        def recorded(block, x):
+            renormalised.append(any(x is row for row in dense._packed.rows.values()))
+            return renormalize(block, x)
 
-        mp.setattr(packed.PackedRows, "renormalize", recorded)
-        unpack = packed.PackedRows.unpack
+        mp.setattr(packed.Block, "renormalize", recorded)
+        unpack = packed.Block.unpack
 
-        def bounded(pk, x):
-            assert max(pk._slots(x), default=0) <= packed._SLOT_MAX
-            return unpack(pk, x)
+        def bounded(block, x):
+            assert max(block._slots(x), default=0) <= packed._SLOT_MAX
+            return unpack(block, x)
 
-        mp.setattr(packed.PackedRows, "unpack", bounded)
+        mp.setattr(packed.Block, "unpack", bounded)
         with dense_from(4):
             dense = Echelon(field)
             for v in vecs:
                 dense.insert(v)
-                pk = dense._packed
-                if pk is not None:
-                    for k, x in pk.rows.items():
-                        bound = pk.bounds[k]
-                        assert max(pk._slots(x), default=0) <= bound <= packed._SLOT_MAX
+                if is_packed(dense):
+                    assert_slots_bounded(dense)
         assert is_packed(dense)
         assert_same_echelon(sparse, dense, probes(field, range(48)) + vecs)
     assert True in renormalised and False in renormalised
+
+
+# -- the blocks of the dense mode: rows of disjoint support packed apart -----------
+
+
+def blocks(pk):
+    """The distinct blocks of the packed store pk."""
+    return list({id(b): b for b in pk.block_of.values()}.values())
+
+
+def insert_both(field, sparse, dense, vecs, done):
+    """Insert vecs into the sparse and the packed echelon (after `done`
+    earlier vectors), checking the packed one's form, slot bounds and rank
+    against the sparse one's and `dense_rank`'s after each insert."""
+    canon = [canonical(field, v) for v in done]
+    for v in vecs:
+        canon.append(canonical(field, v))
+        with sparse_only():
+            sparse.insert(v)
+        dense.insert(v)
+        assert_rref(dense)
+        assert_slots_bounded(dense)
+        assert dense.dim == sparse.dim == dense_rank(canon, field)
+
+
+BLOCK_FIELDS = [Field.prime(2), Field.prime(3), GF7]
+
+
+@st.composite
+def block_diagonal(draw):
+    """A small field, 2 to 4 planted blocks whose keys interleave (key k in
+    block k % blocks), one vector per key above the lowest two of its block
+    with descending pivots and lower keys of its own block, then 1 to 4
+    vectors that each bridge 2 or 3 blocks, sometimes through a key no
+    vector has held."""
+    field = draw(st.sampled_from(BLOCK_FIELDS))
+    nblocks = draw(st.integers(2, 4))
+    width = draw(st.integers(4, 7))
+    size = nblocks * width
+    coeff = st.integers(1, field.characteristic - 1)
+    diag = []
+    for top in range(size - 1, 2 * nblocks - 1, -1):
+        own = range(top % nblocks, top, nblocks)
+        below = draw(st.lists(st.sampled_from(own), min_size=1, max_size=4, unique=True))
+        diag.append({k: draw(coeff) for k in [top, *below]})
+    bridges = []
+    for i in range(draw(st.integers(1, 4))):
+        met = draw(st.lists(st.integers(0, nblocks - 1), min_size=2, max_size=3, unique=True))
+        keys = [draw(st.sampled_from(range(b, size, nblocks))) for b in met]
+        if draw(st.booleans()):
+            keys.append(size + i)
+        bridges.append({k: draw(coeff) for k in keys})
+    return field, nblocks, size, diag, bridges
+
+
+@DIFF
+@given(block_diagonal(), st.sampled_from([1, 2, 4]))
+def test_blocks_match_sparse(case, switch_rank):
+    """Block-diagonal vectors pack into blocks that never mix two planted
+    blocks; vectors bridging 2 or 3 blocks merge them.  Throughout, the
+    packed echelon has the sparse run's rows, pivots, reductions,
+    membership and `pivot_rows()` order, and `dense_rank`'s rank."""
+    field, nblocks, size, diag, bridges = case
+    sparse, dense = insert_modes(field, diag, switch_rank)
+    for block in blocks(dense._packed):
+        assert len({k % nblocks for k in block.keys}) == 1
+        assert block.pivots == sorted(block.pivots)
+    assert_slots_bounded(dense)
+    insert_both(field, sparse, dense, bridges, diag)
+    vecs = diag + bridges
+    assert_same_echelon(sparse, dense, probes(field, range(size + 4)) + vecs)
+    for block in blocks(dense._packed):
+        assert block.pivots == sorted(k for k in pivot_keys(dense) if k in block.slot)
+
+
+def test_merge_moves_rows_near_the_slot_bound():
+    """With p just under DENSE_P_LIMIT and the slot bound cut to 2^34, two
+    planted blocks (even and odd keys) back-reduce their rows close to the
+    bound; a bridging vector merges them, the rows it moves keep their
+    slots and bounds, and later back-reduction of the merged block
+    renormalises them.  Results equal the sparse run's and `dense_rank`'s."""
+    field = Field.prime(65521)
+    p = field.characteristic
+    rng = random.Random(7)
+
+    def planted(keys, tops, width):
+        vecs = []
+        for top in tops:
+            own = [k for k in keys if k < top]
+            below = rng.sample(own, min(width, len(own)))
+            vecs.append({top: rng.randrange(1, p), **{k: rng.randrange(-p, 2 * p) for k in below}})
+        return vecs
+
+    even = planted(range(0, 40, 2), range(38, 8, -2), 12)
+    odd = planted(range(1, 24, 2), range(23, 5, -2), 8)
+    diag = sorted(even + odd, key=max, reverse=True)
+    after = [{41: 1, 2: 5, 3: 1}] + planted(range(9), range(8, 3, -1), 4)
+    moved = []  # the largest bound of the rows each merge moves, over the slot bound
+    moved_rows, renormalised = set(), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed, "_SLOT_MAX", (1 << 34) - 1)
+        merge, renormalize = packed.PackedRows._merge, packed.Block.renormalize
+
+        def recorded(pk, block, other):
+            moved.append(max(pk.bounds[k] for k in other.pivots) / packed._SLOT_MAX)
+            moved_rows.update(other.pivots)
+            return merge(pk, block, other)
+
+        def recorded_renormalize(block, x):
+            if moved_rows:  # after the merge, so `dense` is bound
+                rows = dense._packed.rows
+                renormalised.extend(k for k in moved_rows if rows[k] is x)
+            return renormalize(block, x)
+
+        mp.setattr(packed.PackedRows, "_merge", recorded)
+        mp.setattr(packed.Block, "renormalize", recorded_renormalize)
+        sparse, dense = insert_modes(field, diag, 4)
+        assert not moved and len(blocks(dense._packed)) == 2
+        insert_both(field, sparse, dense, after, diag)
+        assert len(blocks(dense._packed)) == 1
+        assert_same_echelon(sparse, dense, probes(field, range(42)) + diag + after)
+    assert len(moved) == 1 and moved[0] > 0.5 and renormalised
+
+
+def test_dense_law_span_packs_into_six_blocks(tmp_path):
+    """The dense-law span of the bench's seed-5 draw 0 is 360 vectors on
+    1,680 columns, one block of 60 rows and 280 keys per left factor."""
+    made = []
+    init = packed.PackedRows.__init__
+
+    def recorded(pk, p, rows):
+        made.append(pk)
+        init(pk, p, rows)
+
+    jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
+    bench_run.write_inputs(5, tmp_path)
+    spec = jobs["dense_law_0"].dense
+    b_alg = TruncatedAlgebra(wio.load_presentation(spec["B"]), spec["NB"])
+    a_alg = TruncatedAlgebra(wio.load_presentation(spec["A"]), spec["NA"])
+    gamma = wio.load_gamma(spec["gamma"], BasisIndexing(b_alg), a_alg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed.PackedRows, "__init__", recorded)
+        report = dense_dim_check(b_alg, a_alg, gamma, spec["n"])
+    assert report.lhs_dim == 360 and len(made) == 1
+    assert sorted((len(b.keys), len(b.pivots)) for b in blocks(made[0])) == [(280, 60)] * 6
 
 
 def test_sparse_spans_never_switch(monkeypatch, tmp_path, capsys):
