@@ -199,8 +199,13 @@ class Echelon:
         else:
             v = {k: c for k, c in vec.items() if c}
         rows = self._rows
+        hits = [k for k in v if k in rows]
+        if not hits:
+            return v
+        if len(hits) > 1:
+            hits.sort(reverse=True)
         # rows hold no other row's pivot, so eliminating one never adds a hit
-        for k in sorted((k for k in v if k in rows), reverse=True):
+        for k in hits:
             c = v.get(k)
             if c:
                 _eliminate(v, rows[k], c, p)

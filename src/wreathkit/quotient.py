@@ -35,17 +35,21 @@ word-keyed echelon picks.  Once degree d is built, `_letter[x][u]` holds
 nf(x*u): the basis index of x*u when that word is normal, its reduction (a
 dict) otherwise.
 
-Right translation costs one letter step per term.  For u = a*u' the normal
-form nf(u*v) is a * nf(u'*v): one `_apply_letter` on a normal form found
-before.  `_walk` walks down the tails to a known product and takes one letter
-step per level on the way back.  It fills `_pair_cache`, the one table of
-products u*v of basis words, and only with products inside the truncation.
-The build's right translates are its entries with v a generator that is a
-normal word; the build drops the entries of low degrees as it goes.  Any
+Right translation costs one letter step per product.  For u = a*u' the
+normal form nf(u*v) is a * nf(u'*v): one `_apply_letter` on a normal form
+found before.  `_walk` walks down the tails to a known product and takes one
+letter step per level on the way back.  It fills `_pair_cache`, the one table
+of products u*v of basis words, and only with products inside the
+truncation; the build drops the entries of low degrees as it goes.  The
+build translates each kernel row in one pass (`_ideal_vectors`): it splits
+every candidate x*u of the row once, and the translate by a normal
+generator v sends x*u to nf(u*v), u's pair-cache entry, shifted to the
+candidates x*w.  A row {x*u: 1} is a monomial zero, and its translate is a
+copy of that entry; only the rows of several candidates sum and reduce.  Any
 other word is read off the letter tables, then one letter step per letter
-left (`_nf_word`).  A relation or an extension that is empty, or a multiple
+left (`_nf_word`).  A relation or a translate that is empty, or a multiple
 c*w of one candidate whose row is {w: 1}, reduces to zero and is not
-inserted.
+inserted; for a copy that is read off nf(u*v), before a vector is built.
 
 Degrees above N follow the overflow policy: `reject` raises, `truncate`
 drops the escaping terms and flags the element so downstream dimension
@@ -184,11 +188,8 @@ class TruncatedAlgebra:
         for d in range(1, N + 1):
             base = len(degree)  # first[d]: every index so far is below it
             ech = Echelon(self.field)
-            for vec in self._ideal_vectors(d, base, relations_by_degree.get(d, ()), kernels):
-                # an empty vector, or a multiple of a candidate whose row is
-                # that candidate alone, reduces to zero: no insert
-                if len(vec) > 1 or vec and not ech.is_unit_row(next(iter(vec))):
-                    ech.insert(vec)
+            for vec in self._ideal_vectors(d, base, relations_by_degree.get(d, ()), kernels, ech):
+                ech.insert(vec)
             kernels[d] = ech, base
             if d > span:
                 kernels[d - span] = None
@@ -215,7 +216,7 @@ class TruncatedAlgebra:
             for table in letter:
                 table.extend([None] * len(index))
             # a coefficient 1 is stored as the field's `one` itself, which
-            # `_apply_letter` and `_extend_right` then pass on unmultiplied
+            # `_apply_letter` and `_ideal_vectors` then pass on unmultiplied
             for key, row in ech.pivot_rows():
                 x, u = divmod(key, base)
                 if len(row) == 1:
@@ -227,10 +228,11 @@ class TruncatedAlgebra:
                         index[k]: one if c == -1 else -c for k, c in row.items() if k != key
                     }
 
-    def _ideal_vectors(self, d, base, relations, kernels):
-        """Vectors spanning the degree-d ideal, in the candidate keys of `base`:
-        the degree-d relations, then the right translates of the kernels by
-        the generators that are normal words.
+    def _ideal_vectors(self, d, base, relations, kernels, ech):
+        """The vectors to insert into `ech`, the degree-d eliminant, in the
+        candidate keys of `base`: the degree-d relations, then the right
+        translates of the kernels by the generators that are normal words,
+        less those that reduce to zero by sight.
 
         A generator g that is not normal needs no translates.  Take f in the
         ideal and nf(g) = sum c_t t, each t = t'*y with y its last letter.
@@ -241,15 +243,34 @@ class TruncatedAlgebra:
         left multiple itself, and the left multiples vanish in candidate
         coordinates.
 
-        Each kernel's rows are extended in ascending pivot order, generators
+        One pass per kernel row, in ascending pivot order, generators
         innermost: the leading keys of the new rows then mostly arrive in
         ascending order, and `Echelon.insert` finds almost no earlier row to
         back-reduce.  The inserted set is the same in any order, so the basis
-        and the reductions are too.
+        and the reductions are too.  The pass splits each candidate x*u of
+        the row once (its shift x*base, u, u's `_pair_cache` entry); the
+        translate by v sends x*u to the candidates x*w of nf(u*v) = sum
+        beta_w w.  The translate of a row {x*u: 1}, a monomial zero, is a
+        shifted copy of nf(u*v): distinct words w give distinct keys, and
+        each 1*beta_w is a nonzero residue, so a sum and `reduced` would
+        return the same dict.  A row whose 1 is not the field's `one` itself
+        (Fraction(1) over Q) is summed, which keeps the type of its values.
+
+        A vector that is empty, or a multiple of a candidate whose row in
+        `ech` is that candidate alone, reduces to zero and is not yielded;
+        for a copy this is read off nf(u*v), before a dict is built.  `_build`
+        inserts each vector before it asks for the next, so each test reads
+        `ech` at the same point of the sequence as a test of the built vector
+        would: the same predicate, the same state, the same order.
         """
+        p, one = self.field.characteristic, self.field.one
+        unit_row = ech.is_unit_row
         for r in relations:
-            yield self._free_to_candidates(r, base)
+            vec = self._free_to_candidates(r, base)
+            if len(vec) > 1 or vec and not unit_row(next(iter(vec))):
+                yield vec
         degrees, unit = self.alphabet.degrees, self._unit
+        cache, walk = self._pair_cache, self._walk
         for e in range(max(1, d - max(degrees, default=1)), d):
             # the generators of degree d - e that are normal, by basis index
             right = [t[unit] for g, t in enumerate(self._letter) if e + degrees[g] == d]
@@ -258,8 +279,41 @@ class TruncatedAlgebra:
                 continue
             kernel, kernel_base = kernels[e]
             for row in kernel.ordered_rows():
+                terms = []
+                for cand, c in row.items():
+                    x, u = divmod(cand, kernel_base)
+                    # no entry yet, or u the unit, which has none: `_walk` makes nf(u*v)
+                    terms.append((x * base, c, u, cache.get(u, _NO_TERMS)))
+                if len(terms) == 1 and terms[0][1] is one:
+                    shift, _, u, products = terms[0]
+                    for v in right:
+                        nf = products.get(v)
+                        if nf is None:
+                            nf = walk(u, v)
+                        if len(nf) > 1:
+                            yield {shift + w: beta for w, beta in nf.items()}
+                        elif nf:
+                            ((w, beta),) = nf.items()
+                            if not unit_row(shift + w):
+                                yield {shift + w: beta}
+                    continue
                 for v in right:
-                    yield self._extend_right(row, v, kernel_base, base)
+                    out = {}
+                    get = out.get
+                    for shift, c, u, products in terms:
+                        nf = products.get(v)
+                        if nf is None:
+                            nf = walk(u, v)
+                        for w, beta in nf.items():
+                            w += shift
+                            t = c if beta is one else c * beta
+                            old = get(w)
+                            out[w] = t if old is None else old + t
+                    if not out:
+                        continue
+                    vec = reduced(out, p)
+                    if len(vec) > 1 or vec and not unit_row(next(iter(vec))):
+                        yield vec
 
     def _free_to_candidates(self, element: FreeElement, base: int) -> dict:
         """Coordinates of a homogeneous free element in the candidate keys:
@@ -271,32 +325,6 @@ class TruncatedAlgebra:
             for u, beta in self._nf_word(letters[1:]).items():
                 vec[shift + u] = vec.get(shift + u, 0) + c * beta
         return reduced(vec, self.field.characteristic)
-
-    def _extend_right(self, row: dict, v: int, row_base: int, base: int) -> dict:
-        """Image of an eliminant row under right multiplication by the normal
-        generator with basis index v.
-
-        The candidate x*u of the row (key x*row_base + u) goes to the
-        candidates x*w (keys x*base + w) of nf(u*v) = sum beta_w w, the
-        `_pair_cache` entry read through `_walk`.
-        """
-        p, one = self.field.characteristic, self.field.one
-        cache = self._pair_cache
-        out = {}
-        get = out.get
-        for cand, c in row.items():
-            x, u = divmod(cand, row_base)
-            products = cache.get(u)
-            nf = None if products is None else products.get(v)
-            if nf is None:
-                nf = self._walk(u, v)
-            shift = x * base
-            for w, beta in nf.items():
-                w += shift
-                t = c if beta is one else c * beta
-                old = get(w)
-                out[w] = t if old is None else old + t
-        return reduced(out, p)
 
     def _walk(self, u: int, v: int) -> dict:
         """nf(u*v) for basis indices u and v, stored in `_pair_cache[u][v]`.

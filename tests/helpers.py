@@ -191,6 +191,28 @@ def sparse_only():
         yield
 
 
+def record_inserts(monkeypatch):
+    """Record every `Echelon.insert` made until the patch is undone.
+
+    Returns a list that gets one (vector, raised, by_sight) per call: a copy
+    of the vector, whether it raised the rank, and whether it reduced to zero
+    by sight just before the call, being empty or a multiple of one key whose
+    row was that key alone.
+    """
+    log = []
+    insert = Echelon.insert
+
+    def recording(self, vec):
+        by_sight = not vec or len(vec) == 1 and self.is_unit_row(next(iter(vec)))
+        copy = dict(vec)
+        raised = insert(self, vec)
+        log.append((copy, raised, by_sight))
+        return raised
+
+    monkeypatch.setattr(Echelon, "insert", recording)
+    return log
+
+
 def contains_span(span, other):
     """Whether span holds every representative of other, checked one at a
     time by `Span.contains` (which refuses an element of another algebra)."""

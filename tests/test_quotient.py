@@ -23,7 +23,7 @@ from wreathkit import (
 )
 from wreathkit import linalg
 from wreathkit.growth import FiltrationSchedule, dense_dim_check
-from wreathkit.linalg import Echelon, dense_rank
+from wreathkit.linalg import dense_rank
 from wreathkit.quotient import _ESCAPED
 from wreathkit.section6 import build_layered_presentation
 from wreathkit.words import Word
@@ -40,6 +40,7 @@ from helpers import (
     make_algebra,
     random_element,
     rationals,
+    record_inserts,
 )
 
 Q = Field.rationals()
@@ -249,6 +250,12 @@ def test_build_matches_reference_builder(case):
         # the extension y*y*x is one word whose row {y*y*x: 1, x*y*x: -1} is
         # not that word alone: inserting it puts x*y*x into the ideal
         (Q, [("x", 1), ("y", 1)], ["y*y", "y*y*x - x*y*x"], 4),
+        # degree-1 relations: kernel rows of candidates x*1, whose tail, the
+        # unit, has no pair-cache entry; one row {x: 1}, one of two candidates
+        (Q, [("x", 1), ("y", 1)], ["x", "y*y*y"], 5),
+        (Field.prime(3), [("x", 1), ("y", 1)], ["x", "y*y*y"], 5),
+        (Q, [("x", 1), ("y", 1)], ["y - 2*x", "x*y*x"], 6),
+        (Field.prime(3), [("x", 1), ("y", 1)], ["y - 2*x", "x*y*x"], 6),
     ],
 )
 def test_build_matches_reference_builder_pinned(field, gens, rels, n):
@@ -358,25 +365,20 @@ def test_build_work_counts(monkeypatch):
 
 
 def test_build_skips_inserts_that_add_nothing(monkeypatch):
-    """The build inserts no empty extension or relation and no multiple of
-    one word whose row is that word alone: both reduce to zero.  On the
-    bench's `sandwich_k3_N8` presentation it makes 4,011 inserts, 2,075 of
-    which raise the rank; inserting every extension made 8,658, and skipping
-    only extensions 4,014.  The reference builder, which inserts them all,
+    """The build inserts no vector that reduces to zero by sight: no empty
+    translate or relation, and no multiple of one word whose row is that word
+    alone.  On the bench's `sandwich_k3_N8` presentation it makes exactly
+    4,011 inserts, 2,075 of which raise the rank, so the count moves if a
+    translate that is inserted today is dropped or a skippable one is
+    inserted.  Inserting every translate made 8,658, and skipping translates
+    but not relations 4,014.  The reference builder, which inserts them all,
     finds the same basis and reductions."""
     pres = layered_k3_n8()
-    counts = {"inserts": 0, "empty": 0}
-    insert = Echelon.insert
-
-    def counted(self, vec):
-        counts["inserts"] += 1
-        counts["empty"] += not vec
-        return insert(self, vec)
-
-    monkeypatch.setattr(Echelon, "insert", counted)
+    log = record_inserts(monkeypatch)
     TruncatedAlgebra(pres, 8)
     monkeypatch.undo()
-    assert counts["inserts"] <= 4011 and counts["empty"] == 0
+    assert len(log) == 4011 and sum(raised for _, raised, _ in log) == 2075
+    assert not any(by_sight for _, _, by_sight in log)
     assert_build_matches_reference(pres, 8)
 
 
@@ -395,19 +397,38 @@ def test_build_letter_steps_stop_at_vanished_products(monkeypatch):
 def test_build_skips_relations_that_add_nothing(monkeypatch):
     """A relation whose candidate vector is empty (y*x*x, with x*x = 0) or a
     multiple of one word whose row is that word alone (2*x*y after x*y) is
-    not inserted, as an extension would not be."""
+    not inserted, as a translate would not be."""
     ab = Alphabet([("x", 1), ("y", 1)])
     pres = Presentation(ab, Q, [parse_element(r, ab, Q) for r in ("x*x", "y*x*x", "x*y", "2*x*y")])
-    insert = Echelon.insert
-
-    def checked(self, vec):
-        assert vec and not (len(vec) == 1 and self.is_unit_row(next(iter(vec))))
-        return insert(self, vec)
-
-    monkeypatch.setattr(Echelon, "insert", checked)
+    log = record_inserts(monkeypatch)
     TruncatedAlgebra(pres, 4)
     monkeypatch.undo()
+    assert log and not any(by_sight for _, _, by_sight in log)
     assert_build_matches_reference(pres, 4)
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(5), Field.prime(2**31 - 1)], ids=repr)
+@pytest.mark.parametrize("zero", ["y*z", "2*y*z"])
+def test_build_copies_translates_of_monomial_zeros(monkeypatch, field, zero):
+    """The row {y*z: 1} of the monomial zero y*z translates by y to
+    y*nf(z*y) = 2*y*x*y + 3*y*y*x, a copy of the pair-cache entry of z*y
+    with two terms, neither coefficient 1, shifted to the candidates of the
+    letter y.  Over Q the row of 2*y*z holds Fraction(1) for its 1, and that
+    translate keeps the Fraction values a sum would give."""
+    ab = Alphabet([("x", 1), ("y", 1), ("z", 1)])
+    rels = ["z*y - 2*x*y - 3*y*x", zero]
+    pres = Presentation(ab, field, [parse_element(r, ab, field) for r in rels])
+    log = record_inserts(monkeypatch)
+    alg = TruncatedAlgebra(pres, 5)
+    monkeypatch.undo()
+    x, y = ab.index("x"), ab.index("y")
+    shift, xy, yx = y * alg._first[3], alg._index(ab.word((x, y))), alg._index(ab.word((y, x)))
+    translate = {shift + xy: 2, shift + yx: 3}
+    found = [vec for vec, _, _ in log if vec == translate]
+    assert len(found) == 1
+    fraction = field == Q and zero == "2*y*z"
+    assert all((type(c) is Fraction) == fraction for c in found[0].values())
+    assert_build_matches_reference(pres, 5)
 
 
 def test_general_degree_generators():
@@ -1012,13 +1033,6 @@ def test_build_extends_by_normal_generators_only(monkeypatch, name, inserts):
     inserts; extending by every generator, through its normal form, made
     11, 18, 6, 46 and 29."""
     pres, n = pinned_presentation(name, Q)
-    counts = {"inserts": 0}
-    insert = Echelon.insert
-
-    def counted(self, vec):
-        counts["inserts"] += 1
-        return insert(self, vec)
-
-    monkeypatch.setattr(Echelon, "insert", counted)
+    log = record_inserts(monkeypatch)
     TruncatedAlgebra(pres, n)
-    assert counts["inserts"] <= inserts
+    assert len(log) <= inserts
