@@ -7,7 +7,9 @@ The text syntax accepted by `parse_element` is the one used in
 presentation and gamma files, and `_Parser` is also the grammar of wreath
 expressions (`io.parse_wreath_expression`): `+`/`-` separated terms,
 optional `*` between factors, `^` powers, rational coefficients like `2/3`
-(decimal residues over GF(p)).
+(decimal residues over GF(p)).  The parser reads an expression in one pass:
+a run of names is one word, not a product of one-letter elements, and a sum
+accumulates its terms in one dict, not in a new element per `+`.
 """
 
 from __future__ import annotations
@@ -219,33 +221,31 @@ class FreeElement(Combination):
 
 # -- expression parser ---------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),]))")
+# One token per match: a number, a name, an operator, or any other non-blank
+# character, which is an error; blanks before a token are skipped.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),])|(\S))")
 
 
 def _tokenize(text):
-    """The tokens of `text` and the position just past its last non-blank character."""
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", num, m.start(1)))
-        elif name is not None:
-            tokens.append(("name", name, m.start(2)))
+    """The tokens of `text` as (kind, text, position), kind "num", "name" or
+    the operator itself, then the end token (None, None, position past the
+    last non-blank character)."""
+    tokens = []
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        g = m.lastindex
+        if g == 1:
+            append(("num", m[1], m.start(1)))
+        elif g == 2:
+            append(("name", m[2], m.start(2)))
+        elif g == 3:
+            append((m[3], m[3], m.start(3)))
         else:
-            tokens.append(("op", op, m.start(3)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
     if not tokens:
         raise ParseError("empty expression")
-    return tokens, len(text.rstrip())
-
-
-def _opens_factor(token):
-    return token[0] in ("num", "name") or token[:2] == ("op", "(")
+    append((None, None, len(text.rstrip())))
+    return tokens
 
 
 class _Parser:
@@ -257,21 +257,31 @@ class _Parser:
     `^n` after a name binds the name's last letter (`xy^2` is x y y), after
     `)` the whole group.  Subclasses change what a name or a word stands
     for (`word`, `named`) and what a term without factors is (`constant`).
+
+    One pass gives the element of a product per factor and a sum per term.
+    A run of names (numbers may stand between) is one word, `word` called
+    once on its letters: words multiply by concatenation.  A parenthesised
+    factor, or a name that is not a word, ends the run and multiplies in.
+    A sum is one dict: each term goes in by `linalg._eliminate` in place,
+    with the c of `Combination`'s `+`/`-` times the term's coefficient.
+    `e + t` makes that step on a copy, so keys, values and their order are
+    those of the chain of `+`/`-`, keys that cancel and come back included.
+    Values need `terms`, `flag`, `_like` and `*` (see `Combination`).
     """
 
-    def __init__(self, tokens, end, alphabet, field, i=0, depth=0):
+    def __init__(self, tokens, alphabet, field, i=0, depth=0):
         self.tokens = tokens
-        self.end = end
         self.i = i
         self.depth = depth
         self.alphabet = alphabet
         self.field = field
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
+        return self.tokens[self.i]
 
     def take(self):
-        t = self.peek()
+        # taking the end token is always an error, so i never passes it
+        t = self.tokens[self.i]
         self.i += 1
         return t
 
@@ -282,7 +292,7 @@ class _Parser:
 
     def expect(self, op, what=None):
         token = self.take()
-        if token[:2] != ("op", op):
+        if token[0] != op:
             raise self.error(f"expected {what or repr(op)}", token)
 
     def parse(self):
@@ -293,49 +303,66 @@ class _Parser:
         return e
 
     def expr(self):
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        e = self.term()
-        if sign < 0:
-            e = -e
+        tokens = self.tokens
+        op = tokens[self.i][0]
+        if op == "+" or op == "-":
+            self.i += 1
+        p = self.field.characteristic
+        terms, flag = {}, False
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                t = self.term()
-                e = e - t if val == "-" else e + t
-            else:
-                return e
+            e, scale = self.term()
+            flag = flag or e.flag
+            if scale:
+                # v -= c * row with c = -scale for "+" and scale for "-": the
+                # step of Combination.__add__/__sub__ (there scale is 1)
+                if op != "-":
+                    scale = p - scale if p else -scale
+                _eliminate(terms, e.terms, scale, p)
+            op = tokens[self.i][0]
+            if op != "+" and op != "-":
+                return e._like(terms, flag)
+            self.i += 1
 
     def term(self):
+        """(e, c): the term is c times the element e, c a raw scalar."""
         f = self.field
-        e, scale = None, f.one
-        start = self.peek()[2]
+        tokens = self.tokens
+        e, scale, run = None, f.one, []
+        start = run_at = tokens[self.i][2]
         while True:
-            token = self.peek()
-            if not _opens_factor(token):
-                raise self.error(f"unexpected token {token[1]!r}", token)
-            if token[0] == "num":
+            kind, val, pos = token = tokens[self.i]
+            if kind == "num":
                 scale = f.mul(scale, self.number())
+            elif kind == "name" or kind == "(":
+                self.i += 1
+                if kind == "(":
+                    x = self.group(pos)
+                else:
+                    if not run:
+                        run_at = pos
+                    x = self.named(val, pos, run)
+                if x is not None:
+                    if run:
+                        w = self.word(run, run_at)
+                        e = w if e is None else e * w
+                        run = []
+                    e = x if e is None else e * x
             else:
-                x = self.factor()
-                e = x if e is None else e * x
-            if self.peek()[:2] == ("op", "*"):
-                self.take()
-            elif not _opens_factor(self.peek()):
+                raise self.error(f"unexpected token {val!r}", token)
+            kind = tokens[self.i][0]
+            if kind == "*":
+                self.i += 1
+            elif kind != "num" and kind != "name" and kind != "(":
                 break
+        if run:
+            w = self.word(run, run_at)
+            e = w if e is None else e * w
         if e is None:
-            return self.constant(scale, start)
-        return e if scale == f.one else e.scale(scale)
+            return self.constant(scale, start), f.one
+        return e, scale
 
-    def factor(self):
-        kind, val, pos = self.take()
-        if kind == "name":
-            return self.named(val, pos)
-        # term() calls factor() only on a name or "("
+    def group(self, pos):
+        """The parenthesised factor whose "(" stood at `pos`, with its power."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
@@ -348,7 +375,7 @@ class _Parser:
         _, val, pos = self.take()
         f = self.field
         raw = f.from_int(self.integer(val, pos))
-        if self.peek()[:2] == ("op", "/"):
+        if self.peek()[0] == "/":
             self.take()
             kind, den, at = token = self.take()
             if kind != "num":
@@ -367,15 +394,22 @@ class _Parser:
             out = f.mul(out, raw)
         return out
 
-    def named(self, val, pos):
+    def named(self, val, pos, run):
+        """Put the letters of the name `val`, with its `^n`, onto `run` and
+        return None, or return the element of a name that is not a word
+        (`x^0` is the constant 1)."""
         try:
             letters = self.alphabet.segment(val)
         except KeyError as exc:
             raise ParseError(str(exc), pos) from None
         n = self.power()
-        if n is not None:
-            letters = letters[:-1] + [letters[-1]] * n
-        return self.word(letters, pos) if letters else self.constant(self.field.one, pos)
+        if n is None:
+            run += letters
+        elif n or len(letters) > 1:
+            run += letters[:-1]
+            run += letters[-1:] * n
+        else:
+            return self.constant(self.field.one, pos)
 
     def raised(self, e, pos):
         """`e`, or `e^n` when a power follows."""
@@ -386,9 +420,9 @@ class _Parser:
 
     def power(self):
         """The exponent of a `^n` at the current position, or None."""
-        if self.peek()[:2] != ("op", "^"):
+        if self.tokens[self.i][0] != "^":
             return None
-        self.take()
+        self.i += 1
         kind, val, pos = token = self.take()
         if kind != "num":
             raise self.error("expected an integer exponent", token)
@@ -407,7 +441,9 @@ class _Parser:
         return int(digits or "0")
 
     def word(self, letters, pos):
-        return FreeElement.from_word(self.alphabet, self.field, self.alphabet.word(letters))
+        e = FreeElement(self.alphabet, self.field)
+        e.terms = {self.alphabet.word(letters): self.field.one}
+        return e
 
     def constant(self, raw, pos):
         return FreeElement(self.alphabet, self.field, {EMPTY_WORD: raw})
@@ -415,4 +451,4 @@ class _Parser:
 
 def parse_element(text: str, alphabet: Alphabet, field: Field) -> FreeElement:
     """Parse a free-algebra expression like `x*y - y*x` or `2/3*x^2`."""
-    return _Parser(*_tokenize(text), alphabet, field).parse()
+    return _Parser(_tokenize(text), alphabet, field).parse()

@@ -12,11 +12,18 @@ from __future__ import annotations
 
 import json
 
-from .freealg import ParseError, _Parser, _tokenize, parse_element
+from .freealg import Combination, ParseError, _Parser, _tokenize, parse_element
 from .quotient import Presentation, TruncatedAlgebra
 from .scalars import Field
 from .words import EMPTY_WORD, Alphabet
-from .wreath import BasisIndexing, GammaMap, WreathAlgebra
+from .wreath import (
+    BasisIndexing,
+    GammaMap,
+    WreathAlgebra,
+    WreathElement,
+    wreath_coords,
+    wreath_from_coords,
+)
 
 
 class FileFormatError(ValueError):
@@ -166,41 +173,65 @@ def load_gamma(path, indexing, a_host) -> GammaMap:
 # -- wreath expressions ------------------------------------------------------
 
 
+class _WreathTerms(Combination):
+    """A wreath element as the parser's sums hold it: its `wreath_coords`
+    as terms, and its flag.  Products go through `WreathElement`."""
+
+    __slots__ = ("algebra", "field", "terms", "flag")
+
+    def __init__(self, algebra: WreathAlgebra, terms: dict, flag: bool):
+        self.algebra, self.field, self.terms, self.flag = algebra, algebra.field, terms, flag
+
+    @classmethod
+    def of(cls, e: WreathElement):
+        return cls(e.algebra, wreath_coords(e), e.flag)
+
+    def _like(self, terms, flag=False):
+        return _WreathTerms(self.algebra, terms, flag)
+
+    def __mul__(self, other):
+        return _WreathTerms.of(self.element() * other.element())
+
+    def element(self) -> WreathElement:
+        return wreath_from_coords(self.algebra, self.terms, self.flag)
+
+
 class _WreathParser(_Parser):
     """The element grammar over B's generators, plus `c_gamma` and
     `e(i, j, <expression over A>)`; a word stands for its embedding in the
-    wreath product, and a term of numbers alone is not a wreath element."""
+    wreath product, and a term of numbers alone is not a wreath element.
+    Its values are `_WreathTerms`, so that sums accumulate as in `_Parser`."""
 
-    def __init__(self, tokens, end, wa: WreathAlgebra, gamma):
-        super().__init__(tokens, end, wa.b_host.alphabet, wa.field)
+    def __init__(self, tokens, wa: WreathAlgebra, gamma):
+        super().__init__(tokens, wa.b_host.alphabet, wa.field)
         self.wa = wa
         self.gamma = gamma
 
-    def named(self, val, pos):
+    def named(self, val, pos, run):
         wa = self.wa
         if val == "c_gamma":
             if self.gamma is None:
                 raise ParseError("c_gamma needs a gamma file", pos)
-            return self.raised(wa.from_matrix(wa.gamma_row(self.gamma)), pos)
+            return self.raised(_WreathTerms.of(wa.from_matrix(wa.gamma_row(self.gamma))), pos)
         if val != "e":
-            return super().named(val, pos)
+            return super().named(val, pos, run)
         self.expect("(")
         i = self._index()
         self.expect(",", "a comma")
         j = self._index()
         self.expect(",", "a comma")
-        inner = _Parser(self.tokens, self.end, wa.a_host.alphabet, wa.field, self.i, self.depth)
+        inner = _Parser(self.tokens, wa.a_host.alphabet, wa.field, self.i, self.depth)
         a = wa.a_host.from_free(inner.expr())
         self.i = inner.i
         self.expect(")")
-        return self.raised(wa.from_matrix(wa.matrix_unit(i, j, a)), pos)
+        return self.raised(_WreathTerms.of(wa.from_matrix(wa.matrix_unit(i, j, a))), pos)
 
     def word(self, letters, pos):
         b_host = self.wa.b_host
         b = b_host.gen(letters[0])
         for letter in letters[1:]:
             b = b * b_host.gen(letter)
-        return self.wa.embed(b)
+        return _WreathTerms.of(self.wa.embed(b))
 
     def constant(self, raw, pos):
         raise ParseError("expected a wreath element", pos)
@@ -216,7 +247,7 @@ class _WreathParser(_Parser):
 
 
 def parse_wreath_expression(text: str, wa: WreathAlgebra, gamma=None):
-    return _WreathParser(*_tokenize(text), wa, gamma).parse()
+    return _WreathParser(_tokenize(text), wa, gamma).parse().element()
 
 
 # -- report writers ----------------------------------------------------------

@@ -70,7 +70,7 @@ class Alphabet:
     and fixes every deterministic choice downstream.
     """
 
-    __slots__ = ("names", "degrees", "_index")
+    __slots__ = ("names", "degrees", "_index", "_longest_first")
 
     def __init__(self, generators):
         names, degrees = [], []
@@ -86,6 +86,7 @@ class Alphabet:
         self.names = tuple(names)
         self.degrees = tuple(degrees)
         self._index = {n: i for i, n in enumerate(names)}
+        self._longest_first = sorted(range(len(names)), key=lambda i: -len(names[i]))
 
     def __len__(self):
         return len(self.names)
@@ -136,9 +137,14 @@ class Alphabet:
 
         `xy` over generators x, y gives [x, y]; `x1x2` over x1, x2 works the
         same way.  Raises if no segmentation exists.  Among several
-        segmentations the first one in longest-match-first search order wins.
+        segmentations the first one in longest-match-first search order wins,
+        so a token that is a generator's name reads as that generator: no
+        longer name matches at its start.
         """
-        by_len = sorted(range(len(self.names)), key=lambda i: -len(self.names[i]))
+        i = self._index.get(token)
+        if i is not None:
+            return [i]
+        by_len = self._longest_first
         n = len(token)
         # pick[pos]: the generator the longest-first search takes at pos, or
         # None when token[pos:] cannot be read; filled right to left, and

@@ -542,6 +542,23 @@ def wreath_coords(e: WreathElement) -> dict:
     return vec
 
 
+def wreath_from_coords(wa: WreathAlgebra, vec: dict, flag: bool = False) -> WreathElement:
+    """The wreath element whose `wreath_coords` are vec.  A flag goes on the
+    matrix part: products and sums flag their result when any part of an
+    operand is flagged, so where it sits does not matter to them."""
+    nb, na = len(wa.indexing), wa.a_host.total_dim()
+    b, cells = {}, {}
+    for key, c in vec.items():
+        if key <= nb:
+            b[key] = c
+        else:
+            cell, k = divmod(key - nb - 1, na)
+            cells.setdefault(divmod(cell, nb), {})[k + 1] = c
+    entries = {(i + 1, j + 1): AlgElement(wa.a_host, t) for (i, j), t in cells.items()}
+    s = SMatrix(wa.indexing, wa.a_host, entries, flag)
+    return WreathElement(wa, AlgElement(wa.b_host, b), s)
+
+
 class WreathSpan(Span):
     """An exact span of wreath elements (see `linalg.Span`)."""
 

@@ -1,5 +1,6 @@
 """Shared builders for randomized tests: algebras, elements, matrices, maps."""
 
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -25,6 +26,7 @@ from wreathkit import (
     parse_element,
 )
 from wreathkit import linalg
+from wreathkit.freealg import MAX_NESTING, ParseError, _Parser
 from wreathkit.growth import _scale_row
 from wreathkit.linalg import Echelon
 from wreathkit.quotient import _ESCAPED
@@ -502,3 +504,156 @@ def reference_span_inclusion(b_host, a_host, gamma, n, with_corner=False):
         rows.append((m, lhs.dim, rhs.dim, included, bound, lhs.dim <= bound))
         exact = exact and lhs.exact and rhs.exact
     return rows, exact
+
+
+# -- the element-by-element expression parser: the one-pass parser's oracle ---
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),]))")
+
+
+def reference_tokenize(text):
+    """The tokens of `text` in `freealg._tokenize`'s form, read one `match`
+    at a time from the token after the previous one."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                bad = len(text[pos:]) - len(text[pos:].lstrip()) + pos
+                raise ParseError(f"unexpected character {text[bad]!r}", bad)
+            break
+        num, name, op = m.groups()
+        if num is not None:
+            tokens.append(("num", num, m.start(1)))
+        elif name is not None:
+            tokens.append(("name", name, m.start(2)))
+        else:
+            tokens.append((op, op, m.start(3)))
+        pos = m.end()
+    if not tokens:
+        raise ParseError("empty expression")
+    return tokens + [(None, None, len(text.rstrip()))]
+
+
+class ReferenceParser(_Parser):
+    """The grammar of `freealg._Parser` evaluated factor by factor: every name
+    is an element of its own, multiplied into its term with `*`, and every
+    term is added to the sum so far with `+`/`-`."""
+
+    def expr(self):
+        sign = 1
+        kind = self.peek()[0]
+        if kind in ("+", "-"):
+            self.take()
+            sign = -1 if kind == "-" else 1
+        e = self.term()
+        if sign < 0:
+            e = -e
+        while self.peek()[0] in ("+", "-"):
+            kind = self.take()[0]
+            t = self.term()
+            e = e - t if kind == "-" else e + t
+        return e
+
+    def term(self):
+        f = self.field
+        e, scale = None, f.one
+        start = self.peek()[2]
+        opens = ("num", "name", "(")
+        while True:
+            token = self.peek()
+            if token[0] not in opens:
+                raise self.error(f"unexpected token {token[1]!r}", token)
+            if token[0] == "num":
+                scale = f.mul(scale, self.number())
+            else:
+                x = self.factor()
+                e = x if e is None else e * x
+            if self.peek()[0] == "*":
+                self.take()
+            elif self.peek()[0] not in opens:
+                break
+        if e is None:
+            return self.constant(scale, start)
+        return e if scale == f.one else e.scale(scale)
+
+    def factor(self):
+        kind, val, pos = self.take()
+        if kind == "name":
+            return self.named(val, pos)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        e = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return self.raised(e, pos)
+
+    def named(self, val, pos):
+        try:
+            letters = self.alphabet.segment(val)
+        except KeyError as exc:
+            raise ParseError(str(exc), pos) from None
+        n = self.power()
+        if n is not None:
+            letters = letters[:-1] + [letters[-1]] * n
+        return self.word(letters, pos) if letters else self.constant(self.field.one, pos)
+
+    def word(self, letters, pos):
+        return FreeElement.from_word(self.alphabet, self.field, self.alphabet.word(letters))
+
+
+class ReferenceWreathParser(ReferenceParser):
+    """`io._WreathParser` on the reference grammar: its values are
+    `WreathElement`s, summed and multiplied as such."""
+
+    def __init__(self, tokens, wa, gamma):
+        super().__init__(tokens, wa.b_host.alphabet, wa.field)
+        self.wa = wa
+        self.gamma = gamma
+
+    def named(self, val, pos):
+        wa = self.wa
+        if val == "c_gamma":
+            if self.gamma is None:
+                raise ParseError("c_gamma needs a gamma file", pos)
+            return self.raised(wa.from_matrix(wa.gamma_row(self.gamma)), pos)
+        if val != "e":
+            return super().named(val, pos)
+        self.expect("(")
+        i = self._index()
+        self.expect(",", "a comma")
+        j = self._index()
+        self.expect(",", "a comma")
+        inner = ReferenceParser(self.tokens, wa.a_host.alphabet, wa.field, self.i, self.depth)
+        a = wa.a_host.from_free(inner.expr())
+        self.i = inner.i
+        self.expect(")")
+        return self.raised(wa.from_matrix(wa.matrix_unit(i, j, a)), pos)
+
+    def word(self, letters, pos):
+        b_host = self.wa.b_host
+        b = b_host.gen(letters[0])
+        for letter in letters[1:]:
+            b = b * b_host.gen(letter)
+        return self.wa.embed(b)
+
+    def constant(self, raw, pos):
+        raise ParseError("expected a wreath element", pos)
+
+    def _index(self):
+        token = self.take()
+        if token[0] != "num":
+            raise self.error("expected a basis index", token)
+        i, n = self.integer(token[1], token[2]), len(self.wa.indexing)
+        if not 1 <= i <= n:
+            raise ParseError(f"basis index {i} out of range 1..{n}", token[2])
+        return i
+
+
+def reference_parse_element(text, alphabet, field):
+    return ReferenceParser(reference_tokenize(text), alphabet, field).parse()
+
+
+def reference_parse_wreath_expression(text, wa, gamma=None):
+    return ReferenceWreathParser(reference_tokenize(text), wa, gamma).parse()

@@ -753,3 +753,24 @@ def test_cli_gs_check_bad_t0_names_the_option(t0):
     out = run_cli("gs-check", "-m", "2", "--t0", t0)
     assert out.returncode == 1
     assert out.stderr == f"error: --t0 {t0!r} is not a rational number\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("map y -> s + $s", "unexpected character '$' (at column 5)"),
+        ("map y -> 2*s  ;", "unexpected character ';' (at column 6)"),
+    ],
+)
+def test_cli_bad_character_in_a_gamma_file_names_itself(tmp_path, line, message):
+    """The character after the blanks is the one reported, at its own column
+    of the expression, on the gamma file's line."""
+    b = tmp_path / "b.pres"
+    b.write_text(HULL2)
+    a = tmp_path / "a.pres"
+    a.write_text(AX3.replace("z", "s"))
+    g = tmp_path / "g.map"
+    g.write_text(f"map x -> s\n{line}\n")
+    out = run_cli("wgamma", "--B", str(b), "--A", str(a), "--gamma", str(g), "-n", "1")
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[0] == f"error: line 2: {message}"

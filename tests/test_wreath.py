@@ -17,6 +17,7 @@ from wreathkit import (
     unit_row_projection,
     wreath_coords,
 )
+from wreathkit.wreath import wreath_from_coords
 from wreathkit.linalg import Echelon, dense_rank
 from wreathkit.words import Alphabet
 from wreathkit.quotient import Presentation, TruncatedAlgebra
@@ -453,6 +454,18 @@ def test_packed_coords_sort_like_tuple_keys(field):
                 assert packed_of.setdefault(key, int_key) == int_key
         assert len(set(packed_of.values())) == len(packed_of)
         assert [packed_of[k] for k in sorted(packed_of)] == sorted(packed_of.values())
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), Field.prime(101), Q], ids=repr)
+def test_wreath_coords_round_trip(field):
+    """`wreath_from_coords` inverts `wreath_coords`, entry by entry, and puts
+    a flag on the matrix part."""
+    rng = random.Random(33)
+    for wa in packed_cases(field):
+        for e in span_elements(wa, rng):
+            back = wreath_from_coords(wa, wreath_coords(e), e.flag)
+            assert back == e and back.flag == e.flag == back.s.flag and not back.b.flag
+            assert sorted(back.s.entries) == sorted(k for k, a in e.s.entries.items() if a)
 
 
 @pytest.mark.parametrize("field", [Field.prime(2), Field.prime(101), Q], ids=repr)
