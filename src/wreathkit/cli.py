@@ -10,6 +10,8 @@ inconclusive, 1 for hard errors and usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 import time
 from fractions import Fraction
@@ -309,45 +311,51 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser():
+    # argparse makes a formatter per argument, and each one reads the
+    # terminal size unless given a width: read it once, as the formatter does
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = _ArgumentParser(
         prog="wreathkit",
         description="exact computations in truncated graded algebras and their matrix wreath products",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("build", help="per-degree dimensions of a truncated quotient")
+    p = add_parser("build", help="per-degree dimensions of a truncated quotient")
     p.add_argument("-p", "--presentation", required=True)
     p.add_argument("-N", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("growth", help="growth of the degree-one generating subspace")
+    p = add_parser("growth", help="growth of the degree-one generating subspace")
     p.add_argument("-p", "--presentation", required=True)
     p.add_argument("-N", type=int, required=True)
     p.add_argument("-n", type=int, help="largest factor count (default N)")
     _add_common(p)
     p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("wgamma", help="weighted image-span growth of a gamma map")
+    p = add_parser("wgamma", help="weighted image-span growth of a gamma map")
     _add_hosts(p)
     p.add_argument("-n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_wgamma)
 
-    p = sub.add_parser("span-bound", help="span inclusion and counting bound for V + F c")
+    p = add_parser("span-bound", help="span inclusion and counting bound for V + F c")
     _add_hosts(p)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--corner", action="store_true", help="include the corner unit e_11(1)")
     _add_common(p)
     p.set_defaults(func=cmd_span_bound)
 
-    p = sub.add_parser("gk", help="window slope of a growth table")
+    p = add_parser("gk", help="window slope of a growth table")
     p.add_argument("--table", required=True, help="growth CSV")
     p.add_argument("--window", required=True, help="lo:hi")
     _add_common(p)
     p.set_defaults(func=cmd_gk)
 
-    p = sub.add_parser("density-witness", help="search a density witness for gamma")
+    p = add_parser("density-witness", help="search a density witness for gamma")
     _add_hosts(p)
     p.add_argument("--blist", required=True, help="semicolon-separated host elements")
     p.add_argument("--a", required=True, help="nonzero coefficient element")
@@ -355,7 +363,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_density_witness)
 
-    p = sub.add_parser("shift-witness", help="right-shift keeping elements independent")
+    p = add_parser("shift-witness", help="right-shift keeping elements independent")
     p.add_argument("--B", required=True)
     p.add_argument("--NB", type=int, default=6)
     p.add_argument("--blist", required=True, help="semicolon-separated host elements")
@@ -364,7 +372,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_shift_witness)
 
-    p = sub.add_parser("sandwich", help="layered presentation and two-letter growth sandwich")
+    p = add_parser("sandwich", help="layered presentation and two-letter growth sandwich")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--schedule", required=True, help="comma-separated thresholds")
     p.add_argument("--J", help="two-letter presentation file")
@@ -372,20 +380,20 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_sandwich)
 
-    p = sub.add_parser("wreath-eval", help="evaluate a wreath expression")
+    p = add_parser("wreath-eval", help="evaluate a wreath expression")
     _add_hosts(p)
     p.add_argument("--expr", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_wreath_eval)
 
-    p = sub.add_parser("nil-check", help="nilpotency of a wreath expression")
+    p = add_parser("nil-check", help="nilpotency of a wreath expression")
     _add_hosts(p)
     p.add_argument("--expr", required=True)
     p.add_argument("--max-power", type=int, default=20)
     _add_common(p)
     p.set_defaults(func=cmd_nil_check)
 
-    p = sub.add_parser("gs-check", help="relation-count condition in exact rationals")
+    p = add_parser("gs-check", help="relation-count condition in exact rationals")
     p.add_argument("-m", type=int, required=True, help="generator count")
     p.add_argument("--census", help="degree:count pairs, comma separated")
     p.add_argument("--t0", help="evaluate at this rational instead of searching")

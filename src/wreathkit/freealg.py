@@ -31,6 +31,12 @@ MAX_NESTING = 100
 # unbounded n would cost memory and time in proportion to it.
 MAX_EXPONENT = 1000
 
+# Most term products the expansion of one power `(...)^n` may form, summed
+# over its n - 1 multiplications (a partial power of t terms times a base of
+# s terms forms t * s).  Within the exponent limit a power of a sum still
+# grows like s^n: `(x+y)^40` asks for 2^40 terms before any degree check.
+MAX_POWER_TERMS = 100_000
+
 # Most digits a number in an expression may have, leading zeros aside:
 # Python's int() refuses longer decimal strings by default.
 MAX_DIGITS = 4300
@@ -412,11 +418,19 @@ class _Parser:
             return self.constant(self.field.one, pos)
 
     def raised(self, e, pos):
-        """`e`, or `e^n` when a power follows."""
+        """`e`, or `e^n` when a power follows, within `MAX_POWER_TERMS`."""
         n = self.power()
         if n is None:
             return e
-        return self.constant(self.field.one, pos) if n == 0 else e**n
+        if n == 0:
+            return self.constant(self.field.one, pos)
+        out, size, products = e, len(e.terms), 0
+        for _ in range(n - 1):
+            products += len(out.terms) * size
+            if products > MAX_POWER_TERMS:
+                raise ParseError(f"power expands past the limit of {MAX_POWER_TERMS} term products", pos)
+            out = out * e
+        return out
 
     def power(self):
         """The exponent of a `^n` at the current position, or None."""

@@ -23,25 +23,35 @@ order, as in degree-by-degree span closure) no row is visited at all.
 Over a small prime (p < `DENSE_P_LIMIT` = 2^16) a span can also be dense:
 the dense-law span of `growth.dense_dim_check` is a 360 x 1680 matrix, about
 a tenth nonzero, where a sparse row operation costs a hundred dict updates.
-When the rank reaches `DENSE_MIN_RANK` = 32, and again at every power of two
-above, `insert` checks row nonzeros * `DENSE_MIN_FILL` (8) >= rank * columns
-(columns: the distinct keys of the rows); once it holds, the rows become
-packed ints for good.  Measured at rank 32 and 64: the dense-law span 0.55
-and 0.23; span-bound's largest wreath span (17,365 columns in the end) 0.056
-and 0.032; the build kernels of `x*y - 2*y*x` over three letters 0.031 and
-0.016.  Q and larger p always stay sparse.
+When the rank reaches `DENSE_MIN_RANK` = 16, and again at every power of two
+above, `insert` checks that the rows average at least `DENSE_MIN_FILL` (8)
+nonzeros and that nonzeros * 8 >= their block area: the sum over the blocks
+of connected support of the rows of (rows in the block) * (keys in the
+block), the area the packed blocks below would hold.  The blocks are found
+at the check only, by merging the rows' supports.  Once both hold, the rows
+become packed ints for good.  Block fills (nonzeros over block area) on the
+bench's seed-5 inputs: the dense-law span 0.60 at rank 16, one block;
+span-bound's two large wreath spans 0.75 and 1.0 at rank 16, and 0.38-0.80
+at rank 32-512, where their fill of rank * every column is 0.004-0.048.  So
+both switch at rank 16.  The floor on row length keeps one- and two-key rows
+sparse, though their blocks are full: free-algebra closures (one key a row)
+and the build kernels of `x*y - 2*y*x` over GF(101) (two).  Q and larger p
+always stay sparse.
 
 In the dense mode (`packed.PackedRows`, imported on the first switch) the
 rows fall into blocks of disjoint support, and each block numbers its own
 keys: a key gets a column slot in its block the first time an insert sees
-it, and a row is one int holding slot i of its block in bits 64i .. 64i + 63,
-so v += m * row is one big-int multiply-add done in C, as wide as the block
-and not as every column seen.  Slots hold nonnegative ints congruent to the
+it, and a row is one int holding slot i of its block in bits w*i ..
+w*i + w - 1, so v += m * row is one big-int multiply-add done in C, as wide
+as the block and not as every column seen.  The slot width w is 32 bits
+when 4096 multiply-adds of (p - 1)^2 fit in one (p <= 1024; about 4*10^5
+for p = 101), else 64.  Slots hold nonnegative ints congruent to the
 coefficients mod p; subtracting c * row is adding (p - c) * row.  Each row
 keeps an upper bound on its slots, and an operation that could take a slot
-past 2^64 - 1 first renormalises its operand (unpack mod p, repack).  With
-p < 2^16 a step adds less than 2^32 to a slot, so that happens only after
-tens of thousands of steps.  Rows stay reduced-echelon mod p, so `reduce`
+past 2^w - 1 first renormalises its operand (unpack mod p, repack).  A step
+on renormalised operands leaves a slot at most (p - 1) + (p - 1)^2 < 2^32,
+so renormalising always makes room, and a slot first needs it after
+thousands of steps.  Rows stay reduced-echelon mod p, so `reduce`
 subtracts (input coefficient at a pivot) * (its row) for each pivot key of
 the input, no row changing another pivot's coefficient, and unpacks the sum
 mod p once per block; a key no block holds passes through.  Back-reduction
@@ -84,12 +94,9 @@ from bisect import bisect_right
 
 from .scalars import Field
 
-# The dense GF(p) mode (see the module docstring).  Row densities (nonzeros
-# over rank * columns) at rank 32 / 64: the dense-law span of
-# `growth.dense_dim_check` 0.55 / 0.23, span-bound's largest wreath span at
-# most 0.056 / 0.032, the tri_p build kernels 0.031 / 0.016.
-DENSE_MIN_RANK = 32  # checked when the rank reaches 32, 64, 128, ...
-DENSE_MIN_FILL = 8  # dense once row nonzeros * 8 >= rank * columns
+# The dense GF(p) mode (see the module docstring).
+DENSE_MIN_RANK = 16  # checked when the rank reaches 16, 32, 64, ...
+DENSE_MIN_FILL = 8  # dense once rows average 8 nonzeros and nonzeros * 8 >= block area
 DENSE_P_LIMIT = 1 << 16  # only p below this: (p - 1)^2 < 2^32 per step
 
 
@@ -157,6 +164,33 @@ def _eliminate(v: dict, row: dict, c, p: int) -> None:
                     v[key] = s
                 else:
                     del v[key]
+
+
+def _dense_enough(rows) -> bool:
+    """Whether the rows average `DENSE_MIN_FILL` nonzeros and fill at least
+    1 / `DENSE_MIN_FILL` of the area their packed blocks would take: the sum
+    over the blocks of connected support of rows * columns."""
+    nonzeros = sum(map(len, rows))
+    if nonzeros < DENSE_MIN_FILL * len(rows):
+        return False
+    block_of = {}  # key -> its block [row count, keys], merged small into large
+    for row in rows:
+        met = {id(b): b for b in map(block_of.get, row) if b is not None}
+        if met:
+            block = max(met.values(), key=lambda b: len(b[1]))
+            for other in met.values():
+                if other is not block:
+                    block[0] += other[0]
+                    block[1] += other[1]
+                    block_of.update(dict.fromkeys(other[1], block))
+        else:
+            block = [0, []]
+        block[0] += 1
+        new = [k for k in row if k not in block_of]
+        block[1] += new
+        block_of.update(dict.fromkeys(new, block))
+    blocks = {id(b): b for b in block_of.values()}.values()
+    return nonzeros * DENSE_MIN_FILL >= sum(n * len(keys) for n, keys in blocks)
 
 
 class Echelon:
@@ -254,9 +288,7 @@ class Echelon:
         p = self.field.characteristic
         if not 0 < p < DENSE_P_LIMIT:
             return
-        rows = self._rows.values()
-        columns = len(set().union(*rows))
-        if sum(map(len, rows)) * DENSE_MIN_FILL < len(rows) * columns:
+        if not _dense_enough(self._rows.values()):
             return
         from . import packed  # compiled only by the runs that pack a span
 

@@ -181,7 +181,7 @@ def dense_from(rank):
     however sparse they are."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "DENSE_MIN_RANK", rank)
-        mp.setattr(linalg, "DENSE_MIN_FILL", float("inf"))
+        mp.setattr(linalg, "_dense_enough", lambda rows: True)
         yield
 
 
@@ -588,6 +588,13 @@ class ReferenceParser(_Parser):
         self.expect(")")
         self.depth -= 1
         return self.raised(e, pos)
+
+    def raised(self, e, pos):
+        """`e`, or `e**n` when a power `^n` follows: no term cap."""
+        n = self.power()
+        if n is None:
+            return e
+        return self.constant(self.field.one, pos) if n == 0 else e**n
 
     def named(self, val, pos):
         try:

@@ -1,4 +1,6 @@
+import argparse
 import json
+import shutil
 import subprocess
 import sys
 
@@ -13,9 +15,10 @@ from wreathkit import (
     ParseError,
     TruncatedAlgebra,
     WreathAlgebra,
+    cli,
     parse_element,
 )
-from wreathkit.freealg import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
+from wreathkit.freealg import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_POWER_TERMS
 from wreathkit.io import (
     FileFormatError,
     gamma_to_text,
@@ -569,6 +572,52 @@ def test_cli_help_exits_0():
     for args in (["--help"], ["growth", "--help"]):
         out = run_cli(*args)
         assert out.returncode == 0 and out.stdout.startswith("usage: wreathkit")
+
+
+def subparsers(parser):
+    """The parser and each of its subcommands' parsers."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [parser, *action.choices.values()]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_cli_parser_reads_the_terminal_size_once(monkeypatch, columns):
+    """Building the parser reads the terminal size once, and every help text
+    is the one a formatter reading the terminal itself gives."""
+    monkeypatch.setenv("COLUMNS", columns)
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    parser = cli.build_parser()
+    assert len(calls) == 1
+    helps = [p.format_help() for p in subparsers(parser)]
+    assert len(calls) == 1 and len(helps) == 12
+    for p in subparsers(parser):
+        p.formatter_class = argparse.HelpFormatter
+    assert [p.format_help() for p in subparsers(parser)] == helps
+
+
+def test_cli_power_term_cap_ends_in_one_error(tmp_path, capsys):
+    """`(x+y)^40` in a presentation, a gamma file or a wreath expression
+    stops at the power term cap: exit 1 and one `error:` line naming it."""
+    pres = tmp_path / "p.pres"
+    pres.write_text(FREE2 + "rel (x+y)^40\n")
+    b = tmp_path / "b.pres"
+    b.write_text(HULL2)
+    a = tmp_path / "a.pres"
+    a.write_text("field rational\nunital false\ngenerators s:1 t:1\n")
+    g = tmp_path / "g.map"
+    g.write_text("map x -> (s+t)^40\n")
+    hosts = ["--B", str(b), "--A", str(a), "--NB", "2", "--NA", "2"]
+    for argv in (
+        ["build", "-p", str(pres), "-N", "3"],
+        ["wgamma", *hosts, "--gamma", str(g), "-n", "2"],
+        ["wreath-eval", *hosts, "--expr", "e(1,1,(s+t)^40)"],
+    ):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"limit of {MAX_POWER_TERMS} term products" in err[0]
 
 
 def test_python_dash_m_package_runs_the_cli():

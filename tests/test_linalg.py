@@ -16,6 +16,7 @@ from wreathkit import (
     TruncatedAlgebra,
     cli,
     dense_dim_check,
+    growth_dims,
     linalg,
     packed,
     parse_element,
@@ -419,7 +420,7 @@ def assert_slots_bounded(e):
     pk = e._packed
     for k, x in pk.rows.items():
         block = pk.block_of[k]
-        assert max(block._slots(x), default=0) <= pk.bounds[k] <= packed._SLOT_MAX
+        assert max(block._slots(x), default=0) <= pk.bounds[k] <= pk.slot_max
         assert all(pk.block_of[key] is block for key in block.unpack(x))
 
 
@@ -430,6 +431,7 @@ def test_slot_renormalisation_near_the_p_limit():
     passes the bound, and the results equal the sparse run's."""
     field = Field.prime(65521)
     assert field.characteristic < linalg.DENSE_P_LIMIT
+    assert packed.slot_bits(field.characteristic) == 64
     rng = random.Random(3)
     vecs = dense_vectors(field, rng, range(47, 7, -1), 30)
     renormalised = []  # True for a stored row, False for a reduce sum
@@ -438,7 +440,7 @@ def test_slot_renormalisation_near_the_p_limit():
         for v in vecs:
             sparse.insert(v)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(packed, "_SLOT_MAX", (1 << 36) - 1)
+        mp.setitem(packed._SLOT_MAX, 64, (1 << 36) - 1)
         renormalize = packed.Block.renormalize
 
         def recorded(block, x):
@@ -449,7 +451,7 @@ def test_slot_renormalisation_near_the_p_limit():
         unpack = packed.Block.unpack
 
         def bounded(block, x):
-            assert max(block._slots(x), default=0) <= packed._SLOT_MAX
+            assert max(block._slots(x), default=0) <= packed._SLOT_MAX[block.bits]
             return unpack(block, x)
 
         mp.setattr(packed.Block, "unpack", bounded)
@@ -461,6 +463,49 @@ def test_slot_renormalisation_near_the_p_limit():
                     assert_slots_bounded(dense)
         assert is_packed(dense)
         assert_same_echelon(sparse, dense, probes(field, range(48)) + vecs)
+    assert True in renormalised and False in renormalised
+
+
+def test_32_bit_slots_cross_the_slot_bound():
+    """Over GF(101) slots are 32 bits wide.  With their bound cut to 2^16, a
+    stream with descending pivots passes it: rows and reduce sums are
+    renormalised, every slot stays within the bound after each insert and
+    each reduce, and the results equal the sparse run's."""
+    assert [packed.slot_bits(p) for p in (2, 101, 1021, 1031, 65521)] == [32] * 3 + [64] * 2
+    field = Field.prime(101)
+    rng = random.Random(4)
+    vecs = dense_vectors(field, rng, range(47, 7, -1), 30)
+    with sparse_only():
+        sparse = Echelon(field)
+        for v in vecs:
+            sparse.insert(v)
+    renormalised = []  # True for a stored row, False for a reduce sum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(packed._SLOT_MAX, 32, (1 << 16) - 1)
+        renormalize, unpack = packed.Block.renormalize, packed.Block.unpack
+
+        def recorded(block, x):
+            renormalised.append(any(x is row for row in dense._packed.rows.values()))
+            return renormalize(block, x)
+
+        def bounded(block, x):
+            assert block.bits == 32
+            assert max(block._slots(x), default=0) <= (1 << 16) - 1
+            return unpack(block, x)
+
+        mp.setattr(packed.Block, "renormalize", recorded)
+        mp.setattr(packed.Block, "unpack", bounded)
+        with dense_from(4):
+            dense = Echelon(field)
+            for v in vecs:
+                dense.insert(v)
+                if is_packed(dense):
+                    assert_slots_bounded(dense)
+        assert dense._packed.slot_max == (1 << 16) - 1
+        for v in probes(field, range(48)) + vecs:
+            assert dense.reduce(v) == sparse.reduce(v)
+            assert_slots_bounded(dense)
+        assert_same_echelon(sparse, dense, vecs)
     assert True in renormalised and False in renormalised
 
 
@@ -545,6 +590,7 @@ def test_merge_moves_rows_near_the_slot_bound():
     renormalises them.  Results equal the sparse run's and `dense_rank`'s."""
     field = Field.prime(65521)
     p = field.characteristic
+    assert packed.slot_bits(p) == 64
     rng = random.Random(7)
 
     def planted(keys, tops, width):
@@ -562,11 +608,11 @@ def test_merge_moves_rows_near_the_slot_bound():
     moved = []  # the largest bound of the rows each merge moves, over the slot bound
     moved_rows, renormalised = set(), []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(packed, "_SLOT_MAX", (1 << 34) - 1)
+        mp.setitem(packed._SLOT_MAX, 64, (1 << 34) - 1)
         merge, renormalize = packed.PackedRows._merge, packed.Block.renormalize
 
         def recorded(pk, block, other):
-            moved.append(max(pk.bounds[k] for k in other.pivots) / packed._SLOT_MAX)
+            moved.append(max(pk.bounds[k] for k in other.pivots) / pk.slot_max)
             moved_rows.update(other.pivots)
             return merge(pk, block, other)
 
@@ -599,32 +645,44 @@ def test_dense_law_span_packs_into_six_blocks(tmp_path):
     jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
     bench_run.write_inputs(5, tmp_path)
     spec = jobs["dense_law_0"].dense
-    b_alg = TruncatedAlgebra(wio.load_presentation(spec["B"]), spec["NB"])
-    a_alg = TruncatedAlgebra(wio.load_presentation(spec["A"]), spec["NA"])
-    gamma = wio.load_gamma(spec["gamma"], BasisIndexing(b_alg), a_alg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packed.PackedRows, "__init__", recorded)
-        report = dense_dim_check(b_alg, a_alg, gamma, spec["n"])
+        report = dense_dim_check(*load_dense_law(spec), spec["n"])
     assert report.lhs_dim == 360 and len(made) == 1
     assert sorted((len(b.keys), len(b.pivots)) for b in blocks(made[0])) == [(280, 60)] * 6
 
 
-def test_sparse_spans_never_switch(monkeypatch, tmp_path, capsys):
-    """Rows as dense as the rule asks stay sparse over Q and over p = 2^31 - 1;
-    the build kernels of the bench's tri presentation (over its p = 2^31 - 1
-    and over GF(101)) and span-bound's wreath span stay sparse by density.
-    The dense-law span of `dense_dim_check` does switch."""
+def record_switches(monkeypatch):
+    """Record the p and the rank of every switch to the packed mode."""
     made = []
 
     class Recording(packed.PackedRows):
         __slots__ = ()
 
         def __init__(self, p, rows):
-            made.append(p)
+            made.append((p, len(rows)))
             super().__init__(p, rows)
 
     monkeypatch.setattr(packed, "PackedRows", Recording)
-    # 64 rows of 17 nonzeros in 80 columns: density 0.21
+    return made
+
+
+def load_dense_law(spec):
+    """(B, A, gamma) of a bench dense-law job's spec."""
+    b_alg = TruncatedAlgebra(wio.load_presentation(spec["B"]), spec["NB"])
+    a_alg = TruncatedAlgebra(wio.load_presentation(spec["A"]), spec["NA"])
+    gamma = wio.load_gamma(spec["gamma"], BasisIndexing(b_alg), a_alg)
+    return b_alg, a_alg, gamma
+
+
+def test_which_spans_switch(monkeypatch, tmp_path, capsys):
+    """Rows as dense as the rule asks switch at rank DENSE_MIN_RANK over
+    GF(101) and stay sparse over Q and over p = 2^31 - 1.  The build kernels
+    of the bench's tri presentation (over its p = 2^31 - 1 and over GF(101),
+    about 2 keys a row) and a free closure over GF(101) (one key a row) stay
+    sparse; span-bound's wreath spans and the dense-law span switch."""
+    made = record_switches(monkeypatch)
+    # 64 rows of 17 nonzeros in 80 columns, one block: density 0.21
     rng = random.Random(5)
     rows = [
         {16 + i: 1, **{k: rng.randrange(1, 50) for k in range(16)}}
@@ -636,22 +694,68 @@ def test_sparse_spans_never_switch(monkeypatch, tmp_path, capsys):
             e.insert({k: field.from_int(c) for k, c in row.items()})
         assert e.dim == 64
         assert is_packed(e) == (field.characteristic == 101)
+    assert made == [(101, linalg.DENSE_MIN_RANK)]
     made.clear()
 
     xyz = Alphabet([("x", 1), ("y", 1), ("z", 1)])
-    for field in (Field.prime(2**31 - 1), Field.prime(101)):
+    gf101 = Field.prime(101)
+    for field in (Field.prime(2**31 - 1), gf101):
         rel = parse_element("x*y - 2*y*x", xyz, field)
         TruncatedAlgebra(Presentation(xyz, field, [rel]), 11)
+    free = TruncatedAlgebra(Presentation(xyz, gf101, []), 7)
+    assert growth_dims(free, [free.gen(x) for x in "xyz"], 7)[-1][0] == 3279
+    assert not made
+
     jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
     bench_run.write_inputs(11, tmp_path)
     job = jobs["span_bound_n5"]
     assert cli.main(job.argv + ["--emit", str(tmp_path / "span.csv")]) == 0
     capsys.readouterr()
-    assert not made
+    assert len(made) >= 2 and {p for p, _ in made} == {101}
+    made.clear()
 
     spec = jobs["dense_law_0"].dense
-    b_alg = TruncatedAlgebra(wio.load_presentation(spec["B"]), spec["NB"])
-    a_alg = TruncatedAlgebra(wio.load_presentation(spec["A"]), spec["NA"])
-    gamma = wio.load_gamma(spec["gamma"], BasisIndexing(b_alg), a_alg)
-    assert dense_dim_check(b_alg, a_alg, gamma, spec["n"]).equality
-    assert made == [101]
+    assert dense_dim_check(*load_dense_law(spec), spec["n"]).equality
+    assert made == [(101, linalg.DENSE_MIN_RANK)]
+
+
+def echelon_streams(monkeypatch, run):
+    """The vectors inserted into each `Echelon` while run() runs, by echelon
+    in order of its first insert: (field, [vector, ...])."""
+    streams = {}
+    insert = Echelon.insert
+
+    def recording(self, vec):
+        streams.setdefault(id(self), (self.field, []))[1].append(dict(vec))
+        return insert(self, vec)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Echelon, "insert", recording)
+        run()
+    return list(streams.values())
+
+
+def test_span_bound_spans_pack_as_they_ran_sparse(monkeypatch, tmp_path, capsys):
+    """Every echelon of span-bound on the bench's seed-5 inputs, replayed
+    sparse only and under the real switch rule: the same rows, pivots,
+    reductions and membership.  The large wreath spans do pack."""
+    jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
+    bench_run.write_inputs(5, tmp_path)
+    argv = jobs["span_bound_n5"].argv + ["--emit", str(tmp_path / "span.csv")]
+    streams = echelon_streams(monkeypatch, lambda: cli.main(argv))
+    capsys.readouterr()
+    packed_ranks = []
+    for field, vecs in streams:
+        assert field.characteristic == 101
+        with sparse_only():
+            sparse = Echelon(field)
+            for v in vecs:
+                sparse.insert(v)
+        dense = Echelon(field)
+        for v in vecs:
+            dense.insert(v)
+        if is_packed(dense):
+            packed_ranks.append(dense.dim)
+            assert_slots_bounded(dense)
+        assert_same_echelon(sparse, dense, vecs)
+    assert len(packed_ranks) >= 2 and max(packed_ranks) >= 512

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathkit import Alphabet, EMPTY_WORD, Field, FreeElement, ParseError, parse_element
-from wreathkit.freealg import MAX_EXPONENT, MAX_NESTING
+from wreathkit import freealg
+from wreathkit.freealg import MAX_EXPONENT, MAX_NESTING, MAX_POWER_TERMS
 
 from helpers import assert_raw, rationals
 
@@ -160,6 +161,21 @@ def test_parser_exponent_limit():
     for text in too_big:
         with pytest.raises(ParseError, match="exceeds the limit"):
             parse_element(text, XY, Q)
+
+
+def test_parser_power_term_cap(monkeypatch):
+    """A power counts the term products of its expansion, t * s for each
+    multiplication of a partial power of t terms by the base of s, and
+    stops past `MAX_POWER_TERMS`: (x+y)^n forms 4 + 8 + ... + 2^n."""
+    with pytest.raises(ParseError, match=f"limit of {MAX_POWER_TERMS} term products"):
+        parse_element("(x+y)^40", XY, Q)
+    assert len(parse_element("(x)^1000", XY, Q).terms) == 1
+    monkeypatch.setattr(freealg, "MAX_POWER_TERMS", 124)
+    assert len(parse_element("(x+y)^6", XY, Q).terms) == 64
+    monkeypatch.setattr(freealg, "MAX_POWER_TERMS", 123)
+    with pytest.raises(ParseError, match="limit of 123 term products") as exc:
+        parse_element("y + (x+y)^6", XY, Q)
+    assert exc.value.pos == 4
 
 
 def test_segment_long_and_backtracking_tokens():
