@@ -45,7 +45,7 @@ MAX_DIGITS = 4300
 class ParseError(ValueError):
     def __init__(self, message, pos=None):
         super().__init__(message if pos is None else f"{message} (at column {pos + 1})")
-        self.pos = pos
+        self.message, self.pos = message, pos
 
 
 class Combination:

@@ -6,6 +6,8 @@ Everything here is exact except the final log-log slope, which is computed in
 rational interval arithmetic: logarithms are evaluated by mpmath at 60
 digits and padded to a certified rational enclosure, so the reported slope
 interval is a true bound for the exact least-squares slope of the window.
+The schedule check `FiltrationSchedule.faithful` encloses its logarithms in
+exact integer arithmetic (`exact_log_interval`) and loads no mpmath.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class FiltrationSchedule:
 
         Both constraints are compared in log space: n_k > e**n_{k-1} iff
         log n_k > n_{k-1}, and n_k > e**e**k iff log n_k > e**k, with log n_k
-        from `log_interval` and e**k from `exp_bounds`.  n_{k-1} = 0 and
+        from `exact_log_interval` and e**k from `exp_bounds`.  n_{k-1} = 0 and
         n_k = 1 are decided exactly.  An enclosure that straddles its bound
         is sharpened, up to a cap past which the comparison is given up.
         """
@@ -116,7 +118,7 @@ class FiltrationSchedule:
             while cond1 is None or cond2 is None:
                 if digits > _FAITHFUL_MAX_DIGITS:
                     raise RuntimeError("exponential comparison did not resolve")
-                log_n = log_interval(n_k, digits)
+                log_n = exact_log_interval(n_k, digits)
                 if cond1 is None:
                     cond1 = _exceeds(log_n, prev, prev)
                 if cond2 is None:
@@ -646,6 +648,56 @@ def _mpf_of_int(n: int):
     if shift <= 0:
         return mpmath.mpf(n)
     return mpmath.ldexp(mpmath.mpf(n >> shift), shift)
+
+
+def _atanh_bounds(p: int, q: int, w: int):
+    """(lo, hi), ints with lo <= 2**w * atanh(p/q) <= hi, for 0 <= p/q <= 1/3.
+
+    The series sum z**(2j+1)/(2j+1), z = p/q, in ints scaled by 2**w, each
+    division rounded down, so the sum is never high.  A power z**(2j+1) is
+    less than 2 units low: a step loses under 1 unit, under 1.6 more when a
+    long q steps by z**2 rounded to w bits, and z**2 <= 1/9 shrinks what the
+    steps before lost.  So each term is less than 3 units low, and the sum
+    stops at the first power that rounds to 0, where the rest of the series,
+    the true power times a geometric sum of ratio at most 1/9, is below 2.
+    """
+    power = (p << w) // q
+    if 8 * q.bit_length() <= w:  # a short q: exact steps cost less than w-bit products
+        pp, qq = p * p, q * q
+        step = lambda x: x * pp // qq  # noqa: E731
+    else:
+        z2 = power * power >> w
+        step = lambda x: x * z2 >> w  # noqa: E731
+    total = j = 0
+    while power:
+        total += power // (2 * j + 1)
+        power = step(power)
+        j += 1
+    return total, total + 3 * j + 2
+
+
+def exact_log_interval(n: int, digits: int = 60) -> RatInterval:
+    """A certified enclosure of log(n) for an int n >= 1, about 10**-digits
+    wide, in exact integer arithmetic.
+
+    For c = 2**k * m with m in [1, 2), log c = k log 2 + 2 atanh(z) with
+    z = (m - 1)/(m + 1) = (c - 2**k)/(c + 2**k) in [0, 1/3), and
+    log 2 = 2 atanh(1/3); `_atanh_bounds` encloses both series in ints scaled
+    by 2**w.  A long n is cut to its top w + 2 bits a: a * 2**s <= n <
+    (a + 1) * 2**s, so log n lies between log(a * 2**s) and that plus
+    log(1 + 1/a) <= 1/a < 2**-(w + 1), half a unit.  The guard bits of w
+    cover the rounding of the series, times the multiple of log 2, up to
+    the bit length of n.
+    """
+    bits = n.bit_length()
+    w = digits * 3322 // 1000 + 2 * bits.bit_length() + 24
+    s = max(0, bits - w - 2)
+    a = n >> s
+    k = a.bit_length() - 1
+    two_lo, two_hi = _atanh_bounds(1, 3, w)
+    lo, hi = _atanh_bounds(a - (1 << k), a + (1 << k), w)
+    lo, hi = 2 * ((k + s) * two_lo + lo), 2 * ((k + s) * two_hi + hi) + (s > 0)
+    return RatInterval(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
 def log_interval(x, digits: int = 60) -> RatInterval:

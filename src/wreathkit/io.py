@@ -33,10 +33,27 @@ class FileFormatError(ValueError):
 
 
 def _content_lines(text: str):
+    """(line number, content, offset of the content in the line) for every
+    line that holds more than blanks and a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line, at = _stripped(raw.split("#", 1)[0], 0)
         if line:
-            yield lineno, line
+            yield lineno, line, at
+
+
+def _stripped(text: str, at: int):
+    """text without its surrounding blanks, and the offset in the line of
+    what is left, text standing at offset `at`."""
+    body = text.lstrip()
+    return body.rstrip(), at + len(text) - len(body)
+
+
+def _line_error(exc: ParseError, lineno: int, at: int) -> FileFormatError:
+    """The error of the line for a parse error in an expression that stands
+    at offset `at` of the line: the column counts from the line's start."""
+    if exc.pos is not None:
+        exc = ParseError(exc.message, exc.pos + at)
+    return FileFormatError(str(exc), lineno)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -44,9 +61,9 @@ def parse_presentation(text: str) -> Presentation:
     unital = False
     alphabet = None
     relation_sources = []
-    for lineno, line in _content_lines(text):
+    for lineno, line, at in _content_lines(text):
         head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        rest, rest_at = _stripped(rest, at + len(head) + 1)
         if head == "field":
             parts = rest.split()
             if parts == ["rational"]:
@@ -75,7 +92,7 @@ def parse_presentation(text: str) -> Presentation:
             except ValueError as exc:
                 raise FileFormatError(str(exc), lineno) from None
         elif head == "rel":
-            relation_sources.append((lineno, rest))
+            relation_sources.append((lineno, rest, rest_at))
         else:
             raise FileFormatError(f"unknown directive {head!r}", lineno)
     if field is None:
@@ -83,11 +100,11 @@ def parse_presentation(text: str) -> Presentation:
     if alphabet is None:
         raise FileFormatError("missing `generators` line")
     relations = []
-    for lineno, src in relation_sources:
+    for lineno, src, at in relation_sources:
         try:
             relations.append(parse_element(src, alphabet, field))
         except ParseError as exc:
-            raise FileFormatError(str(exc), lineno) from None
+            raise _line_error(exc, lineno, at) from None
     try:
         return Presentation(alphabet, field, relations, unital=unital)
     except ValueError as exc:
@@ -117,21 +134,23 @@ def parse_gamma(text: str, indexing: BasisIndexing, a_host: TruncatedAlgebra) ->
     values = {}
     seen = set()
     b_alphabet = indexing.host.alphabet
-    for lineno, line in _content_lines(text):
+    for lineno, line, at in _content_lines(text):
         head, _, rest = line.partition(" ")
         if head != "map":
             raise FileFormatError(f"unknown directive {head!r}", lineno)
         lhs, arrow, rhs = rest.partition("->")
         if not arrow:
             raise FileFormatError("expected `map <basis word> -> <expression>`", lineno)
-        lhs, rhs = lhs.strip(), rhs.strip()
+        at += len(head) + 1  # where rest starts
+        rhs, rhs_at = _stripped(rhs, at + len(lhs) + len(arrow))
+        lhs, lhs_at = _stripped(lhs, at)
         if lhs == "1":
             word = EMPTY_WORD
         else:
             try:
                 parsed = parse_element(lhs, b_alphabet, indexing.host.field)
             except ParseError as exc:
-                raise FileFormatError(str(exc), lineno) from None
+                raise _line_error(exc, lineno, lhs_at) from None
             if len(parsed.terms) != 1:
                 raise FileFormatError(f"{lhs!r} is not a single basis word", lineno)
             word = next(iter(parsed.terms))
@@ -143,8 +162,12 @@ def parse_gamma(text: str, indexing: BasisIndexing, a_host: TruncatedAlgebra) ->
             raise FileFormatError(f"duplicate mapping for {lhs!r}", lineno)
         seen.add(index)
         try:
-            value = a_host.from_free(parse_element(rhs, a_host.alphabet, a_host.field))
-        except (ParseError, ValueError) as exc:
+            value = parse_element(rhs, a_host.alphabet, a_host.field)
+        except ParseError as exc:
+            raise _line_error(exc, lineno, rhs_at) from None
+        try:
+            value = a_host.from_free(value)
+        except ValueError as exc:
             raise FileFormatError(str(exc), lineno) from None
         values[index] = value
     return GammaMap(indexing, a_host, values)

@@ -299,9 +299,10 @@ class Echelon:
         return not self.reduce(vec)
 
     def ordered_rows(self) -> tuple:
-        """The rows in ascending pivot order; read them, never mutate them."""
+        """(pivot key, row) for every row, in ascending pivot order; read the
+        rows, never mutate them."""
         row = self._rows.__getitem__ if self._packed is None else self._packed.row
-        return tuple(map(row, self._order))
+        return tuple(zip(self._order, map(row, self._order)))
 
     def pivot_rows(self):
         """(pivot key, row) for every row, in insertion order, each row read once."""

@@ -50,6 +50,12 @@ other word is read off the letter tables, then one letter step per letter
 left (`_nf_word`).  A relation or a translate that is empty, or a multiple
 c*w of one candidate whose row is {w: 1}, reduces to zero and is not
 inserted; for a copy that is read off nf(u*v), before a vector is built.
+Nor is a disjoint translate inserted.  Write a kernel row's pivot x*u as
+L*t, L the shortest prefix that is not a normal word: the translate by v is
+skipped when t*v is not normal, as a leading word then ends at v inside
+t*v, apart from L, an ambiguity that resolves by itself (Bergman's diamond
+lemma; the proof is in `_ideal_vectors`).  The kernel keeps t beside each
+pivot, found as t*v of the row the pivot's natural translate came from.
 
 Degrees above N follow the overflow policy: `reject` raises, `truncate`
 drops the escaping terms and flags the element so downstream dimension
@@ -182,15 +188,18 @@ class TruncatedAlgebra:
         span = max(degrees, default=1)
         unit, first, head, tail = self._unit, self._first, self._head, self._tail
         degree, letter = self._degree, self._letter
-        # kernels[e]: the degree-e eliminant and its key base, kept only while
-        # a later degree d = e + deg(g) still extends it on the right
+        # kernels[e]: the degree-e eliminant, its key base and the tails t of
+        # its pivots (`_ideal_vectors`), kept only while a later degree
+        # d = e + deg(g) still extends it on the right
         kernels = [None] * (N + 1)
         for d in range(1, N + 1):
             base = len(degree)  # first[d]: every index so far is below it
             ech = Echelon(self.field)
-            for vec in self._ideal_vectors(d, base, relations_by_degree.get(d, ()), kernels, ech):
+            tails = {} if d + min(degrees, default=1) <= N else None  # read by a later degree only
+            relations = relations_by_degree.get(d, ())
+            for vec in self._ideal_vectors(d, base, relations, kernels, ech, tails):
                 ech.insert(vec)
-            kernels[d] = ech, base
+            kernels[d] = ech, base, tails
             if d > span:
                 kernels[d - span] = None
             # degree d + 1 reads nf(u*g) for deg(u) >= d + 1 - 2*span, and
@@ -228,11 +237,13 @@ class TruncatedAlgebra:
                         index[k]: one if c == -1 else -c for k, c in row.items() if k != key
                     }
 
-    def _ideal_vectors(self, d, base, relations, kernels, ech):
+    def _ideal_vectors(self, d, base, relations, kernels, ech, tails):
         """The vectors to insert into `ech`, the degree-d eliminant, in the
         candidate keys of `base`: the degree-d relations, then the right
         translates of the kernels by the generators that are normal words,
-        less those that reduce to zero by sight.
+        less the disjoint translates (below) and those that reduce to zero by
+        sight.  Fills `tails` with the tails t of the degree-d pivots, where
+        t is not the unit.
 
         A generator g that is not normal needs no translates.  Take f in the
         ideal and nf(g) = sum c_t t, each t = t'*y with y its last letter.
@@ -242,6 +253,46 @@ class TruncatedAlgebra:
         d - deg(y) kernel and of the left multiples x*I.  f*(g - nf(g)) is a
         left multiple itself, and the left multiples vanish in candidate
         coordinates.
+
+        A disjoint translate needs no insert either.  Write pi(y*w) =
+        y*nf(w) for the map of degree-d words onto the candidates: its kernel
+        is the sum of the left multiples, and it sends a word W to keys at
+        most W.  A degree-e kernel row is f = Q - nf(Q), its pivot Q = x*u.
+        Write Q = L*t, L the shortest prefix of Q that is not a normal word;
+        L holds x, so t is a suffix of u, and normal (L = x, t = u when x is
+        not normal; relations hold no empty word, so this holds in a unital
+        algebra too).  The translate of f by a normal generator v, pi(f*v),
+        is skipped when t*v is not normal: a leading word then ends at v
+        inside t*v, apart from L.  With h = nf(L)*t - nf(Q) =
+        f - (L - nf(L))*t, an element of the degree-e ideal whose words are
+        below Q,
+
+            f*v = L*(t*v - nf(t*v)) - nf(L)*(t*v - nf(t*v))
+                  + (L - nf(L))*nf(t*v) + h*v.
+
+        The first two summands are left multiples.  By induction on the word
+        Q*v (deglex; the weights enter only through the degree), every
+        translate T(Q', v') of a word Q'*v' < Q*v lies in the span S of the
+        relations and the kept translates, and so does pi(f*v):
+        - pi(h*v) = pi(pi(h)*v) is a sum of translates T(Q', v) with
+          Q' < Q, since the build is exact below d and pi(h) has keys only
+          below Q;
+        - for a word s = s_1...s_k of nf(t*v), s < t*v, normal, so each s_i
+          is a normal generator, peel the last letter: with a the element
+          (L - nf(L))*s_1...s_(k-1) of the ideal, pi(a*s_k) = pi(pi(a)*s_k)
+          is a sum of translates T(Q', s_k) with Q' at most L*s_1...s_(k-1),
+          so Q'*s_k <= L*s < Q*v.
+        So S holds every translate, and the reduced echelon, its pivots and
+        every table built from them are those of the full set.
+        `ReferenceQuotient` in the tests inserts every translate.
+
+        The tail of a pivot x*u is the unit when x*init(u) is normal, else
+        t(x*init(u))*last(u) (init(u) is u without its last letter).  The
+        pivot x*init(u) is the kernel row Q of degree d - deg(last(u)), and
+        its translate by last(u) is kept (t*v is a suffix of u), so the pass
+        records t(x*(u*v)) = t*v for every kept translate whose u*v is
+        normal.  Whether u*v and t*v are normal words is read off the letter
+        tables by `_append_letter`, memoised per generator v and degree d.
 
         One pass per kernel row, in ascending pivot order, generators
         innermost: the leading keys of the new rows then mostly arrive in
@@ -270,15 +321,29 @@ class TruncatedAlgebra:
             if len(vec) > 1 or vec and not unit_row(next(iter(vec))):
                 yield vec
         degrees, unit = self.alphabet.degrees, self._unit
-        cache, walk = self._pair_cache, self._walk
+        cache, walk, append = self._pair_cache, self._walk, self._append_letter
         for e in range(max(1, d - max(degrees, default=1)), d):
             # the generators of degree d - e that are normal, by basis index
             right = [t[unit] for g, t in enumerate(self._letter) if e + degrees[g] == d]
-            right = [v for v in right if type(v) is int]
+            right = [(v, {unit: v}) for v in right if type(v) is int]
             if kernels[e] is None or not right:
                 continue
-            kernel, kernel_base = kernels[e]
-            for row in kernel.ordered_rows():
+            kernel, kernel_base, kernel_tails = kernels[e]
+            for pivot, row in kernel.ordered_rows():
+                x, u = divmod(pivot, kernel_base)
+                t = kernel_tails.get(pivot, unit)
+                kept = []
+                for v, memo in right:
+                    uv = memo.get(u)
+                    if uv is None:
+                        uv = append(u, memo)  # fills memo[t] too: t is a suffix of u
+                    tv = memo[t]
+                    if tv:
+                        kept.append(v)
+                        if uv and tails is not None:
+                            tails[x * base + uv] = tv
+                if not kept:
+                    continue
                 terms = []
                 for cand, c in row.items():
                     x, u = divmod(cand, kernel_base)
@@ -286,7 +351,7 @@ class TruncatedAlgebra:
                     terms.append((x * base, c, u, cache.get(u, _NO_TERMS)))
                 if len(terms) == 1 and terms[0][1] is one:
                     shift, _, u, products = terms[0]
-                    for v in right:
+                    for v in kept:
                         nf = products.get(v)
                         if nf is None:
                             nf = walk(u, v)
@@ -297,7 +362,7 @@ class TruncatedAlgebra:
                             if not unit_row(shift + w):
                                 yield {shift + w: beta}
                     continue
-                for v in right:
+                for v in kept:
                     out = {}
                     get = out.get
                     for shift, c, u, products in terms:
@@ -314,6 +379,28 @@ class TruncatedAlgebra:
                     vec = reduced(out, p)
                     if len(vec) > 1 or vec and not unit_row(next(iter(vec))):
                         yield vec
+
+    def _append_letter(self, u: int, memo: dict):
+        """The basis index of the word u*v, or 0 when it is not normal (no
+        word of degree >= 1 has index 0), for a basis index u and the
+        generator v of `memo`, which maps indices to these answers and starts
+        as {unit: v}.  Walks down the tails to a word with an answer and
+        takes one letter-table read per level on the way back, filling memo
+        for every suffix of u: u*v is normal when tail(u)*v is and head(u)
+        times it is a basis word."""
+        head, tail, letter = self._head, self._tail, self._letter
+        todo = []
+        while u not in memo:
+            todo.append(u)
+            u = tail[u]
+        r = memo[u]
+        for u in reversed(todo):
+            if r:
+                r = letter[head[u]][r]
+                if type(r) is not int:
+                    r = 0
+            memo[u] = r
+        return r
 
     def _free_to_candidates(self, element: FreeElement, base: int) -> dict:
         """Coordinates of a homogeneous free element in the candidate keys:

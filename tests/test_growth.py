@@ -31,7 +31,15 @@ from wreathkit import (
 )
 from wreathkit import cli
 from wreathkit import io as wio
-from wreathkit.growth import exp_bounds, log_interval, power_chain, weighted_image_spans
+from wreathkit import growth
+from wreathkit.growth import (
+    _mpf_to_fraction,
+    exact_log_interval,
+    exp_bounds,
+    log_interval,
+    power_chain,
+    weighted_image_spans,
+)
 from wreathkit.linalg import dense_rank
 
 from helpers import (
@@ -508,6 +516,53 @@ def test_log_interval_encloses():
     assert iv.lo < Fraction(6931471806, 10**10)
     assert iv.hi > Fraction(6931471805, 10**10)
     assert iv.width < Fraction(1, 10**30)
+
+
+def mpmath_log(n, digits):
+    """log n from mpmath at digits + 30 digits, as an exact Fraction: the
+    oracle.  An int longer than 4 * prec bits is cut to that length and its
+    power of 2 put back by ldexp (a relative change under 2**-(4 * prec)),
+    since mpmath takes seconds to normalise a million-bit int."""
+    import mpmath
+
+    with mpmath.workdps(digits + 30):
+        s = max(0, n.bit_length() - 4 * mpmath.mp.prec)
+        return _mpf_to_fraction(mpmath.log(mpmath.ldexp(mpmath.mpf(n >> s), s)))
+
+
+LOG_CASES = [1, 2, 3, 15, 16, 17, 2000, 100_000, 9_000_000, 10**7, 2**64 - 1, 2**64 + 1, 3**200]
+HUGE = 2**14_000_000
+
+
+@pytest.mark.parametrize("digits", [60, 120, 240, 480, 960, 1920, 3840, 7680])
+def test_exact_log_interval_against_mpmath(digits):
+    """`exact_log_interval` holds mpmath's log, within mpmath's own error,
+    and is at most 10**-(digits - 2) wide, at every precision `faithful`
+    asks for: the thresholds of the bench schedules and of the paper's size
+    (2**14000000, and that plus 1, whose top bits are cut).  At 60-240
+    digits the ints past 64 bits take the long-ratio step; above 960 digits
+    a few short ints and the huge ones keep the test quick."""
+    cases = LOG_CASES if digits <= 960 else [2, 3, 17, 9_000_000]
+    for n in cases + [HUGE, HUGE + 1]:
+        iv = exact_log_interval(n, digits)
+        v = mpmath_log(n, digits)
+        slack = Fraction(max(1, n.bit_length()), 10 ** (digits + 25))
+        assert iv.lo - slack <= v <= iv.hi + slack, (n, digits)
+        assert 0 <= iv.width <= Fraction(1, 10 ** (digits - 2)), (n, digits)
+    assert exact_log_interval(1, digits).lo == 0
+
+
+def test_faithful_rows_match_the_mpmath_route(monkeypatch):
+    """The rows of `faithful` on its exact logs are the rows it gave on
+    mpmath's padded ones (`log_interval`), for the bench's schedules, the
+    paper-sized one and drawn ones."""
+    rng = random.Random(22)
+    schedules = [[2, 4, 6, 8], [2, 4, 6, 2000, 100000], [15, 9_000_000], [16, 9_000_000, HUGE]]
+    for _ in range(20):
+        schedules.append(sorted(rng.sample(range(1, 10**6), rng.randint(1, 4))))
+    exact = [FiltrationSchedule(t).faithful() for t in schedules]
+    monkeypatch.setattr(growth, "exact_log_interval", log_interval)
+    assert [FiltrationSchedule(t).faithful() for t in schedules] == exact
 
 
 def inclusion_case(case):

@@ -445,9 +445,9 @@ def test_cli_huge_exponent_is_a_clean_error(tmp_path):
 @pytest.mark.parametrize(
     "rel, message",
     [
-        ("x*y - 1/0*y*x", "line 4: zero denominator (at column 9)"),
-        (f"x*y - {LONG}*y*x", f"line 4: number has more than {MAX_DIGITS} digits (at column 7)"),
-        (f"x*y - 1/{LONG}*y*x", f"line 4: number has more than {MAX_DIGITS} digits (at column 9)"),
+        ("x*y - 1/0*y*x", "line 4: zero denominator (at column 13)"),
+        (f"x*y - {LONG}*y*x", f"line 4: number has more than {MAX_DIGITS} digits (at column 11)"),
+        (f"x*y - 1/{LONG}*y*x", f"line 4: number has more than {MAX_DIGITS} digits (at column 13)"),
     ],
     ids=["zero-denominator", "long-numerator", "long-denominator"],
 )
@@ -465,7 +465,7 @@ def test_cli_long_coefficient_over_a_prime_field(tmp_path):
     out = run_cli("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     first = out.stderr.splitlines()[0]
-    assert first == f"error: line 4: number has more than {MAX_DIGITS} digits (at column 7)"
+    assert first == f"error: line 4: number has more than {MAX_DIGITS} digits (at column 11)"
 
 
 @pytest.mark.parametrize(
@@ -630,10 +630,28 @@ def test_python_dash_m_package_runs_the_cli():
 
 def test_cli_import_leaves_mpmath_out():
     """Every CLI run imports `wreathkit.cli`; mpmath is imported only by the
-    log enclosures of `gk` and `faithful`, which need it."""
+    log enclosures of `gk`, which need it."""
     code = "import sys, wreathkit.cli; print('mpmath' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout == "False\n"
+
+
+def test_cli_sandwich_leaves_mpmath_out(tmp_path):
+    """`sandwich` checks its schedule with `faithful`, whose logarithms are
+    enclosed in exact ints: the whole run, in a fresh interpreter, loads no
+    mpmath, also for a threshold as long as 2**14000000."""
+    j = tmp_path / "j.pres"
+    j.write_text(COMM2)
+    for schedule in ("2,4,6,2000,100000", "16,9000000"):
+        argv = ["sandwich", "--kmax", "2", "--schedule", schedule, "--J", str(j), "-N", "5"]
+        code = (
+            "import sys; from wreathkit import cli; "
+            f"status = cli.main({argv!r}); "
+            "print(status, 'mpmath' in sys.modules, file=sys.stderr)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0 and out.stderr.splitlines()[-1] == "0 False"
+        assert "faithful=" in out.stdout
 
 
 def test_cli_span_bound(tmp_path):
@@ -807,13 +825,13 @@ def test_cli_gs_check_bad_t0_names_the_option(t0):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("map y -> s + $s", "unexpected character '$' (at column 5)"),
-        ("map y -> 2*s  ;", "unexpected character ';' (at column 6)"),
+        ("map y -> s + $s", "unexpected character '$' (at column 14)"),
+        ("map y -> 2*s  ;", "unexpected character ';' (at column 15)"),
     ],
 )
 def test_cli_bad_character_in_a_gamma_file_names_itself(tmp_path, line, message):
     """The character after the blanks is the one reported, at its own column
-    of the expression, on the gamma file's line."""
+    of the gamma file's line."""
     b = tmp_path / "b.pres"
     b.write_text(HULL2)
     a = tmp_path / "a.pres"
@@ -823,3 +841,45 @@ def test_cli_bad_character_in_a_gamma_file_names_itself(tmp_path, line, message)
     out = run_cli("wgamma", "--B", str(b), "--A", str(a), "--gamma", str(g), "-n", "1")
     assert out.returncode == 1
     assert out.stderr.splitlines()[0] == f"error: line 2: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (FREE2 + "rel x*y + $\n", "line 4: unexpected character '$' (at column 11)"),
+        (FREE2 + "  rel   x*y + $\n", "line 4: unexpected character '$' (at column 15)"),
+        (FREE2 + "rel x*y - 1/0*y # 1/0\n", "line 4: zero denominator (at column 13)"),
+    ],
+    ids=["rel", "indented", "comment"],
+)
+def test_cli_presentation_parse_error_names_the_column_of_its_line(tmp_path, text, message):
+    """A parse error in a `rel` line names the column of the line, counted
+    from its first character, not the column within the expression."""
+    pres = tmp_path / "p.pres"
+    pres.write_text(text)
+    out = run_cli("build", "-p", str(pres), "-N", "3")
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("map x -> s + $", "unexpected character '$' (at column 14)"),
+        ("  map  x  ->  s + $", "unexpected character '$' (at column 19)"),
+        ("map x$ -> s", "unexpected character '$' (at column 6)"),
+    ],
+    ids=["rhs", "indented", "lhs"],
+)
+def test_cli_gamma_parse_error_names_the_column_of_its_line(tmp_path, line, message):
+    """A parse error on either side of a `map` line names the column of the
+    line, counted from its first character."""
+    b = tmp_path / "b.pres"
+    b.write_text(HULL2)
+    a = tmp_path / "a.pres"
+    a.write_text(AX3.replace("z", "s"))
+    g = tmp_path / "g.map"
+    g.write_text(f"{line}\n")
+    out = run_cli("wgamma", "--B", str(b), "--A", str(a), "--gamma", str(g), "-n", "1")
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [f"error: line 1: {message}"]

@@ -132,7 +132,7 @@ def assert_rref(e):
     pivot_rows = list(e.pivot_rows())
     keys = [k for k, _ in pivot_rows]
     assert len(pivot_rows) == len(set(keys)) == e.dim
-    assert list(e.ordered_rows()) == [row for _, row in sorted(pivot_rows)]
+    assert list(e.ordered_rows()) == sorted(pivot_rows)
     for key, row in pivot_rows:
         assert key in e
         assert max(row) == key and row[key] == f.one
