@@ -655,23 +655,18 @@ def _atanh_bounds(p: int, q: int, w: int):
 
     The series sum z**(2j+1)/(2j+1), z = p/q, in ints scaled by 2**w, each
     division rounded down, so the sum is never high.  A power z**(2j+1) is
-    less than 2 units low: a step loses under 1 unit, under 1.6 more when a
-    long q steps by z**2 rounded to w bits, and z**2 <= 1/9 shrinks what the
-    steps before lost.  So each term is less than 3 units low, and the sum
-    stops at the first power that rounds to 0, where the rest of the series,
-    the true power times a geometric sum of ratio at most 1/9, is below 2.
+    less than 9/8 units low: a step by p**2/q**2 loses under 1 unit, and
+    z**2 <= 1/9 shrinks what the steps before lost.  So each term is less
+    than 3 units low, and the sum stops at the first power that rounds to 0,
+    where the rest of the series, the true power times a geometric sum of
+    ratio at most 1/9, is below 2.
     """
     power = (p << w) // q
-    if 8 * q.bit_length() <= w:  # a short q: exact steps cost less than w-bit products
-        pp, qq = p * p, q * q
-        step = lambda x: x * pp // qq  # noqa: E731
-    else:
-        z2 = power * power >> w
-        step = lambda x: x * z2 >> w  # noqa: E731
+    pp, qq = p * p, q * q
     total = j = 0
     while power:
         total += power // (2 * j + 1)
-        power = step(power)
+        power = power * pp // qq
         j += 1
     return total, total + 3 * j + 2
 

@@ -539,9 +539,8 @@ def test_exact_log_interval_against_mpmath(digits):
     """`exact_log_interval` holds mpmath's log, within mpmath's own error,
     and is at most 10**-(digits - 2) wide, at every precision `faithful`
     asks for: the thresholds of the bench schedules and of the paper's size
-    (2**14000000, and that plus 1, whose top bits are cut).  At 60-240
-    digits the ints past 64 bits take the long-ratio step; above 960 digits
-    a few short ints and the huge ones keep the test quick."""
+    (2**14000000, and that plus 1, whose top bits are cut).  Above 960
+    digits a few short ints and the huge ones keep the test quick."""
     cases = LOG_CASES if digits <= 960 else [2, 3, 17, 9_000_000]
     for n in cases + [HUGE, HUGE + 1]:
         iv = exact_log_interval(n, digits)
