@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import dense_rank, power_levels
+from .linalg import Echelon, dense_rank, power_levels
 from .quotient import AlgElement, Subspace, TruncatedAlgebra, growth_dims
-from .wreath import GammaMap, SMatrix, WreathAlgebra, WreathSpan
+from .wreath import BasisIndexing, GammaMap, SMatrix, WreathAlgebra, WreathSpan
 
 
 # -- growth tables ---------------------------------------------------------
@@ -378,31 +378,33 @@ def dense_dim_check(
     """Compare dim V^n (W_n c) V^n with its spanning bound (dim V^n)^2 w(n).
 
     Equality is the signature of a dense map; the inequality holds always.
+    The span is that of emb(b_i) R_a emb(b_k), b_i and b_k representatives
+    of V^n, a of W_n and R_a = `_scale_row(wa, gamma, a)` = (0, S_a).  S_a has
+    row 1 only, so the product is (0, L(b_i) S_a L(b_k)) with matrix
+    z_i (x) y_ak: z_i is column 1 of L(b_i), y_ak row 1 of the matrix of
+    R_a emb(b_k).  `wreath_coords` maps (row, column, A-word) one to one to
+    keys, so the span is span(z) (x) span(y), of dimension rank(z) rank(y).
+    Flags: a product's is b_i's (V^n is inexact then), or the escape of
+    b_i*b_1 when S_a != 0 (only then is column 1 of L(b_i) read), or that of
+    R_a emb(b_k): b_k adds its flag, and under a unipotent indexing an escape
+    of some b_k*b_j if column 1 is in the support, alike on L(b_i) S_a and on
+    S_a, as z_i = b_i != 0 there (b_1 is the unit).
     """
     gens = degree_one_generators(b_host) if generators is None else generators
     wa = WreathAlgebra(b_host, a_host, indexing=gamma.indexing)
     b_chain = power_chain(b_host, gens, n)
-    ws = weighted_image_spans(gamma, b_chain, a_host, n)
-    vn = b_chain[n - 1]
-    wn = ws[n - 1]
-    span = WreathSpan(wa)
+    vn, wn = b_chain[n - 1], weighted_image_spans(gamma, b_chain, a_host, n)[n - 1]
     middles = [_scale_row(wa, gamma, a) for a in wn.representatives()]
     embedded = [wa.embed(b) for b in vn.representatives()]
+    y_span = WreathSpan(wa, [row * emb_k for row in middles for emb_k in embedded])
+    z_ech, z_flag, s_nonzero = Echelon(b_host.field), False, any(row.s for row in middles)
     for emb_i in embedded:
-        for row in middles:
-            mid = emb_i * row
-            for emb_k in embedded:
-                span.add(mid * emb_k)
-    bound = vn.dim * vn.dim * wn.dim
-    return DenseCheckReport(
-        span.dim,
-        bound,
-        vn.dim,
-        wn.dim,
-        span.dim <= bound,
-        span.dim == bound,
-        span.exact and vn.exact and wn.exact,
-    )
+        z, escaped = wa.indexing.product_column(emb_i.b, 1)
+        z_ech.insert(z)
+        z_flag = z_flag or (s_nonzero and escaped)
+    dim, bound = z_ech.dim * y_span.dim, vn.dim * vn.dim * wn.dim
+    exact = y_span.exact and not z_flag and vn.exact and wn.exact
+    return DenseCheckReport(dim, bound, vn.dim, wn.dim, dim <= bound, dim == bound, exact)
 
 
 # -- witness searches --------------------------------------------------------
@@ -542,8 +544,6 @@ def build_slow_gamma(
     Emits the w table and certified comparisons w(n) <= n**(d + 1/k) on each
     window (k the window index), by exact integer power comparison.
     """
-    from .wreath import BasisIndexing
-
     indexing = BasisIndexing(b_host)
     a_basis = a_host.basis_words()
     if a_host.unital:

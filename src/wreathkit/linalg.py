@@ -20,23 +20,22 @@ is greater, and `insert` visits just those, found by bisecting the ascending
 list of pivot keys.  In the sparse regime (pivots arriving in increasing
 order, as in degree-by-degree span closure) no row is visited at all.
 
-Over a small prime (p < `DENSE_P_LIMIT` = 2^16) a span can also be dense:
-the dense-law span of `growth.dense_dim_check` is a 360 x 1680 matrix, about
-a tenth nonzero, where a sparse row operation costs a hundred dict updates.
-When the rank reaches `DENSE_MIN_RANK` = 16, and again at every power of two
-above, `insert` checks that the rows average at least `DENSE_MIN_FILL` (8)
-nonzeros and that nonzeros * 8 >= their block area: the sum over the blocks
-of connected support of the rows of (rows in the block) * (keys in the
-block), the area the packed blocks below would hold.  The blocks are found
-at the check only, by merging the rows' supports.  Once both hold, the rows
-become packed ints for good.  Block fills (nonzeros over block area) on the
-bench's seed-5 inputs: the dense-law span 0.60 at rank 16, one block;
-span-bound's two large wreath spans 0.75 and 1.0 at rank 16, and 0.38-0.80
-at rank 32-512, where their fill of rank * every column is 0.004-0.048.  So
-both switch at rank 16.  The floor on row length keeps one- and two-key rows
-sparse, though their blocks are full: free-algebra closures (one key a row)
-and the build kernels of `x*y - 2*y*x` over GF(101) (two).  Q and larger p
-always stay sparse.
+Over a small prime (p < `DENSE_P_LIMIT` = 2^16) a span can also be dense: the
+right factors `growth.dense_dim_check` ranks are 60 rows on 280 keys, 0.6
+nonzero: a sparse row operation costs 170 dict updates there.  When the rank
+reaches `DENSE_MIN_RANK` = 16, and again at every power of two above, `insert`
+checks that the rows average at least `DENSE_MIN_FILL` (8) nonzeros and that
+nonzeros * 8 >= their block area: the sum over the blocks of connected support
+of the rows of (rows in the block) * (keys in the block), the area the packed
+blocks below would hold.  The blocks are found at the check only, by merging
+the rows' supports.  Once both hold, the rows become packed ints for good.
+Block fills (nonzeros over block area) on the bench's seed-5 inputs: the
+dense-law right factors 0.60 at rank 16, one block; span-bound's two large
+wreath spans 0.75 and 1.0 at rank 16, and 0.38-0.80 at rank 32-512, where
+their fill of rank * every column is 0.004-0.048.  So both switch at rank 16.
+The floor on row length keeps one- and two-key rows sparse, though their
+blocks are full: free-algebra closures (one key a row) and the build kernels
+of `x*y - 2*y*x` over GF(101) (two).  Q and larger p always stay sparse.
 
 In the dense mode (`packed.PackedRows`, imported on the first switch) the
 rows fall into blocks of disjoint support, and each block numbers its own
@@ -67,8 +66,9 @@ block's keys, so the rows of other blocks hold neither a new pivot (nothing
 to back-reduce there) nor any key of another block's part of an input (each
 block reduces its part alone), and reduced-echelon rows of disjoint blocks
 form together a reduced-echelon set.  So the rows, the pivots, the residuals
-and the rank are the ones a single store would give.  The dense-law span
-above falls into 6 blocks of 280 keys, one per left factor of its products.
+and the rank are the ones a single store would give.  The 360 dense-law
+products emb(b_i) R_a emb(b_k) fall into 6 blocks of 280 keys, one per left
+factor: a tensor product, which `dense_dim_check` ranks factor by factor.
 
 Either way the rows live in one dict, pivot key -> row (a sparse dict, or a
 packed int), in insertion order, beside the ascending list of pivot keys.
@@ -327,7 +327,7 @@ class Span:
     of another algebra).  The representatives are the elements that raised the
     dimension, in insertion order.  `exact` is False once a spanning element
     (or a product feeding it) was truncated: the dimension is then a lower
-    bound only.
+    bound only.  A vanished product (no coordinates) counts for `exact` only.
     """
 
     __slots__ = ("owner", "_ech", "_reps", "exact")
@@ -348,7 +348,7 @@ class Span:
         coords = self._coords(e)
         if e.flag:
             self.exact = False
-        if not self._ech.insert(coords):
+        if not coords or not self._ech.insert(coords):
             return False
         self._reps.append(e)
         return True

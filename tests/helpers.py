@@ -27,7 +27,7 @@ from wreathkit import (
 )
 from wreathkit import linalg
 from wreathkit.freealg import MAX_NESTING, ParseError, _Parser
-from wreathkit.growth import _scale_row
+from wreathkit.growth import DenseCheckReport, _scale_row, power_chain, weighted_image_spans
 from wreathkit.linalg import Echelon
 from wreathkit.quotient import _ESCAPED
 from wreathkit.words import Word
@@ -509,6 +509,36 @@ def reference_span_inclusion(b_host, a_host, gamma, n, with_corner=False):
 # -- the element-by-element expression parser: the one-pass parser's oracle ---
 
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),]))")
+
+
+def reference_dense_dim_check(b_host, a_host, gamma, n, generators=None):
+    """The `DenseCheckReport` of `dense_dim_check`, by forming every product
+    emb(b_i) R_a emb(b_k) (b_i, b_k representatives of V^n, a of W_n,
+    R_a = `_scale_row`) and inserting it into one span, which `dense_dim_check`
+    ranks as a tensor product instead."""
+    gens = degree_one_generators(b_host) if generators is None else generators
+    wa = WreathAlgebra(b_host, a_host, indexing=gamma.indexing)
+    b_chain = power_chain(b_host, gens, n)
+    ws = weighted_image_spans(gamma, b_chain, a_host, n)
+    vn, wn = b_chain[n - 1], ws[n - 1]
+    span = WreathSpan(wa)
+    middles = [_scale_row(wa, gamma, a) for a in wn.representatives()]
+    embedded = [wa.embed(b) for b in vn.representatives()]
+    for emb_i in embedded:
+        for row in middles:
+            mid = emb_i * row
+            for emb_k in embedded:
+                span.add(mid * emb_k)
+    bound = vn.dim * vn.dim * wn.dim
+    return DenseCheckReport(
+        span.dim,
+        bound,
+        vn.dim,
+        wn.dim,
+        span.dim <= bound,
+        span.dim == bound,
+        span.exact and vn.exact and wn.exact,
+    )
 
 
 def reference_tokenize(text):

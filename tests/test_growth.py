@@ -47,6 +47,7 @@ from helpers import (
     make_algebra,
     random_element,
     random_gamma,
+    reference_dense_dim_check,
     reference_span_inclusion,
     reference_weighted_image_spans,
 )
@@ -257,6 +258,67 @@ def test_dense_zero_gamma():
     zero = GammaMap(BasisIndexing(b_alg), a_alg, {})
     rep = dense_dim_check(b_alg, a_alg, zero, 2)
     assert rep.lhs_dim == 0 and rep.leq and rep.product_bound == 0
+
+
+DENSE_FIELDS = [Q, Field.prime(2), GF7, Field.prime(101)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    field=st.sampled_from(DENSE_FIELDS),
+    b_unital=st.booleans(),
+    unipotent=st.booleans(),
+    b_kills=st.booleans(),
+    a_certified=st.booleans(),
+    a_unital=st.booleans(),
+    density=st.sampled_from([0.0, 0.3, 0.8]),
+    n=st.integers(1, 3),
+)
+def test_dense_check_matches_every_product_route(
+    seed, field, b_unital, unipotent, b_kills, a_certified, a_unital, density, n
+):
+    """The tensor-product rank against the span of every product: B unital
+    or not, with a plain or (unital B only) a unipotent indexing, exact or
+    truncating at degree 1 or 2; A with a zero certificate or truncating at
+    degree 2, so products escape; density 0.0 draws the zero map."""
+    rng = random.Random(seed)
+    if b_kills:
+        b_alg = killed_above(field, ["x", "y"], kill_degree=3, n=3, unital=b_unital)
+    else:
+        b_alg = make_algebra(field, ["x", "y"], [], n=rng.choice([1, 2]), unital=b_unital)
+    if a_certified:
+        a_alg = make_algebra(field, ["z"], ["z^3"], n=3, unital=a_unital)
+    else:
+        a_alg = make_algebra(field, ["s", "t"], [], n=2, unital=a_unital)
+    idx = BasisIndexing(b_alg, unipotent=unipotent and b_unital)
+    gamma = random_gamma(idx, a_alg, rng, density=density)
+    assert dense_dim_check(b_alg, a_alg, gamma, n) == reference_dense_dim_check(
+        b_alg, a_alg, gamma, n
+    )
+
+
+@pytest.mark.parametrize("image, exact", [("zero", True), ("z^2", True), ("z", False)])
+def test_dense_check_flags_the_left_escape_only_with_a_product(image, exact):
+    """Over a non-unital B truncated at degree 2, V^2 holds x^2, and x^2 * x
+    escapes; the product route reads that escape only through L(b_i) S_a
+    with S_a != 0.  The zero map forms no product, and a map into z^2 gives
+    W_2 = <z^2> and every S_a = 0 (z^2 * z^2 is a certified zero): both stay
+    exact.  A map into z gives S_z != 0, and that escape is the only flag."""
+    b_alg = make_algebra(GF7, ["x", "y"], [], n=2)
+    a_alg = make_algebra(GF7, ["z"], ["z^3"], n=3)
+    idx = BasisIndexing(b_alg)
+    x = b_alg.gen("x")
+    assert (x * x * x).flag and a_alg.zero_above == 3
+    z = a_alg.gen("z")
+    value = {"zero": None, "z^2": z * z, "z": z}[image]
+    values = {i: value for i in range(1, len(idx) + 1)} if value else {}
+    gamma = GammaMap(idx, a_alg, values)
+    rep = dense_dim_check(b_alg, a_alg, gamma, 2)
+    assert rep == reference_dense_dim_check(b_alg, a_alg, gamma, 2)
+    assert rep.exact == exact
+    chain = power_chain(b_alg, degree_one_generators(b_alg), 2)
+    assert chain[1].exact and all(w.exact for w in weighted_image_spans(gamma, chain, a_alg, 2))
 
 
 def test_dense_equality_usually_holds_over_big_field():

@@ -24,7 +24,7 @@ from wreathkit import (
 from wreathkit import io as wio
 from wreathkit.linalg import Echelon, dense_rank
 
-from helpers import assert_raw, dense_from, rationals, sparse_only
+from helpers import assert_raw, dense_from, rationals, reference_dense_dim_check, sparse_only
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -633,8 +633,10 @@ def test_merge_moves_rows_near_the_slot_bound():
 
 
 def test_dense_law_span_packs_into_six_blocks(tmp_path):
-    """The dense-law span of the bench's seed-5 draw 0 is 360 vectors on
-    1,680 columns, one block of 60 rows and 280 keys per left factor."""
+    """The dense-law span of the bench's seed-5 draw 0, all its products
+    formed, is 360 vectors on 1,680 columns: one block of 60 rows and 280
+    keys per left factor.  `dense_dim_check` ranks it as a tensor product,
+    and its own span is one such block, the right factors' span."""
     made = []
     init = packed.PackedRows.__init__
 
@@ -647,9 +649,13 @@ def test_dense_law_span_packs_into_six_blocks(tmp_path):
     spec = jobs["dense_law_0"].dense
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packed.PackedRows, "__init__", recorded)
-        report = dense_dim_check(*load_dense_law(spec), spec["n"])
-    assert report.lhs_dim == 360 and len(made) == 1
-    assert sorted((len(b.keys), len(b.pivots)) for b in blocks(made[0])) == [(280, 60)] * 6
+        reference = reference_dense_dim_check(*load_dense_law(spec), spec["n"])
+        assert reference.lhs_dim == 360 and len(made) == 1
+        assert sorted((len(b.keys), len(b.pivots)) for b in blocks(made[0])) == [(280, 60)] * 6
+        made.clear()
+        assert dense_dim_check(*load_dense_law(spec), spec["n"]) == reference
+    assert len(made) == 1
+    assert [(len(b.keys), len(b.pivots)) for b in blocks(made[0])] == [(280, 60)]
 
 
 def record_switches(monkeypatch):
