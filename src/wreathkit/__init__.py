@@ -11,7 +11,6 @@ from .growth import (
     dense_dim_check,
     density_witness,
     gk_estimate,
-    growth_bound_report,
     power_chain,
     shift_independence_witness,
     span_inclusion_check,
@@ -25,10 +24,9 @@ from .quotient import (
     Subspace,
     TruncatedAlgebra,
     TruncationOverflow,
-    degree_component,
     growth_dims,
 )
-from .scalars import Field, FieldMismatchError, Scalar
+from .scalars import Field, FieldMismatchError
 from .section6 import build_layered_presentation, sandwich_check, sandwich_report
 from .words import EMPTY_WORD, Alphabet, Word
 from .wreath import (

@@ -130,19 +130,7 @@ def _window(text: str) -> tuple:
 
 def cmd_gk(args):
     window = _window(args.window)
-    entries = {}
-    with open(args.table, encoding="utf-8") as fh:
-        header = None
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            cells = dict(zip(header, line.split(",")))
-            entries[int(cells["n"])] = (int(cells["dim"]), cells["exact"] == "True")
-    est = gk_estimate(GrowthTable("table", entries), window)
+    est = gk_estimate(GrowthTable("table", wio.load_growth_table(args.table)), window)
     meta = _meta(
         args,
         window=args.window,

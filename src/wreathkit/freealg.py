@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .linalg import _eliminate, reduced
-from .scalars import Field, FieldMismatchError, Scalar
+from .scalars import Field, FieldMismatchError
 from .words import EMPTY_WORD, Alphabet, Word
 
 
@@ -85,10 +85,10 @@ class Combination:
         return self._like({w: -c for w, c in self.terms.items()}, self.flag)
 
     def scale(self, c):
-        """c times this element; c is a `Scalar` of this field, an int, or a
-        raw value of this field."""
+        """c times this element; c is an int or a raw value of this field (see
+        `Field.coerce`)."""
         f = self.field
-        c = f.scalar(c).raw
+        c = f.coerce(c)
         p = f.characteristic
         if not c:
             return self._like({}, self.flag)
@@ -115,8 +115,8 @@ class Combination:
         """The key of `terms` that stands for a word, or None if none does."""
         return word
 
-    def coefficient(self, word: Word) -> Scalar:
-        return Scalar(self.field, self.terms.get(self._key(word), self.field.zero))
+    def coefficient(self, word: Word):
+        return self.terms.get(self._key(word), self.field.zero)
 
     def min_degree(self) -> int:
         """Minimal degree of a nonzero homogeneous component."""
@@ -161,12 +161,12 @@ class FreeElement(Combination):
     __slots__ = ("alphabet", "field", "terms")
 
     def __init__(self, alphabet: Alphabet, field: Field, terms=None):
-        """A coefficient is a `Scalar` of this field, an int, or a raw value
-        of this field (see `Field.scalar`); zeros are dropped."""
+        """A coefficient is an int or a raw value of this field (see
+        `Field.coerce`); zeros are dropped."""
         self.alphabet = alphabet
         self.field = field
-        scalar = field.scalar
-        self.terms = {w: r for w, c in terms.items() if (r := scalar(c).raw)} if terms else {}
+        coerce = field.coerce
+        self.terms = {w: r for w, c in terms.items() if (r := coerce(c))} if terms else {}
 
     @classmethod
     def zero(cls, alphabet, field):

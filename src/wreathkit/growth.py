@@ -434,7 +434,7 @@ def _candidate_elements(host: TruncatedAlgebra, min_degree: int, degree_cap: int
         for b_i in range(a_i + 1, len(words)):
             for ca in pair_coeffs:
                 for cb in pair_coeffs:
-                    if host.field.is_zero(ca) or host.field.is_zero(cb):
+                    if not ca or not cb:
                         continue
                     yield host.element({words[a_i]: ca, words[b_i]: cb})
 
@@ -780,21 +780,3 @@ def _interval_sum(intervals):
     for iv in intervals:
         total = total + iv
     return total
-
-
-# -- corollary-style bound table ----------------------------------------------
-
-
-def growth_bound_report(
-    b_host: TruncatedAlgebra,
-    a_host: TruncatedAlgebra,
-    gamma: GammaMap,
-    n_max: int,
-    generators=None,
-    with_corner=False,
-):
-    """Rows (n, dim of the generated span, counting bound, within_bound)."""
-    report = span_inclusion_check(
-        b_host, a_host, gamma, n_max, generators=generators, with_corner=with_corner
-    )
-    return [(n, lhs, bound, ok) for (n, lhs, _, _, bound, ok) in report.rows], report.exact

@@ -111,20 +111,6 @@ def parse_presentation(text: str) -> Presentation:
         raise FileFormatError(str(exc)) from None
 
 
-def presentation_to_text(p: Presentation) -> str:
-    lines = []
-    if p.field.kind == "rational":
-        lines.append("field rational")
-    else:
-        lines.append(f"field gf {p.field.characteristic}")
-    lines.append(f"unital {'true' if p.unital else 'false'}")
-    gens = " ".join(f"{n}:{d}" for n, d in zip(p.alphabet.names, p.alphabet.degrees))
-    lines.append(f"generators {gens}")
-    for r in p.relations:
-        lines.append(f"rel {r.format()}")
-    return "\n".join(lines) + "\n"
-
-
 def load_presentation(path) -> Presentation:
     with open(path, encoding="utf-8") as fh:
         return parse_presentation(fh.read())
@@ -173,24 +159,45 @@ def parse_gamma(text: str, indexing: BasisIndexing, a_host: TruncatedAlgebra) ->
     return GammaMap(indexing, a_host, values)
 
 
-def gamma_to_text(gamma: GammaMap) -> str:
-    """The gamma file text of the map.  A value flagged as escaping A's
-    truncation raises ValueError: its text would read back unflagged."""
-    lines = []
-    alphabet = gamma.indexing.host.alphabet
-    for i in sorted(gamma.values):
-        w = gamma.indexing.word_at(i)
-        lhs = "1" if w.is_empty else alphabet.format_word(w)
-        value = gamma.values[i]
-        if value.flag:
-            raise ValueError(f"the value of {lhs!r} escapes the truncation of A")
-        lines.append(f"map {lhs} -> {value.format()}")
-    return "\n".join(lines) + "\n"
-
-
 def load_gamma(path, indexing, a_host) -> GammaMap:
     with open(path, encoding="utf-8") as fh:
         return parse_gamma(fh.read(), indexing, a_host)
+
+
+def load_growth_table(path) -> dict:
+    """The table {n: (dim, exact)} of a CSV whose header names the columns n,
+    dim and exact, as `growth` writes it.  A missing column or cell, a cell of
+    the wrong kind or a repeated n is an error that names its line and
+    column."""
+    entries, first, header = {}, {}, None
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    for lineno, line, _ in _content_lines(text):
+        if header is None:
+            header = line.split(",")
+            for col in ("n", "dim", "exact"):
+                if col not in header:
+                    raise FileFormatError(f"the header has no column {col!r}", lineno)
+            continue
+        cells = line.split(",")
+        if len(cells) < len(header):
+            raise FileFormatError(f"column {header[len(cells)]!r}: no cell", lineno)
+        if len(cells) > len(header):
+            raise FileFormatError(f"{len(cells)} cells under {len(header)} columns", lineno)
+        row = dict(zip(header, cells))
+        for col in ("n", "dim"):
+            try:
+                row[col] = int(row[col])
+            except ValueError:
+                raise FileFormatError(f"column {col!r}: {row[col]!r} is not an integer", lineno) from None
+        n = row["n"]
+        if row["exact"] not in ("True", "False"):
+            raise FileFormatError(f"column 'exact': {row['exact']!r} is not True or False", lineno)
+        if n in first:
+            raise FileFormatError(f"column 'n': n={n} repeats line {first[n]}", lineno)
+        first[n] = lineno
+        entries[n] = (row["dim"], row["exact"] == "True")
+    return entries
 
 
 # -- wreath expressions ------------------------------------------------------

@@ -444,7 +444,7 @@ def dense_rank(vectors, field: Field) -> int:
     for col in range(len(keys)):
         pivot_row = None
         for r in range(rank, len(rows)):
-            if not f.is_zero(rows[r][col]):
+            if rows[r][col]:
                 pivot_row = r
                 break
         if pivot_row is None:
@@ -453,7 +453,7 @@ def dense_rank(vectors, field: Field) -> int:
         inv = f.inv(rows[rank][col])
         rows[rank] = [f.mul(inv, c) for c in rows[rank]]
         for r in range(len(rows)):
-            if r == rank or f.is_zero(rows[r][col]):
+            if r == rank or not rows[r][col]:
                 continue
             c = rows[r][col]
             rows[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[r], rows[rank])]

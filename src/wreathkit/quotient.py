@@ -579,13 +579,13 @@ class TruncatedAlgebra:
     def element(self, terms: dict) -> "AlgElement":
         """Element from normal-word coordinates (words must be basis words).
 
-        A coefficient is a `Scalar` of this field, an int, or a raw value of
-        this field (see `Field.scalar`).
+        A coefficient is an int or a raw value of this field (see
+        `Field.coerce`).
         """
         f = self.field
         clean = {}
         for w, c in terms.items():
-            c = f.scalar(c).raw
+            c = f.coerce(c)
             if not c:
                 continue
             i = self._index(w)
@@ -772,12 +772,6 @@ class Subspace(Span):
         if element.host is not self.owner:
             raise ValueError("element of a different algebra")
         return element.terms
-
-
-def degree_component(alg: TruncatedAlgebra, d: int) -> Subspace:
-    """The degree-d component as a subspace (basis words as elements)."""
-    one = alg.field.one
-    return Subspace(alg, [AlgElement(alg, {i: one}) for i in alg._indices(d)])
 
 
 def growth_dims(alg: TruncatedAlgebra, generators, n_max: int):

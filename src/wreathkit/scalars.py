@@ -12,9 +12,8 @@ makes may stay one.
 The raw-value methods on `Field` serve the code off the hot paths (the
 parsers, `dense_rank`, inverses and formatting); the sums of the hot loops do
 their residue or rational arithmetic inline, and `linalg` is where
-coefficients are summed.  `Field.scalar` coerces an int, a raw value or a
-`Scalar` into this field, and `Scalar` is the boundary wrapper with operator
-overloads and field checks.
+coefficients are summed.  A raw value is the only form of a field element:
+`Field.coerce` turns an int or a raw value into one of this field.
 """
 
 from __future__ import annotations
@@ -120,9 +119,6 @@ class Field:
             return _integral(Fraction(a) * self.inv(b))
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a) -> bool:
-        return not a
-
     # -- text syntax: `a/b` for rationals, decimal residue for GF(p) ---
 
     def fmt(self, raw) -> str:
@@ -130,24 +126,16 @@ class Field:
             return f"{raw.numerator}/{raw.denominator}"
         return str(int(raw) if self.kind == "gf" else raw.numerator)
 
-    def sample(self, rng):
-        """A small random element, for property tests."""
-        if self.kind == "rational":
-            return self.div(rng.randint(-6, 6), rng.randint(1, 6))
-        return rng.randrange(self.characteristic)
-
-    def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatchError("scalar from another field")
-            return value
+    def coerce(self, value):
+        """The raw value of an int (a bool too) or, over the rationals, of a
+        `Fraction`, which keeps its type."""
         if isinstance(value, int):
-            return Scalar(self, self.from_int(value))
+            return self.from_int(value)
         if isinstance(value, Fraction):
             if self.kind != "rational":
                 raise ValueError("Fraction value over a prime field")
-            return Scalar(self, value)
-        raise TypeError(f"cannot coerce {value!r} to a scalar")
+            return value
+        raise TypeError(f"cannot coerce {value!r} to a field element")
 
     def __eq__(self, other):
         return (
@@ -161,80 +149,3 @@ class Field:
 
     def __repr__(self):
         return "Q" if self.kind == "rational" else f"GF({self.characteristic})"
-
-
-class Scalar:
-    """An exact field element tied to its field."""
-
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field: Field, raw):
-        self.field = field
-        self.raw = raw
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields {self.field!r} and {other.field!r}"
-                )
-            return other
-        if isinstance(other, int):
-            return Scalar(self.field, self.field.from_int(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.add(self.raw, o.raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(self.raw, o.raw))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(o.raw, self.raw))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.mul(self.raw, o.raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(self.raw, o.raw))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.raw))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.raw))
-
-    def __bool__(self):
-        return not self.field.is_zero(self.raw)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.raw == self.field.from_int(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.raw == other.raw
-
-    def __hash__(self):
-        return hash((self.field, self.raw))
-
-    def __repr__(self):
-        return self.field.fmt(self.raw)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .linalg import Span, closure, combine, reduced
 from .quotient import _ESCAPED, AlgElement, Subspace, TruncatedAlgebra
-from .scalars import FieldMismatchError, Scalar
+from .scalars import FieldMismatchError
 from .words import Word
 
 
@@ -144,15 +144,6 @@ class BasisIndexing:
         coords[1] = e.terms.get(1, 0) - sum(coords.values())
         return reduced(coords, self.host.field.characteristic)
 
-    def coords_to_element(self, coords: dict) -> AlgElement:
-        for i in coords:
-            self.word_at(i)  # the range check
-        terms = dict(coords)
-        if self.unipotent:
-            # every c_i (1 + w_i) also lands on the unit
-            terms[1] = sum(coords.values())
-        return AlgElement(self.host, reduced(terms, self.host.field.characteristic))
-
 
 class _LeftAction:
     """Left multiplication by one host basis word w, tabulated on a basis.
@@ -219,9 +210,6 @@ class SMatrix:
 
     def row_support(self):
         return {i for (i, _) in self.entries}
-
-    def column_support(self):
-        return {j for (_, j) in self.entries}
 
     def entry(self, i: int, j: int) -> AlgElement:
         return self.entries.get((i, j), self.a_host.zero())
@@ -361,9 +349,6 @@ class GammaMap:
 
     def value(self, i: int) -> AlgElement:
         return self.values.get(i, self.a_host.zero())
-
-    def support(self):
-        return sorted(self.values)
 
     def apply(self, b: AlgElement) -> AlgElement:
         """gamma(b) = sum of c_i gamma(b_i) over b's coordinates c_i; flagged
@@ -509,15 +494,13 @@ class WreathElement:
     def apply(self, j: int):
         """Image of basis vector b_j: B-coordinates tensored with 1, plus the
         matrix column.  Returns (b_coords, a_column, flag): b_coords maps row
-        indices to scalars (the b-part action), a_column maps row indices to
-        A-elements, and flag marks a b-part expansion that escaped the
+        indices to raw scalars (the b-part action), a_column maps row indices
+        to A-elements, and flag marks a b-part expansion that escaped the
         truncation."""
         idx = self.algebra.indexing
         idx.word_at(j)  # the range check
         coords, escaped = idx.product_column(self.b, j)
-        f = self.algebra.field
-        b_coords = {i: Scalar(f, c) for i, c in coords.items()}
-        return b_coords, self.s.apply_column(j), self.b.flag or escaped
+        return dict(coords), self.s.apply_column(j), self.b.flag or escaped
 
     def __repr__(self):
         return f"({self.b.format()}; {self.s!r})"
@@ -623,7 +606,7 @@ def unipotent_inverse(b: AlgElement) -> AlgElement:
     alpha = b.terms.get(host._unit)
     if not alpha:
         raise ValueError("element has no unit component, not invertible here")
-    inv_alpha = Scalar(host.field, host.field.inv(alpha))
+    inv_alpha = host.field.inv(alpha)
     n = AlgElement(host, {i: c for i, c in b.terms.items() if i != host._unit}).scale(inv_alpha)
     out = host.unit()
     term = host.unit()

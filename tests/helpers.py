@@ -15,7 +15,6 @@ from wreathkit import (
     FreeElement,
     GammaMap,
     Presentation,
-    Scalar,
     SMatrix,
     Subspace,
     TruncatedAlgebra,
@@ -52,17 +51,24 @@ def killed_above(field, gens, kill_degree, n=None, unital=False):
     return TruncatedAlgebra(Presentation(alphabet, field, rels, unital=unital), n)
 
 
+def sample(field, rng):
+    """A small random raw value of the field."""
+    if field.kind == "rational":
+        return field.div(rng.randint(-6, 6), rng.randint(1, 6))
+    return rng.randrange(field.characteristic)
+
+
 def random_element(alg, rng, max_degree=None, density=0.6, unit=False):
     cap = alg.truncation_degree if max_degree is None else max_degree
     terms = {}
     for d in range(1, cap + 1):
         for w in alg.degree_basis(d):
             if rng.random() < density:
-                terms[w] = alg.field.sample(rng)
+                terms[w] = sample(alg.field, rng)
     if unit and alg.unital:
         from wreathkit import EMPTY_WORD
 
-        terms[EMPTY_WORD] = alg.field.sample(rng)
+        terms[EMPTY_WORD] = sample(alg.field, rng)
     return alg.element(terms)
 
 
@@ -113,11 +119,11 @@ def _acc(terms: dict, key, c, f):
     of f.  The oracles' own accumulator, independent of `linalg`'s sums."""
     old = terms.get(key)
     if old is None:
-        if not f.is_zero(c):
+        if c:
             terms[key] = c
         return
     s = f.add(old, c)
-    if f.is_zero(s):
+    if not s:
         del terms[key]
     else:
         terms[key] = s
@@ -133,7 +139,7 @@ def rationals(bound, max_den):
 def assert_raw(field, c):
     """c is a stored coefficient: nonzero; over Q an int (never a bool) or a
     Fraction, never a float; over GF(p) a residue."""
-    assert not field.is_zero(c), "a zero coefficient is stored"
+    assert c, "a zero coefficient is stored"
     if field.kind == "rational":
         assert type(c) is int or isinstance(c, Fraction), f"{c!r} is not an int or a Fraction"
     else:
@@ -401,7 +407,7 @@ def reference_rmul_b(s, b):
     """S L(b), visiting every basis index j; a unipotent indexing flags a
     truncated b*b_j when S has entries in column 1."""
     idx, flag, pieces = s.indexing, s.flag or b.flag, []
-    col1_loss = idx.unipotent and 1 in s.column_support()
+    col1_loss = idx.unipotent and any(j == 1 for _, j in s.entries)
     for j in range(1, len(idx) + 1):
         coords, escaped = reference_product(b, idx, j)
         flag = flag or (escaped and col1_loss)
@@ -413,8 +419,7 @@ def reference_rmul_b(s, b):
 def reference_apply(e, j):
     idx = e.algebra.indexing
     coords, escaped = reference_product(e.b, idx, j)
-    b_coords = {i: Scalar(e.algebra.field, c) for i, c in coords.items()}
-    return b_coords, e.s.apply_column(j), escaped
+    return coords, e.s.apply_column(j), escaped
 
 
 # -- reference filtrations ------------------------------------------------------

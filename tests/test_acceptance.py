@@ -234,7 +234,9 @@ def test_criterion_weighted_image_span_linear():
 
 
 def _rank_mod_p(vectors, p):
-    """Independent oracle: dense elimination over int64, exact mod p."""
+    """Independent oracle: dense elimination over int64, exact mod p.  Each
+    pivot clears its column below it in one numpy step; entries stay below
+    p < 2**31, so every product fits in an int64."""
     import numpy as np
 
     keys = sorted({k for v in vectors for k in v})
@@ -245,20 +247,17 @@ def _rank_mod_p(vectors, p):
             mat[r, pos[k]] = int(c) % p
     rank = 0
     for col in range(mat.shape[1]):
-        pivot = None
-        for r in range(rank, mat.shape[0]):
-            if mat[r, col] % p:
-                pivot = r
-                break
-        if pivot is None:
+        rest = mat[rank:, col:]  # a view: the rows below the pivots found
+        hits = np.flatnonzero(rest[:, 0])
+        if not hits.size:
             continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        for r in range(mat.shape[0]):
-            if r != rank and mat[r, col]:
-                mat[r] = (mat[r] - mat[r, col] * mat[rank]) % p
+        rest[[0, hits[0]]] = rest[[hits[0], 0]]
+        rest[0] = rest[0] * pow(int(rest[0, 0]), p - 2, p) % p
+        hits = hits[1:]  # after the swap, row hits[0] is zero in this column
+        rest[hits] = (rest[hits] - np.outer(rest[hits, 0], rest[0])) % p
         rank += 1
+        if rank == mat.shape[0]:
+            break
     return rank
 
 

@@ -24,7 +24,6 @@ from wreathkit import (
     density_witness,
     degree_one_generators,
     gk_estimate,
-    growth_bound_report,
     shift_independence_witness,
     span_inclusion_check,
     w_gamma_table,
@@ -233,13 +232,13 @@ def test_corner_inclusion_random():
     assert report.ok and report.exact, report.rows
 
 
-def test_growth_bound_report_zero_gamma():
+def test_span_inclusion_zero_gamma():
     b_alg, a_alg, _ = small_instance()
     zero = GammaMap(BasisIndexing(b_alg), a_alg, {})
-    rows, exact = growth_bound_report(b_alg, a_alg, zero, 3)
-    assert exact
+    report = span_inclusion_check(b_alg, a_alg, zero, 3)
+    assert report.exact
     chain = power_chain(b_alg, degree_one_generators(b_alg), 3)
-    for (n, dim, bound, ok), sub in zip(rows, chain):
+    for (n, dim, _, _, bound, ok), sub in zip(report.rows, chain):
         assert ok and dim == sub.dim <= bound
 
 

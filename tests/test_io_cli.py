@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,12 @@ from wreathkit import (
     parse_element,
 )
 from wreathkit.freealg import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_POWER_TERMS
+from wreathkit.gs import MAX_DENOMINATOR_BOUND
 from wreathkit.io import (
     FileFormatError,
-    gamma_to_text,
     parse_gamma,
     parse_presentation,
     parse_wreath_expression,
-    presentation_to_text,
 )
 
 from helpers import make_algebra, random_gamma, rationals
@@ -73,9 +73,14 @@ def test_presentation_errors_carry_line_numbers():
 
 
 def test_presentation_round_trip():
+    """A presentation written out with its relations' `format` reads back equal."""
     for text in (FREE2, COMM2, HULL2, AX3, "field gf 7\nunital false\ngenerators a:2 b:1\nrel a*b - b*a\n"):
         p = parse_presentation(text)
-        assert parse_presentation(presentation_to_text(p)) == p
+        field = "rational" if p.field.kind == "rational" else f"gf {p.field.characteristic}"
+        gens = " ".join(f"{n}:{d}" for n, d in zip(p.alphabet.names, p.alphabet.degrees))
+        rels = "".join(f"rel {r.format()}\n" for r in p.relations)
+        written = f"field {field}\nunital {str(p.unital).lower()}\ngenerators {gens}\n{rels}"
+        assert parse_presentation(written) == p
 
 
 # -- gamma files -----------------------------------------------------------------
@@ -91,7 +96,7 @@ def gamma_env():
 def test_parse_gamma(gamma_env):
     idx, a_alg = gamma_env
     g = parse_gamma("map 1 -> 0\nmap x -> z\nmap x*y -> z^2 + z\n", idx, a_alg)
-    assert g.support() == [2, 5]
+    assert sorted(g.values) == [2, 5]
     assert g.value(2) == a_alg.gen("z")
 
 
@@ -114,24 +119,10 @@ def test_gamma_round_trip(gamma_env):
     idx, a_alg = gamma_env
     rng = random.Random(3)
     g = random_gamma(idx, a_alg, rng)
-    text = gamma_to_text(g)
+    words = idx.host.alphabet.format_word  # the unit word is written `1`
+    text = "".join(f"map {words(idx.word_at(i))} -> {v.format()}\n" for i, v in g.values.items())
     back = parse_gamma(text, idx, a_alg)
     assert back.values == g.values
-
-
-@pytest.mark.parametrize("rhs", ["s*s*s", "s + s*s*s"])
-def test_gamma_to_text_refuses_flagged_values(rhs):
-    """A value that escapes A's truncation has no text that reads back with
-    its flag: a flagged zero would be written `0` and dropped, a flagged
-    nonzero value written without its escaping part."""
-    b_alg = TruncatedAlgebra(parse_presentation(HULL2), 2)
-    gf101 = "field gf 101\nunital true\ngenerators s:1\n"
-    a_alg = TruncatedAlgebra(parse_presentation(gf101), 2)
-    idx = BasisIndexing(b_alg)
-    g = parse_gamma(f"map y -> s\nmap x -> {rhs}\n", idx, a_alg)
-    assert [v.flag for _, v in sorted(g.values.items())] == [True, False]  # x, then y
-    with pytest.raises(ValueError, match="'x'"):
-        gamma_to_text(g)
 
 
 # -- wreath expressions ------------------------------------------------------------
@@ -813,6 +804,38 @@ def test_cli_growth_n_defaults_to_N_only_when_absent(tmp_path):
     out = run_cli("growth", "-p", str(pres), "-N", "4")
     assert out.returncode == 0
     assert "# n=4" in out.stdout.splitlines()
+
+
+@pytest.mark.parametrize("bound", [-3, 0, MAX_DENOMINATOR_BOUND + 1, 10**9])
+def test_cli_gs_check_bound_out_of_range_exits_at_once(bound, capsys):
+    """The witness search lists every fraction up to the bound before it
+    tests one, so a bound past the limit is refused before any search."""
+    start = time.monotonic()
+    code = cli.main(["gs-check", "-m", "3", "--census", "2:1", "--bound", str(bound)])
+    assert code == 1 and time.monotonic() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: denominator bound {bound} is not between 1 and {MAX_DENOMINATOR_BOUND}\n"
+    )
+
+
+GK_ROWS = "".join(f"{n},{n * n},True\n" for n in range(1, 7))
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("n,dim,exact\n" + GK_ROWS + "1,3,True\n", "line 8: column 'n': n=1 repeats line 2"),
+        ("n,dim\n1,1\n2,4\n", "line 1: the header has no column 'exact'"),
+        ("n,dim,exact\n" + GK_ROWS + "7,49,yes\n", "line 8: column 'exact': 'yes' is not True or False"),
+    ],
+    ids=["repeated-n", "missing-column", "bad-exact"],
+)
+def test_cli_gk_reads_its_table_strictly(tmp_path, capsys, table, message):
+    path = tmp_path / "growth.csv"
+    path.write_text(table)
+    assert cli.main(["gk", "--table", str(path), "--window", "1:6"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("t0", ["1/0", "abc"])

@@ -24,7 +24,7 @@ from wreathkit import (
 from wreathkit import io as wio
 from wreathkit.linalg import Echelon, dense_rank
 
-from helpers import assert_raw, dense_from, rationals, reference_dense_dim_check, sparse_only
+from helpers import assert_raw, dense_from, rationals, reference_dense_dim_check, sample, sparse_only
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -65,7 +65,7 @@ def test_rref_invariant():
     e = Echelon(GF7)
     keys = list("abcdefgh")
     for _ in range(30):
-        vec = {k: GF7.sample(rng) for k in keys if rng.random() < 0.5}
+        vec = {k: sample(GF7, rng) for k in keys if rng.random() < 0.5}
         e.insert(vec)
     for own, row in e.pivot_rows():
         assert max(row) == own and row[own] == 1
@@ -87,7 +87,7 @@ def test_echelon_agrees_with_dense_rank():
     for trial in range(40):
         vecs = []
         for _ in range(rng.randrange(1, 15)):
-            vecs.append({k: GF7.sample(rng) for k in keys if rng.random() < 0.4})
+            vecs.append({k: sample(GF7, rng) for k in keys if rng.random() < 0.4})
         e = Echelon(GF7)
         for v in vecs:
             e.insert(v)
@@ -162,7 +162,7 @@ def vector_lists(draw, fields=FIELDS):
                 field.mul(a, vecs[i].get(k, field.zero)),
                 field.mul(b, vecs[j].get(k, field.zero)),
             )
-            if not field.is_zero(c):
+            if c:
                 combo[k] = c
         vecs.append(combo)
     return field, keys, vecs
@@ -173,7 +173,7 @@ def descending_pivots(draw, fields=FIELDS):
     """Vectors whose greatest keys strictly descend: every insert may back-reduce."""
     field = draw(st.sampled_from(fields))
     keys = KEY_POOLS[draw(st.sampled_from(sorted(KEY_POOLS)))]
-    coeff = coefficients(field).filter(lambda c: not field.is_zero(c))
+    coeff = coefficients(field).filter(bool)
     vecs = []
     for top in range(len(keys) - 1, 0, -1):
         below = draw(st.lists(st.sampled_from(keys[:top]), min_size=1, max_size=5, unique=True))

@@ -16,7 +16,6 @@ from wreathkit import (
     Subspace,
     TruncatedAlgebra,
     TruncationOverflow,
-    degree_component,
     degree_one_generators,
     growth_dims,
     parse_element,
@@ -605,7 +604,7 @@ def test_subspace_contains_and_membership():
 
 def test_degree_component():
     alg = make_algebra(Q, ["x", "y"], ["x*y - y*x"], n=4)
-    assert degree_component(alg, 2).dim == 3
+    assert Subspace(alg, [alg.element({w: 1}) for w in alg.degree_basis(2)]).dim == 3
 
 
 # -- growth -------------------------------------------------------------------
@@ -853,7 +852,7 @@ def term_maps(draw, alg):
     drawn coin when the algebra is unital."""
     f = alg.field
     words = range(alg._unit + 1, alg._first[-1])
-    coeffs = st.integers(-3, 3).map(lambda c: f.scalar(c).raw).filter(bool)
+    coeffs = st.integers(-3, 3).map(f.coerce).filter(bool)
     terms = draw(st.dictionaries(st.sampled_from(words), coeffs, max_size=5)) if words else {}
     if alg.unital and draw(st.booleans()):
         terms[alg._unit] = draw(coeffs)

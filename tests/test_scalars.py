@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathkit import Field, FieldMismatchError, Scalar
+from wreathkit import Alphabet, Field, FieldMismatchError, FreeElement
 
-from helpers import rationals
+from helpers import rationals, sample
 
 
 Q = Field.rationals()
@@ -16,38 +16,39 @@ GF7 = Field.prime(7)
 
 
 def test_rational_examples():
-    assert Q.scalar(Fraction(1, 2)) + Q.scalar(Fraction(1, 3)) == Q.scalar(Fraction(5, 6))
-    assert Q.scalar(Fraction(2, 3)) * Q.scalar(Fraction(3, 4)) == Q.scalar(Fraction(1, 2))
-    assert Q.scalar(Fraction(2, 3)).inv() == Q.scalar(Fraction(3, 2))
+    assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Q.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
+    assert Q.inv(Fraction(2, 3)) == Fraction(3, 2)
 
 
 def test_prime_field_examples():
-    assert GF5.scalar(3) + GF5.scalar(4) == GF5.scalar(2)
-    assert GF5.scalar(2) * GF5.scalar(3) == GF5.scalar(1)
-    assert GF7.scalar(3).inv() == GF7.scalar(5)
+    assert GF5.add(3, 4) == 2
+    assert GF5.mul(2, 3) == 1
+    assert GF7.inv(3) == 5
 
 
 def test_identity_cases():
-    a = Q.scalar(Fraction(7, 3))
-    assert a + Q.scalar(0) == a
-    assert a * Q.scalar(1) == a
-    b = GF5.scalar(4)
-    assert b + GF5.scalar(0) == b
-    assert b * GF5.scalar(1) == b
+    a = Fraction(7, 3)
+    assert Q.add(a, Q.zero) == a
+    assert Q.mul(a, Q.one) == a
+    assert GF5.add(4, GF5.zero) == 4
+    assert GF5.mul(4, GF5.one) == 4
 
 
 def test_zero_inverse_signaled():
     with pytest.raises(ZeroDivisionError):
-        Q.scalar(0).inv()
+        Q.inv(0)
     with pytest.raises(ZeroDivisionError):
-        GF5.scalar(0).inv()
+        GF5.inv(0)
 
 
 def test_field_mismatch():
+    """Raw values carry no field; elements do, and mixing fields is refused."""
+    xy = Alphabet([("x", 1), ("y", 1)])
     with pytest.raises(FieldMismatchError):
-        Q.scalar(1) + GF5.scalar(1)
+        FreeElement.generator(xy, Q, 0) + FreeElement.generator(xy, GF5, 0)
     with pytest.raises(FieldMismatchError):
-        GF5.scalar(1) * GF7.scalar(1)
+        FreeElement.generator(xy, GF5, 0) * FreeElement.generator(xy, GF7, 0)
 
 
 def test_field_validation():
@@ -65,22 +66,22 @@ def test_field_axioms_randomized(field):
     rng = random.Random(20240601)
     f = field
     for _ in range(10_000):
-        a, b, c = f.sample(rng), f.sample(rng), f.sample(rng)
+        a, b, c = sample(f, rng), sample(f, rng), sample(f, rng)
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        if not f.is_zero(a):
+        if a:
             assert f.mul(a, f.inv(a)) == f.one
 
 
 def test_representatives_always_reduced():
     rng = random.Random(7)
     for _ in range(2000):
-        a, b = Q.sample(rng), Q.sample(rng)
+        a, b = sample(Q, rng), sample(Q, rng)
         s = Q.add(a, b)
         assert s.denominator > 0
         assert Fraction(s.numerator, s.denominator) == s
-        x, y = GF7.sample(rng), GF7.sample(rng)
+        x, y = sample(GF7, rng), sample(GF7, rng)
         assert 0 <= GF7.mul(x, y) < 7
         assert 0 <= GF7.sub(x, y) < 7
 
@@ -92,12 +93,22 @@ def test_parse_and_format():
 
 
 def test_scalar_operations():
-    a = Scalar(Q, Fraction(3, 4))
-    assert (a - a) == Q.scalar(0)
-    assert -a + a == Q.scalar(0)
-    assert a / a == Q.scalar(1)
-    assert bool(a) and not bool(Q.scalar(0))
-    assert repr(GF5.scalar(9)) == "4"
+    """A field element is a raw value.  `coerce` sends an int (a bool too)
+    through `from_int` and keeps a `Fraction` as it is, over Q only."""
+    a = Fraction(3, 4)
+    assert Q.sub(a, a) == 0
+    assert Q.add(Q.neg(a), a) == 0
+    assert Q.div(a, a) == 1
+    assert GF5.fmt(GF5.coerce(9)) == "4"
+    assert GF5.coerce(-1) == 4 and GF5.coerce(True) == 1
+    assert type(Q.coerce(True)) is int and Q.coerce(True) == 1
+    one = Q.coerce(Fraction(1))
+    assert one == 1 and type(one) is Fraction
+    with pytest.raises(ValueError):
+        GF5.coerce(Fraction(1, 2))
+    for value in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            Q.coerce(value)
 
 
 # -- Q raw values: an int when integral, a Fraction otherwise -------------------
@@ -137,7 +148,7 @@ def test_rational_methods_never_return_floats_or_bools(a, b, n):
         results += [Q.inv(b), Q.div(a, b)]
     for r in results:
         assert is_q_raw(r), repr(r)
-    assert is_q_raw(Q.scalar(a).raw) and is_q_raw(Q.scalar(n).raw)
+    assert is_q_raw(Q.coerce(a)) and is_q_raw(Q.coerce(n))
 
 
 @given(QVALUES, QVALUES)
@@ -151,7 +162,7 @@ def test_inv_and_div_are_ints_exactly_when_integral(a, b):
 
 def test_sample_draws_ints_and_fractions():
     rng = random.Random(11)
-    values = [Q.sample(rng) for _ in range(200)]
+    values = [sample(Q, rng) for _ in range(200)]
     assert all(is_q_raw(c) for c in values)
     assert {type(c) for c in values} == {int, Fraction}
     assert all(type(c) is int for c in values if c == int(c))

@@ -72,7 +72,7 @@ def small_instances(draw):
     for _ in range(draw(st.integers(0, 2))):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(degree_two), max_size=len(degree_two)))
         terms = {w: field.from_int(c) for w, c in zip(degree_two, coeffs)}
-        terms = {w: c for w, c in terms.items() if not field.is_zero(c)}
+        terms = {w: c for w, c in terms.items() if c}
         if terms:
             relations.append(FreeElement(alphabet, field, terms))
     alg = TruncatedAlgebra(Presentation(alphabet, field, relations), N)
