@@ -220,11 +220,11 @@ def cmd_wreath_eval(args):
     wa = WreathAlgebra(b_alg, a_alg, indexing)
     e = wio.parse_wreath_expression(args.expr, wa, gamma)
     print(f"b-part: {e.b.format()}")
-    entries = sorted(e.s.entries.items())
-    if not entries:
+    cells = sorted(e.s.entries)
+    if not cells:
         print("s-part: 0")
-    for (i, j), a in entries:
-        print(f"s-part ({i},{j}): {a.format()}")
+    for i, j in cells:
+        print(f"s-part ({i},{j}): {e.s.entry(i, j).format()}")
     if e.flag:
         print("flag: truncated (result is a lower-degree shadow)")
         return EXIT_INEXACT

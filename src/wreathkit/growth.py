@@ -310,15 +310,14 @@ def span_inclusion_check(
     corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
     u_chain = power_chain(wa, fresh[1] + [c] + corner, n)
 
-    # middles[j] (and corner_middles[j]) hold c (the corner unit) at j = 0 and
-    # the images of W's representatives new at level j, j = 1..n
+    # one (middles, lefts) family for c and one for the corner unit: middles[j]
+    # holds c (the corner unit) at j = 0 and the images of W's representatives
+    # new at level j, j = 1..n; lefts is `_triple_products`' memo
     new_w = [_fresh(ws, j) for j in range(1, n + 1)]
-    middles = [[c]] + [[_scale_row(wa, gamma, a) for a in w] for w in new_w]
+    families = [([[c]] + [[_scale_row(wa, gamma, a) for a in w] for w in new_w], {})]
     if with_corner:
-        corner_middles = [corner] + [
-            [wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in w] for w in new_w
-        ]
-    lefts, corner_lefts = {}, {}
+        units = [[wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in w] for w in new_w]
+        families.append(([corner] + units, {}))
 
     # rhs grows with m, adding only the products no lower weight made
     rhs = WreathSpan(wa, [c] + corner)
@@ -327,9 +326,8 @@ def span_inclusion_check(
     found = 0  # the first `found` representatives of u_chain[-1] lie in rhs
     for m in range(1, n + 1):
         rhs.extend(fresh[m])
-        rhs.extend(_triple_products(fresh, middles, m, lefts))
-        if with_corner:
-            rhs.extend(_triple_products(fresh, corner_middles, m, corner_lefts))
+        for middles, lefts in families:
+            rhs.extend(_triple_products(fresh, middles, m, lefts))
 
         lhs = u_chain[m - 1]
         reps = lhs.representatives()
@@ -343,9 +341,7 @@ def span_inclusion_check(
                     gi = 1 if i == 0 else g_dims[i - 1]
                     gk = 1 if k == 0 else g_dims[k - 1]
                     wj = 1 if j == 0 else w_dims[j - 1]
-                    bound += gi * wj * gk
-                    if with_corner:
-                        bound += gi * wj * gk
+                    bound += len(families) * gi * wj * gk
         rows.append((m, lhs.dim, rhs.dim, included, bound, lhs.dim <= bound))
         exact = exact and lhs.exact and rhs.exact
     return InclusionReport(rows, exact)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 # Largest denominator bound the witness search takes.  It lists every reduced
@@ -121,19 +122,14 @@ def count_polynomial(m: int, census: dict) -> list:
 
 
 def _witness_candidates(m: int, bound: int):
-    """Reduced fractions in (1/m, 1) with denominator <= bound, ascending."""
-    from math import gcd
-
-    seen = set()
-    out = []
-    for q in range(2, bound + 1):
-        for p in range(1, q):
-            if gcd(p, q) != 1:
-                continue
-            t = Fraction(p, q)
-            if Fraction(1, m) < t < 1 and t not in seen:
-                seen.add(t)
-                out.append(t)
+    """Reduced fractions in (1/m, 1) with denominator <= bound, ascending;
+    each p/q in lowest terms is a distinct value."""
+    out = [
+        Fraction(p, q)
+        for q in range(2, bound + 1)
+        for p in range(1, q)
+        if p * m > q and gcd(p, q) == 1
+    ]
     out.sort()
     return out
 

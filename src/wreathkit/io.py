@@ -61,9 +61,14 @@ def parse_presentation(text: str) -> Presentation:
     unital = False
     alphabet = None
     relation_sources = []
+    given = {}  # directive -> the line that gave it; each is given at most once
     for lineno, line, at in _content_lines(text):
         head, _, rest = line.partition(" ")
         rest, rest_at = _stripped(rest, at + len(head) + 1)
+        if head in ("field", "unital", "generators"):
+            if head in given:
+                raise FileFormatError(f"`{head}` repeats line {given[head]}", lineno)
+            given[head] = lineno
         if head == "field":
             parts = rest.split()
             if parts == ["rational"]:

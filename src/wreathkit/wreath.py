@@ -163,23 +163,20 @@ class _LeftAction:
         self.any_escaped = any_escaped
 
 
-def _scaled_sum(terms, a_host: TruncatedAlgebra) -> dict:
-    """{(i, j): sum of c*a} over the ((i, j), c, a) in terms, as A-elements.
+def _cell_sums(parts, p: int) -> dict:
+    """{(i, j): sum of c*terms} over the ((i, j), c, terms) in parts.
 
-    c is a raw scalar, a an A-element.  Zero sums are left out, and an entry
-    is flagged when one of its summands is.
+    c is a raw scalar, terms the raw A-coordinates of a cell.  Zero sums are
+    left out; a sum may be a summand's own dict (`combine`).
     """
-    parts, flagged = {}, set()
-    for key, c, a in terms:
-        parts.setdefault(key, []).append((c, a.terms))
-        if a.flag:
-            flagged.add(key)
-    p = a_host.field.characteristic
+    cells = {}
+    for key, c, terms in parts:
+        cells.setdefault(key, []).append((c, terms))
     out = {}
-    for key, summands in parts.items():
+    for key, summands in cells.items():
         t = combine(summands, p)
         if t:
-            out[key] = AlgElement(a_host, t, key in flagged)
+            out[key] = t
     return out
 
 
@@ -188,6 +185,10 @@ class SMatrix:
 
     Finite support forces finitely many nonzero rows, which is exactly the
     class of transformations the wreath product construction computes with.
+    A cell of `entries` is the raw A-coordinate dict {A basis index: raw} of
+    a nonzero entry; cells are shared between matrices, so read them, never
+    mutate them.  `flag`, the only flag, marks an entry that escaped the
+    truncation.  The constructor takes A-elements, and `entry` hands them out.
     """
 
     __slots__ = ("indexing", "a_host", "entries", "flag")
@@ -199,10 +200,15 @@ class SMatrix:
         if entries:
             for key, a in entries.items():
                 if a:
-                    self.entries[key] = a
-                if a.flag:
-                    flag = True
+                    self.entries[key] = a.terms
+                flag = flag or a.flag
         self.flag = flag
+
+    def _like(self, cells: dict, flag: bool) -> "SMatrix":
+        """A matrix over the same hosts with cells (nonzero) as its entries."""
+        s = SMatrix(self.indexing, self.a_host, flag=flag)
+        s.entries = cells
+        return s
 
     def _check(self, other: "SMatrix"):
         if self.indexing is not other.indexing or self.a_host is not other.a_host:
@@ -212,51 +218,42 @@ class SMatrix:
         return {i for (i, _) in self.entries}
 
     def entry(self, i: int, j: int) -> AlgElement:
-        return self.entries.get((i, j), self.a_host.zero())
+        """Entry (i, j) as an A-element, flagged when the matrix is."""
+        return AlgElement(self.a_host, self.entries.get((i, j), {}), self.flag)
 
     def __add__(self, other):
         self._check(other)
-        entries = dict(self.entries)
-        for key, a in other.entries.items():
-            s = entries.get(key)
-            s = a if s is None else s + a
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
-        return SMatrix(self.indexing, self.a_host, entries, self.flag or other.flag)
+        parts = [(key, 1, t) for m in (self, other) for key, t in m.entries.items()]
+        cells = _cell_sums(parts, self.a_host.field.characteristic)
+        return self._like(cells, self.flag or other.flag)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SMatrix(
-            self.indexing, self.a_host, {k: -a for k, a in self.entries.items()}, self.flag
-        )
+        return self.scale(-1)
 
     def scale(self, c) -> "SMatrix":
-        return SMatrix(
-            self.indexing, self.a_host, {k: a.scale(c) for k, a in self.entries.items()}, self.flag
-        )
+        f = self.a_host.field
+        c = f.coerce(c)
+        parts = [(key, c, t) for key, t in self.entries.items()]
+        return self._like(_cell_sums(parts, f.characteristic), self.flag)
 
     def matmul(self, other: "SMatrix") -> "SMatrix":
         self._check(other)
         rows_of_other = {}
-        for (k, j), a in other.entries.items():
-            rows_of_other.setdefault(k, []).append((j, a))
-        out = {}
-        flag = self.flag or other.flag
+        for (k, j), b in other.entries.items():
+            rows_of_other.setdefault(k, []).append((j, b))
+        a_host = self.a_host
+        mul, policy = a_host._mul_terms, a_host.policy
+        parts, flag = [], self.flag or other.flag
         for (i, k), a in self.entries.items():
             for j, b in rows_of_other.get(k, ()):
-                p = a * b
-                if p.flag:
-                    flag = True
-                if not p:
-                    continue
-                s = out.get((i, j))
-                out[(i, j)] = p if s is None else s + p
-        out = {k: v for k, v in out.items() if v}
-        return SMatrix(self.indexing, self.a_host, out, flag)
+                t, escaped = mul(a, b, policy)
+                flag = flag or escaped
+                if t:
+                    parts.append(((i, j), 1, t))
+        return self._like(_cell_sums(parts, a_host.field.characteristic), flag)
 
     def lmul_b(self, b: AlgElement) -> "SMatrix":
         """Left action of a host element: rows are shifted by b's expansion.
@@ -266,14 +263,13 @@ class SMatrix:
         idx = self.indexing
         flag = self.flag or b.flag
         columns = {}  # k -> column k of L(b)
-        terms = []
+        parts = []
         for (k, j), a in self.entries.items():
             if k not in columns:
                 columns[k], escaped = idx.product_column(b, k)
                 flag = flag or escaped
-            terms.extend(((i, j), c, a) for i, c in columns[k].items())
-        out = _scaled_sum(terms, self.a_host)
-        return SMatrix(idx, self.a_host, out, flag)
+            parts.extend(((i, j), c, a) for i, c in columns[k].items())
+        return self._like(_cell_sums(parts, self.a_host.field.characteristic), flag)
 
     def rmul_b(self, b: AlgElement) -> "SMatrix":
         """Right action: precompose with left multiplication by b.
@@ -291,18 +287,17 @@ class SMatrix:
         flag = self.flag or b.flag
         if idx.unipotent and 1 in cols and not flag:
             flag = idx.escapes(b)
-        terms = [
+        parts = [
             ((i, j), c, a)
             for k, column in cols.items()
             for j, c in idx.product_row(b, k).items()
             for i, a in column
         ]
-        out = _scaled_sum(terms, self.a_host)
-        return SMatrix(idx, self.a_host, out, flag)
+        return self._like(_cell_sums(parts, self.a_host.field.characteristic), flag)
 
     def apply_column(self, j: int) -> dict:
         """The image of basis vector b_j, as {row index: A-coefficient}."""
-        return {i: a for (i, jj), a in self.entries.items() if jj == j}
+        return {i: self.entry(i, j) for (i, jj) in self.entries if jj == j}
 
     def __eq__(self, other):
         return (
@@ -316,9 +311,7 @@ class SMatrix:
         return bool(self.entries)
 
     def __repr__(self):
-        cells = ", ".join(
-            f"({i},{j})={a.format()}" for (i, j), a in sorted(self.entries.items())
-        )
+        cells = ", ".join(f"({i},{j})={self.entry(i, j).format()}" for i, j in sorted(self.entries))
         return f"SMatrix[{cells or '0'}]{' (truncated)' if self.flag else ''}"
 
 
@@ -518,9 +511,9 @@ def wreath_coords(e: WreathElement) -> dict:
     wa = e.algebra
     nb, na = len(wa.indexing), wa.a_host.total_dim()
     vec = dict(e.b.terms)
-    for (i, j), a in e.s.entries.items():
+    for (i, j), cell in e.s.entries.items():
         base = nb + ((i - 1) * nb + (j - 1)) * na
-        for k, c in a.terms.items():
+        for k, c in cell.items():
             vec[base + k] = c
     return vec
 
@@ -537,8 +530,7 @@ def wreath_from_coords(wa: WreathAlgebra, vec: dict, flag: bool = False) -> Wrea
         else:
             cell, k = divmod(key - nb - 1, na)
             cells.setdefault(divmod(cell, nb), {})[k + 1] = c
-    entries = {(i + 1, j + 1): AlgElement(wa.a_host, t) for (i, j), t in cells.items()}
-    s = SMatrix(wa.indexing, wa.a_host, entries, flag)
+    s = wa.zero_matrix()._like({(i + 1, j + 1): t for (i, j), t in cells.items()}, flag)
     return WreathElement(wa, AlgElement(wa.b_host, b), s)
 
 

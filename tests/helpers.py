@@ -396,10 +396,10 @@ def _sum_scaled(pieces):
 def reference_lmul_b(s, b):
     """L(b) S: row k of S is spread along column k of L(b)."""
     idx, flag, pieces = s.indexing, s.flag or b.flag, []
-    for (k, j), a in s.entries.items():
+    for k, j in s.entries:
         coords, escaped = reference_product(b, idx, k)
         flag = flag or escaped
-        pieces.extend(((i, j), a, c) for i, c in coords.items())
+        pieces.extend(((i, j), s.entry(k, j), c) for i, c in coords.items())
     return SMatrix(idx, s.a_host, _sum_scaled(pieces), flag)
 
 
@@ -412,7 +412,7 @@ def reference_rmul_b(s, b):
         coords, escaped = reference_product(b, idx, j)
         flag = flag or (escaped and col1_loss)
         for k, c in coords.items():
-            pieces.extend(((i, j), a, c) for (i, kk), a in s.entries.items() if kk == k)
+            pieces.extend(((i, j), s.entry(i, kk), c) for i, kk in s.entries if kk == k)
     return SMatrix(idx, s.a_host, _sum_scaled(pieces), flag)
 
 

@@ -72,6 +72,27 @@ def test_presentation_errors_carry_line_numbers():
         parse_presentation(FREE2 + "rel x + x*y\n")  # inhomogeneous
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("field gf 7\nfield rational\ngenerators x:1\n", "line 2: `field` repeats line 1"),
+        ("field gf 7\nunital true\ngenerators x:1\nunital false\n", "line 4: `unital` repeats line 2"),
+        ("field gf 7\ngenerators x:1\n# y\ngenerators y:1\n", "line 4: `generators` repeats line 2"),
+    ],
+    ids=["field", "unital", "generators"],
+)
+def test_cli_repeated_presentation_directive_is_an_error(tmp_path, text, message):
+    """A `field`, `unital` or `generators` line given twice is refused, naming
+    both lines, instead of the last one winning."""
+    with pytest.raises(FileFormatError, match=message):
+        parse_presentation(text)
+    pres = tmp_path / "p.pres"
+    pres.write_text(text)
+    out = run_cli("build", "-p", str(pres), "-N", "3")
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_presentation_round_trip():
     """A presentation written out with its relations' `format` reads back equal."""
     for text in (FREE2, COMM2, HULL2, AX3, "field gf 7\nunital false\ngenerators a:2 b:1\nrel a*b - b*a\n"):
@@ -751,8 +772,9 @@ ESCAPE_B = "field gf 101\nunital true\ngenerators x:1 y:1\n"
         (["span-bound", "-n", "2"], "map x -> s*s\nmap y -> s\n", "# exact=False"),
         (["wreath-eval", "--expr", "x + e(1,1,s^3)"], "map x -> s*s\nmap y -> s\n", "flag: truncated"),
         (["wgamma", "-n", "2"], "map x -> s*s*s\n", "1,0,False"),
+        (["wreath-eval", "--expr", "e(1,1,s) * e(1,1,s*s)"], "map x -> s\n", "flag: truncated"),
     ],
-    ids=["scale-row", "matrix-unit", "gamma-value"],
+    ids=["scale-row", "matrix-unit", "gamma-value", "matmul"],
 )
 def test_cli_flag_of_a_vanished_escape_is_kept(tmp_path, command, gamma, expected):
     """An entry or gamma value whose every term escaped is zero and flagged:

@@ -282,6 +282,8 @@ def test_flag_propagation_on_lost_rows():
     f = wa.matrix_unit(deg2_index, 1, wa.a_host.gen("z"))
     shifted = f.lmul_b(wa.b_host.gen("x"))
     assert shifted.flag and not shifted.entries
+    # the matrix flag is the only flag, and its entries carry it
+    assert shifted.entry(1, 1).flag and unit_row_projection(shifted).flag
     # right action never loses data over a plain indexing
     moved = f.rmul_b(wa.b_host.gen("x"))
     assert not moved.flag
@@ -412,9 +414,9 @@ def tuple_coords(e):
     """Reference coordinates: keys ("b", w) and ("s", i, j, w), ordered as
     tuples, w the `Word` that a term's basis index stands for."""
     vec = {("b", e.b.host._word(k)): c for k, c in e.b.terms.items()}
-    for (i, j), a in e.s.entries.items():
-        for k, c in a.terms.items():
-            vec[("s", i, j, a.host._word(k))] = c
+    for (i, j), cell in e.s.entries.items():
+        for k, c in cell.items():
+            vec[("s", i, j, e.s.a_host._word(k))] = c
     return vec
 
 
