@@ -27,7 +27,12 @@ from .quotient import (
     growth_dims,
 )
 from .scalars import Field, FieldMismatchError
-from .section6 import build_layered_presentation, sandwich_check, sandwich_report
+from .section6 import (
+    build_layered_presentation,
+    sandwich_check,
+    sandwich_report,
+    x_part_presentation,
+)
 from .words import EMPTY_WORD, Alphabet, Word
 from .wreath import (
     BasisIndexing,

@@ -32,7 +32,7 @@ from .growth import (
 from .gs import golod_shafarevich_check
 from .quotient import Presentation, TruncatedAlgebra
 from .scalars import Field
-from .section6 import build_layered_presentation, sandwich_report
+from .section6 import sandwich_report, x_part_presentation
 from .words import Alphabet
 from .wreath import BasisIndexing, GammaMap, WreathAlgebra, nilpotency_check
 
@@ -185,18 +185,21 @@ def cmd_shift_witness(args):
 
 
 def cmd_sandwich(args):
+    if args.kmax < 2:
+        raise ValueError(f"--kmax {args.kmax} is below 2: the sandwich needs x1 and x2")
     schedule = FiltrationSchedule([int(t) for t in args.schedule.split(",")])
     if args.J:
         two_pres = wio.load_presentation(args.J)
     else:  # the free algebra on x, y over Q
         xy = Alphabet([("x", 1), ("y", 1)])
         two_pres = Presentation(xy, Field.rationals(), [], unital=False)
-    layered_pres = build_layered_presentation(
+    # g_k lives in the x-part of the layered algebra (see x_part_presentation)
+    x_pres = x_part_presentation(
         two_pres.field, args.kmax, schedule, list(two_pres.relations), truncation_degree=args.N
     )
-    layered = TruncatedAlgebra(layered_pres, args.N, args.policy)
+    x_alg = TruncatedAlgebra(x_pres, args.N, args.policy)
     two_alg = TruncatedAlgebra(two_pres, args.N, args.policy)
-    report = sandwich_report(layered, two_alg, schedule)
+    report = sandwich_report(x_alg, two_alg, schedule)
     rows = [
         (r.k, r.n, r.f, r.g, r.lower_ok, r.upper_ok, r.exact, r.note)
         for r in report.rows

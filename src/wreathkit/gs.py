@@ -21,10 +21,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-# Largest denominator bound the witness search takes.  It lists every reduced
-# fraction up to the bound before it tests one, so its time grows with the
-# square of the bound: 0.5 s at this bound and 2.2 s at 1,000 for
-# `-m 3 --census 2:1` on a 2-vCPU x86-64 VM under Python 3.11.
+# Largest denominator bound the witness search takes.  The search walks the
+# reduced fractions in ascending order and stops at the first witness
+# (`-m 3 --census 2:1` finds 89/233 in 0.04 s).  With no witness it evaluates
+# phi at all of them, about 0.2 * bound**2: about 1 s at this bound for a
+# degree-5 census with m = 3, 0.09 s of it the walk (2-vCPU x86-64 VM,
+# Python 3.11).
 MAX_DENOMINATOR_BOUND = 500
 
 
@@ -123,15 +125,23 @@ def count_polynomial(m: int, census: dict) -> list:
 
 def _witness_candidates(m: int, bound: int):
     """Reduced fractions in (1/m, 1) with denominator <= bound, ascending;
-    each p/q in lowest terms is a distinct value."""
-    out = [
-        Fraction(p, q)
-        for q in range(2, bound + 1)
-        for p in range(1, q)
-        if p * m > q and gcd(p, q) == 1
-    ]
-    out.sort()
-    return out
+    each p/q in lowest terms is a distinct value.  One ascending walk per
+    denominator q, merged lazily, so a search stops at its first witness.
+
+    The walks are merged by the float p / q: two distinct fractions with
+    denominators <= bound differ by at least 1 / bound**2, far above the
+    float's rounding error, so the floats sort like the fractions.
+    """
+
+    import heapq  # here, not at module level: only a witness search needs it
+
+    def walk(q):
+        for p in range(q // m + 1, q):  # p > q // m iff p * m > q
+            if gcd(p, q) == 1:
+                yield p / q, p, q
+
+    merged = heapq.merge(*(walk(q) for q in range(2, bound + 1)))
+    return (Fraction(p, q) for _, p, q in merged)
 
 
 def golod_shafarevich_check(

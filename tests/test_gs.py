@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from wreathkit import census_from_blocks, count_polynomial, golod_shafarevich_check
-from wreathkit.gs import _p_eval
+from wreathkit.gs import _p_eval, _witness_candidates
 
 
 def test_empty_census_satisfiable():
@@ -79,6 +80,26 @@ def test_witness_is_smallest_in_bound():
     assert rep.t0 == Fraction(2, 3)
     rep = golod_shafarevich_check(2, {}, denominator_bound=64)
     assert rep.t0 == Fraction(32, 63)
+
+
+def test_witness_candidates_are_the_sorted_reduced_fractions():
+    """The lazy merged walk lists what sorting every reduced fraction in
+    (1/m, 1) with denominator <= bound lists."""
+    for m in range(2, 7):
+        for bound in [*range(1, 41), 97]:
+            brute = sorted(
+                Fraction(p, q)
+                for q in range(2, bound + 1)
+                for p in range(1, q)
+                if p * m > q and gcd(p, q) == 1
+            )
+            assert list(_witness_candidates(m, bound)) == brute, (m, bound)
+
+
+def test_witness_search_at_the_largest_bound():
+    rep = golod_shafarevich_check(3, {2: 1}, denominator_bound=500)
+    assert rep.satisfied and rep.t0 == Fraction(89, 233)
+    assert rep.value == _p_eval(count_polynomial(3, {2: 1}), Fraction(89, 233)) < 0
 
 
 def test_census_from_blocks_examples():

@@ -689,6 +689,28 @@ def test_cli_sandwich(tmp_path):
     assert "faithful=no" in out.stdout
 
 
+def test_cli_sandwich_sweeps_only_the_x_letters(tmp_path, capsys):
+    """Window indices stop at kmax however long the schedule: g_k is read
+    from x_1..x_k, and the algebra has no x_3."""
+    j = tmp_path / "j.pres"
+    j.write_text(COMM2)
+    args = ["sandwich", "--kmax", "2", "--schedule", "1,2,3,4", "--J", str(j), "-N", "6"]
+    assert cli.main(args) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if ln[:1].isdigit()]
+    assert rows == ["2,2,5,5,True,True,True,", "2,3,9,9,True,True,True,"]
+
+
+@pytest.mark.parametrize("kmax, schedule", [("1", "1,2"), ("1", "1,2,3,4,5"), ("0", "2")])
+def test_cli_sandwich_kmax_below_two_is_an_error(tmp_path, capsys, kmax, schedule):
+    j = tmp_path / "j.pres"
+    j.write_text(COMM2)
+    args = ["sandwich", "--kmax", kmax, "--schedule", schedule, "--J", str(j), "-N", "6"]
+    assert cli.main(args) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --kmax {kmax} is below 2: the sandwich needs x1 and x2\n"
+
+
 def test_cli_sandwich_without_j_is_the_free_rational_xy(tmp_path):
     """Without --J the two-letter algebra is free on x, y over Q: the report
     is the one a relation-free rational x, y file gives."""
@@ -830,8 +852,8 @@ def test_cli_growth_n_defaults_to_N_only_when_absent(tmp_path):
 
 @pytest.mark.parametrize("bound", [-3, 0, MAX_DENOMINATOR_BOUND + 1, 10**9])
 def test_cli_gs_check_bound_out_of_range_exits_at_once(bound, capsys):
-    """The witness search lists every fraction up to the bound before it
-    tests one, so a bound past the limit is refused before any search."""
+    """With no witness the search tests every fraction up to the bound, so
+    a bound past the limit is refused before any search."""
     start = time.monotonic()
     code = cli.main(["gs-check", "-m", "3", "--census", "2:1", "--bound", str(bound)])
     assert code == 1 and time.monotonic() - start < 1

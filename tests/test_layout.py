@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wreathkit"
 
 PAPER_CHECKS = {
+    "build_layered_presentation",
     "build_slow_gamma",
     "census_from_blocks",
     "matrix_unit_generation_check",
