@@ -187,7 +187,12 @@ def cmd_shift_witness(args):
 def cmd_sandwich(args):
     if args.kmax < 2:
         raise ValueError(f"--kmax {args.kmax} is below 2: the sandwich needs x1 and x2")
-    schedule = FiltrationSchedule([int(t) for t in args.schedule.split(",")])
+    try:
+        schedule = FiltrationSchedule([int(t) for t in args.schedule.split(",")])
+    except ValueError:
+        raise ValueError(
+            f"--schedule {args.schedule!r} is not comma-separated increasing positive integers"
+        ) from None
     if args.J:
         two_pres = wio.load_presentation(args.J)
     else:  # the free algebra on x, y over Q
@@ -251,10 +256,12 @@ def cmd_nil_check(args):
 
 def cmd_gs_check(args):
     census = {}
-    if args.census:
-        for part in args.census.split(","):
-            d, _, c = part.partition(":")
-            census[int(d)] = census.get(int(d), 0) + int(c)
+    try:
+        for part in args.census.split(",") if args.census else ():
+            d, c = map(int, part.split(":"))
+            census[d] = census.get(d, 0) + c
+    except ValueError:
+        raise ValueError(f"--census {args.census!r} is not comma-separated degree:count pairs") from None
     t0 = None
     if args.t0:
         try:

@@ -259,9 +259,9 @@ class SandwichReport:
 
     @property
     def ok(self):
-        return all(
-            r.lower_ok and r.upper_ok for r in self.rows if r.note == ""
-        )
+        """At least one row carries a verdict, and every verdict holds."""
+        verdicts = [r.lower_ok and r.upper_ok for r in self.rows if r.note == ""]
+        return bool(verdicts) and all(verdicts)
 
 
 def _x_letter_count(alg: TruncatedAlgebra) -> int:

@@ -16,8 +16,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 @pytest.fixture(autouse=True, scope="session")
 def children_import_this_checkout():
-    """CLI tests run `python -m wreathkit.cli` in a child process: let it
-    import the package from this checkout, as the test process does."""
+    """The few tests that start an interpreter (`test_layout.PROCESS_TESTS`)
+    let it import the package from this checkout, as the test process does."""
     paths = [SRC, os.environ.get("PYTHONPATH")]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))

@@ -1,7 +1,10 @@
-"""Shared builders for randomized tests: algebras, elements, matrices, maps."""
+"""Shared builders for randomized tests: algebras, elements, matrices, maps,
+and `run_main`, the one way the tests run the command line in process."""
 
+import io
 import re
-from contextlib import contextmanager
+from collections import namedtuple
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -21,6 +24,7 @@ from wreathkit import (
     TruncationOverflow,
     WreathAlgebra,
     WreathSpan,
+    cli,
     degree_one_generators,
     parse_element,
 )
@@ -30,6 +34,23 @@ from wreathkit.growth import DenseCheckReport, _scale_row, power_chain, weighted
 from wreathkit.linalg import Echelon
 from wreathkit.quotient import _ESCAPED
 from wreathkit.words import Word
+
+CliRun = namedtuple("CliRun", "returncode stdout stderr")
+
+
+def run_main(*argv):
+    """`wreathkit *argv` in this process: `cli.main` with stdout and stderr
+    captured.  argparse's `SystemExit` (usage errors, `--help`) becomes the
+    exit code; any other exception escapes and fails the test, as a
+    traceback would fail a run.  `main` builds its own parser per call and
+    the package keeps no module-level state, so calls are independent."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 def make_algebra(field, gens, relations=(), n=4, unital=False, policy="truncate"):

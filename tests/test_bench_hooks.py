@@ -16,7 +16,7 @@ import wreathkit.cli  # noqa: F401  (imports every module the tracer resolves)
 from wreathkit import Field, Subspace, WreathSpan, quotient
 from wreathkit.linalg import Span
 
-from helpers import make_algebra
+from helpers import make_algebra, run_main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -68,7 +68,7 @@ def test_field_op_counter_installs_and_uninstalls(tracing):
     assert {op: Field.__dict__[op] for op in tracing.FIELD_OPS} == ops
 
 
-def test_wreath_gfp_jobs_pass_their_checks(tmp_path, capsys):
+def test_wreath_gfp_jobs_pass_their_checks(tmp_path):
     """The wreath-gfp workload has no golden rows, and `bench/child.py`
     imports kernel names of its own (`growth._scale_row`, `power_chain`,
     `weighted_image_spans`, `wreath.wreath_coords`).  One seed's inputs,
@@ -96,12 +96,11 @@ def test_wreath_gfp_jobs_pass_their_checks(tmp_path, capsys):
         argv = list(job.argv)
         if job.emit:
             argv += ["--emit", str(tmp_path / f"{name}.csv")]
-        capsys.readouterr()
-        assert wreathkit.cli.main(argv) == 0, name
-        stdout = capsys.readouterr().out
+        out = run_main(*argv)
+        assert out.returncode == 0, name
         if job.emit:
             outputs[name] = bench_run._csv_rows((tmp_path / f"{name}.csv").read_text())
         else:
-            outputs[name] = ([], stdout.splitlines())
+            outputs[name] = ([], out.stdout.splitlines())
     for name, out in outputs.items():
         assert jobs[name].check(out, outputs) == [], name

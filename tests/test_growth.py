@@ -28,7 +28,6 @@ from wreathkit import (
     span_inclusion_check,
     w_gamma_table,
 )
-from wreathkit import cli
 from wreathkit import io as wio
 from wreathkit import growth
 from wreathkit.growth import (
@@ -49,6 +48,7 @@ from helpers import (
     reference_dense_dim_check,
     reference_span_inclusion,
     reference_weighted_image_spans,
+    run_main,
 )
 
 Q = Field.rationals()
@@ -789,7 +789,7 @@ def test_w_chain_inserts_each_product_once(tmp_path, monkeypatch):
     assert len(adds) == chain[-1].dim + g[n] + products
 
 
-def test_flagged_wgamma_and_span_bound_rows(tmp_path, capsys):
+def test_flagged_wgamma_and_span_bound_rows(tmp_path):
     """No benchmark job is inexact.  Over the free unital s, t, u algebra at
     NA 3 the images of the benchmark's gamma (seed 5) multiply past the
     truncation: the rows are flagged and the exit status is 2, and under
@@ -805,15 +805,15 @@ def test_flagged_wgamma_and_span_bound_rows(tmp_path, capsys):
     }
     for command, rows in expected.items():
         csv = tmp_path / f"{command}.csv"
-        assert cli.main([command, *args, "--emit", str(csv)]) == 2, command
+        assert run_main(command, *args, "--emit", str(csv)).returncode == 2, command
         lines = csv.read_text().splitlines()
         assert [ln for ln in lines if ln and not ln.startswith("#")][1:] == rows
-        capsys.readouterr()
-        assert cli.main([command, *args, "--policy", "reject"]) == 1, command
-        assert capsys.readouterr().err == "error: product of degrees 1 and 3 exceeds 3\n"
+        out = run_main(command, *args, "--policy", "reject")
+        assert out.returncode == 1, command
+        assert out.stderr == "error: product of degrees 1 and 3 exceeds 3\n"
 
 
-def test_inclusion_needs_gamma_of_one_zero(tmp_path, capsys):
+def test_inclusion_needs_gamma_of_one_zero(tmp_path):
     """A nonzero gamma(1) puts gamma(1) * gamma(b_j) into c * c, outside the
     predicted span: seed 5's first dense-law map of the benchmark (it maps
     the unit) is not included from n = 2, and the same map without its unit
@@ -828,11 +828,10 @@ def test_inclusion_needs_gamma_of_one_zero(tmp_path, capsys):
     for name, code in (("dense0.map", 2), ("no_unit.map", 0)):
         argv = ["span-bound", *hosts, "--gamma", str(tmp_path / name), "-n", "3",
                 "--emit", str(tmp_path / f"{name}.csv")]
-        assert cli.main(argv) == code, name
+        assert run_main(*argv).returncode == code, name
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")][1:]
         included[name] = [r[3] for r in rows]
-    capsys.readouterr()
     assert included == {
         "dense0.map": ["True", "False", "False"],
         "no_unit.map": ["True", "True", "True"],

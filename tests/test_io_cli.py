@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from wreathkit.io import (
     parse_wreath_expression,
 )
 
-from helpers import make_algebra, random_gamma, rationals
+from helpers import make_algebra, random_gamma, rationals, run_main
 
 Q = Field.rationals()
 
@@ -36,12 +37,6 @@ FREE2 = "field rational\nunital false\ngenerators x:1 y:1\n"
 COMM2 = FREE2 + "rel x*y - y*x\n"
 HULL2 = "field rational\nunital true\ngenerators x:1 y:1\n"
 AX3 = "field rational\nunital false\ngenerators z:1\nrel z^3\n"
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "wreathkit.cli", *args], capture_output=True, text=True
-    )
 
 
 # -- presentation files --------------------------------------------------------
@@ -88,7 +83,7 @@ def test_cli_repeated_presentation_directive_is_an_error(tmp_path, text, message
         parse_presentation(text)
     pres = tmp_path / "p.pres"
     pres.write_text(text)
-    out = run_cli("build", "-p", str(pres), "-N", "3")
+    out = run_main("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     assert out.stderr.splitlines() == [f"error: {message}"]
 
@@ -386,7 +381,7 @@ def test_a_term_of_numbers_alone_is_not_a_wreath_element():
 def test_cli_growth_rows(tmp_path):
     pres = tmp_path / "free.pres"
     pres.write_text(FREE2)
-    out = run_cli("growth", "-p", str(pres), "-N", "5")
+    out = run_main("growth", "-p", str(pres), "-N", "5")
     assert out.returncode == 0
     rows = [line for line in out.stdout.splitlines() if not line.startswith("#")]
     assert rows[0] == "n,dim,exact"
@@ -397,7 +392,7 @@ def test_cli_build_csv_and_json(tmp_path):
     pres = tmp_path / "comm.pres"
     pres.write_text(COMM2)
     csv_path, json_path = tmp_path / "dims.csv", tmp_path / "dims.json"
-    out = run_cli(
+    out = run_main(
         "build", "-p", str(pres), "-N", "4", "--emit", str(csv_path), "--json", str(json_path)
     )
     assert out.returncode == 0
@@ -411,12 +406,18 @@ def test_cli_build_csv_and_json(tmp_path):
 
 
 def test_cli_byte_stable(tmp_path):
+    """Two fresh interpreters with different hash seeds write the same bytes:
+    a repeat in one process shares its seed and could not see output that
+    follows the order of a set or dict of str."""
     pres = tmp_path / "free.pres"
     pres.write_text(FREE2)
     outs = []
-    for name in ("one.csv", "two.csv"):
-        path = tmp_path / name
-        assert run_cli("growth", "-p", str(pres), "-N", "6", "--emit", str(path)).returncode == 0
+    for seed in ("1", "2"):
+        path = tmp_path / f"seed{seed}.csv"
+        argv = [sys.executable, "-m", "wreathkit.cli", "growth", "-p", str(pres), "-N", "6"]
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        run = subprocess.run([*argv, "--emit", str(path)], env=env, capture_output=True)
+        assert run.returncode == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
@@ -425,10 +426,10 @@ def test_cli_exit_codes(tmp_path):
     pres = tmp_path / "free.pres"
     pres.write_text(FREE2)
     # inexact: growth beyond the truncation is a lower bound
-    out = run_cli("growth", "-p", str(pres), "-N", "3", "-n", "5")
+    out = run_main("growth", "-p", str(pres), "-N", "3", "-n", "5")
     assert out.returncode == 2
     # hard error: missing file
-    out = run_cli("growth", "-p", str(tmp_path / "nope.pres"), "-N", "3")
+    out = run_main("growth", "-p", str(tmp_path / "nope.pres"), "-N", "3")
     assert out.returncode == 1
     assert "error:" in out.stderr
 
@@ -441,7 +442,7 @@ def test_cli_exit_codes(tmp_path):
 def test_cli_deep_or_long_relation_is_a_clean_error(tmp_path, rel):
     pres = tmp_path / "big.pres"
     pres.write_text(FREE2 + f"rel {rel}\n")
-    out = run_cli("build", "-p", str(pres), "-N", "3")
+    out = run_main("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
@@ -449,7 +450,7 @@ def test_cli_deep_or_long_relation_is_a_clean_error(tmp_path, rel):
 def test_cli_huge_exponent_is_a_clean_error(tmp_path):
     pres = tmp_path / "power.pres"
     pres.write_text(FREE2 + "rel x^3000000\n")
-    out = run_cli("build", "-p", str(pres), "-N", "3")
+    out = run_main("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "exceeds the limit" in out.stderr
 
@@ -466,7 +467,7 @@ def test_cli_huge_exponent_is_a_clean_error(tmp_path):
 def test_cli_bad_coefficient_names_line_and_column(tmp_path, rel, message):
     pres = tmp_path / "coeff.pres"
     pres.write_text(FREE2 + f"rel {rel}\n")
-    out = run_cli("build", "-p", str(pres), "-N", "3")
+    out = run_main("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     assert out.stderr.splitlines()[0] == f"error: {message}"
 
@@ -474,7 +475,7 @@ def test_cli_bad_coefficient_names_line_and_column(tmp_path, rel, message):
 def test_cli_long_coefficient_over_a_prime_field(tmp_path):
     pres = tmp_path / "coeff.pres"
     pres.write_text(f"field gf 101\nunital false\ngenerators x:1 y:1\nrel x*y - {LONG}*y*x\n")
-    out = run_cli("build", "-p", str(pres), "-N", "3")
+    out = run_main("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     first = out.stderr.splitlines()[0]
     assert first == f"error: line 4: number has more than {MAX_DIGITS} digits (at column 11)"
@@ -491,7 +492,7 @@ def test_cli_wreath_eval_bad_coefficient(tmp_path, expr, message):
     b.write_text(HULL2)
     a = tmp_path / "a.pres"
     a.write_text(AX3)
-    out = run_cli(
+    out = run_main(
         "wreath-eval", "--B", str(b), "--A", str(a), "--NB", "2", "--NA", "3", "--expr", expr,
     )
     assert out.returncode == 1
@@ -501,7 +502,7 @@ def test_cli_wreath_eval_bad_coefficient(tmp_path, expr, message):
 def test_cli_inhomogeneous_relation_message_is_short(tmp_path):
     pres = tmp_path / "long.pres"
     pres.write_text(FREE2 + "rel " + "xy" * 2500 + " - yx\n")
-    out = run_cli("build", "-p", str(pres), "-N", "3")
+    out = run_main("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     first = out.stderr.splitlines()[0]
     assert first.startswith("error: ") and "inhomogeneous relation" in first
@@ -509,12 +510,12 @@ def test_cli_inhomogeneous_relation_message_is_short(tmp_path):
 
 
 def test_cli_gs_check():
-    out = run_cli("gs-check", "-m", "2")
+    out = run_main("gs-check", "-m", "2")
     assert out.returncode == 0
     assert "satisfiable, t0=3/5, value=-1/5" in out.stdout
-    out = run_cli("gs-check", "-m", "2", "--census", "2:1")
+    out = run_main("gs-check", "-m", "2", "--census", "2:1")
     assert "unsatisfiable" in out.stdout
-    out = run_cli("gs-check", "-m", "3", "--census", "2:1", "--t0", "1/2")
+    out = run_main("gs-check", "-m", "3", "--census", "2:1", "--t0", "1/2")
     assert "value=-1/4" in out.stdout
 
 
@@ -523,7 +524,7 @@ def test_cli_nil_check(tmp_path):
     b.write_text(HULL2)
     a = tmp_path / "a.pres"
     a.write_text("field rational\nunital false\ngenerators z:1\nrel z^2\n")
-    out = run_cli(
+    out = run_main(
         "nil-check", "--B", str(b), "--A", str(a), "--NB", "2", "--NA", "2",
         "--expr", "e(1,1,z)", "--max-power", "20",
     )
@@ -538,7 +539,7 @@ def test_cli_wreath_eval(tmp_path):
     a.write_text(AX3)
     g = tmp_path / "g.map"
     g.write_text("map 1 -> 0\nmap x -> z\n")
-    out = run_cli(
+    out = run_main(
         "wreath-eval", "--B", str(b), "--A", str(a), "--gamma", str(g),
         "--NB", "2", "--NA", "3", "--expr", "c_gamma * x",
     )
@@ -552,7 +553,7 @@ def test_cli_wreath_eval_index_out_of_range(tmp_path, expr):
     b.write_text(HULL2)  # N=2: basis 1, x, y, x^2, x*y, y*x, y^2
     a = tmp_path / "a.pres"
     a.write_text(AX3)
-    out = run_cli(
+    out = run_main(
         "wreath-eval", "--B", str(b), "--A", str(a),
         "--NB", "2", "--NA", "3", "--expr", expr,
     )
@@ -574,7 +575,7 @@ def test_cli_wreath_eval_index_out_of_range(tmp_path, expr):
     ids=["unknown-option", "bad-int", "removed-seed", "unknown-command", "no-command"],
 )
 def test_cli_usage_errors_exit_1(args):
-    out = run_cli(*args)
+    out = run_main(*args)
     assert out.returncode == 1
     assert out.stderr.startswith("usage: wreathkit")
     assert "error:" in out.stderr and "Traceback" not in out.stderr
@@ -582,7 +583,7 @@ def test_cli_usage_errors_exit_1(args):
 
 def test_cli_help_exits_0():
     for args in (["--help"], ["growth", "--help"]):
-        out = run_cli(*args)
+        out = run_main(*args)
         assert out.returncode == 0 and out.stdout.startswith("usage: wreathkit")
 
 
@@ -609,7 +610,7 @@ def test_cli_parser_reads_the_terminal_size_once(monkeypatch, columns):
     assert [p.format_help() for p in subparsers(parser)] == helps
 
 
-def test_cli_power_term_cap_ends_in_one_error(tmp_path, capsys):
+def test_cli_power_term_cap_ends_in_one_error(tmp_path):
     """`(x+y)^40` in a presentation, a gamma file or a wreath expression
     stops at the power term cap: exit 1 and one `error:` line naming it."""
     pres = tmp_path / "p.pres"
@@ -626,8 +627,9 @@ def test_cli_power_term_cap_ends_in_one_error(tmp_path, capsys):
         ["wgamma", *hosts, "--gamma", str(g), "-n", "2"],
         ["wreath-eval", *hosts, "--expr", "e(1,1,(s+t)^40)"],
     ):
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err.splitlines()
+        out = run_main(*argv)
+        assert out.returncode == 1
+        err = out.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"limit of {MAX_POWER_TERMS} term products" in err[0]
 
@@ -638,6 +640,37 @@ def test_python_dash_m_package_runs_the_cli():
     )
     assert out.returncode == 0
     assert "wreath-eval" in out.stdout
+
+
+def untimed(stderr):
+    return [line for line in stderr.splitlines() if not line.startswith("elapsed: ")]
+
+
+@pytest.mark.parametrize(
+    "args, code, first",
+    [
+        (["growth", "-p", "{free}", "-N", "3"], 0, "elapsed: "),
+        (["growth", "-p", "{missing}", "-N", "3"], 1, "error: "),
+        (["growth", "-p", "{free}", "-N", "3", "-n", "5"], 2, "elapsed: "),
+        (["growth", "-p", "{free}", "-N", "3", "--bogus"], 1, "usage: wreathkit"),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "usage-error"],
+)
+def test_cli_process_boundary(tmp_path, args, code, first):
+    """`python -m wreathkit.cli` in a fresh interpreter exits with the code
+    `run_main` returns, with the same stdout and, but for the time taken,
+    the same stderr: the in-process runner sees what a process prints."""
+    pres = tmp_path / "free.pres"
+    pres.write_text(FREE2)
+    argv = [a.format(free=pres, missing=tmp_path / "nope.pres") for a in args]
+    process = subprocess.run(
+        [sys.executable, "-m", "wreathkit.cli", *argv], capture_output=True, text=True
+    )
+    in_process = run_main(*argv)
+    assert process.returncode == in_process.returncode == code
+    assert process.stderr.startswith(first) and "Traceback" not in process.stderr
+    assert process.stdout == in_process.stdout
+    assert untimed(process.stderr) == untimed(in_process.stderr)
 
 
 def test_cli_import_leaves_mpmath_out():
@@ -651,10 +684,11 @@ def test_cli_import_leaves_mpmath_out():
 def test_cli_sandwich_leaves_mpmath_out(tmp_path):
     """`sandwich` checks its schedule with `faithful`, whose logarithms are
     enclosed in exact ints: the whole run, in a fresh interpreter, loads no
-    mpmath, also for a threshold as long as 2**14000000."""
+    mpmath, also for a threshold as long as 2**14000000.  The second
+    schedule puts every window above N, so no row is checked: exit 2."""
     j = tmp_path / "j.pres"
     j.write_text(COMM2)
-    for schedule in ("2,4,6,2000,100000", "16,9000000"):
+    for schedule, status in (("2,4,6,2000,100000", 0), ("16,9000000", 2)):
         argv = ["sandwich", "--kmax", "2", "--schedule", schedule, "--J", str(j), "-N", "5"]
         code = (
             "import sys; from wreathkit import cli; "
@@ -662,7 +696,7 @@ def test_cli_sandwich_leaves_mpmath_out(tmp_path):
             "print(status, 'mpmath' in sys.modules, file=sys.stderr)"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0 and out.stderr.splitlines()[-1] == "0 False"
+        assert out.returncode == 0 and out.stderr.splitlines()[-1] == f"{status} False"
         assert "faithful=" in out.stdout
 
 
@@ -673,7 +707,7 @@ def test_cli_span_bound(tmp_path):
     a.write_text(AX3)
     g = tmp_path / "g.map"
     g.write_text("map x -> z\n")
-    out = run_cli(
+    out = run_main(
         "span-bound", "--B", str(b), "--A", str(a), "--gamma", str(g),
         "--NB", "3", "--NA", "3", "-n", "3",
     )
@@ -684,31 +718,48 @@ def test_cli_span_bound(tmp_path):
 def test_cli_sandwich(tmp_path):
     j = tmp_path / "j.pres"
     j.write_text(COMM2)
-    out = run_cli("sandwich", "--kmax", "2", "--schedule", "1,2", "--J", str(j), "-N", "4")
+    out = run_main("sandwich", "--kmax", "2", "--schedule", "1,2", "--J", str(j), "-N", "4")
     assert out.returncode == 0
     assert "faithful=no" in out.stdout
 
 
-def test_cli_sandwich_sweeps_only_the_x_letters(tmp_path, capsys):
+def test_cli_sandwich_sweeps_only_the_x_letters(tmp_path):
     """Window indices stop at kmax however long the schedule: g_k is read
     from x_1..x_k, and the algebra has no x_3."""
     j = tmp_path / "j.pres"
     j.write_text(COMM2)
-    args = ["sandwich", "--kmax", "2", "--schedule", "1,2,3,4", "--J", str(j), "-N", "6"]
-    assert cli.main(args) == 0
-    rows = [ln for ln in capsys.readouterr().out.splitlines() if ln[:1].isdigit()]
+    out = run_main("sandwich", "--kmax", "2", "--schedule", "1,2,3,4", "--J", str(j), "-N", "6")
+    assert out.returncode == 0
+    rows = [ln for ln in out.stdout.splitlines() if ln[:1].isdigit()]
     assert rows == ["2,2,5,5,True,True,True,", "2,3,9,9,True,True,True,"]
 
 
 @pytest.mark.parametrize("kmax, schedule", [("1", "1,2"), ("1", "1,2,3,4,5"), ("0", "2")])
-def test_cli_sandwich_kmax_below_two_is_an_error(tmp_path, capsys, kmax, schedule):
+def test_cli_sandwich_kmax_below_two_is_an_error(tmp_path, kmax, schedule):
     j = tmp_path / "j.pres"
     j.write_text(COMM2)
-    args = ["sandwich", "--kmax", kmax, "--schedule", schedule, "--J", str(j), "-N", "6"]
-    assert cli.main(args) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == f"error: --kmax {kmax} is below 2: the sandwich needs x1 and x2\n"
+    out = run_main("sandwich", "--kmax", kmax, "--schedule", schedule, "--J", str(j), "-N", "6")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: --kmax {kmax} is below 2: the sandwich needs x1 and x2\n"
+
+
+def test_cli_sandwich_with_no_window_row_is_not_a_verdict():
+    """Every window lies above N, so no row is checked: the report says
+    ok=False and exits 2, never the exit 0 of a definite verdict."""
+    out = run_main("sandwich", "--kmax", "2", "--schedule", "5,9", "-N", "3")
+    assert out.returncode == 2
+    lines = out.stdout.splitlines()
+    assert "# ok=False" in lines and lines[-1] == "k,n,f,g,lower_ok,upper_ok,exact,note"
+
+
+@pytest.mark.parametrize("schedule", ["2,x", "", "3,2", "0,4"])
+def test_cli_sandwich_bad_schedule_names_the_option(schedule):
+    out = run_main("sandwich", "--kmax", "2", "--schedule", schedule, "-N", "4")
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == (
+        f"error: --schedule {schedule!r} is not comma-separated increasing positive integers\n"
+    )
 
 
 def test_cli_sandwich_without_j_is_the_free_rational_xy(tmp_path):
@@ -717,8 +768,8 @@ def test_cli_sandwich_without_j_is_the_free_rational_xy(tmp_path):
     j = tmp_path / "j.pres"
     j.write_text(FREE2)
     args = ["sandwich", "--kmax", "3", "--schedule", "1,2,3", "-N", "5"]
-    plain = run_cli(*args)
-    with_j = run_cli(*args, "--J", str(j))
+    plain = run_main(*args)
+    with_j = run_main(*args, "--J", str(j))
     assert plain.returncode == with_j.returncode
     assert plain.stdout == with_j.stdout
     assert plain.stdout.count("\n") > 5
@@ -727,7 +778,7 @@ def test_cli_sandwich_without_j_is_the_free_rational_xy(tmp_path):
 def test_cli_shift_witness(tmp_path):
     b = tmp_path / "b.pres"
     b.write_text(FREE2)
-    out = run_cli("shift-witness", "--B", str(b), "--NB", "5", "--blist", "x;y", "--s", "1")
+    out = run_main("shift-witness", "--B", str(b), "--NB", "5", "--blist", "x;y", "--s", "1")
     assert out.returncode == 0
     assert "True,x," in out.stdout
 
@@ -739,7 +790,7 @@ def test_cli_density_witness(tmp_path):
     a.write_text(AX3)
     g = tmp_path / "g.map"
     g.write_text("map b^3 -> z\n")
-    out = run_cli(
+    out = run_main(
         "density-witness", "--B", str(b), "--A", str(a), "--gamma", str(g),
         "--NB", "4", "--NA", "3", "--blist", "b", "--a", "z", "--cap", "3",
     )
@@ -751,8 +802,8 @@ def test_cli_gk(tmp_path):
     pres = tmp_path / "comm.pres"
     pres.write_text(COMM2)
     table = tmp_path / "growth.csv"
-    assert run_cli("growth", "-p", str(pres), "-N", "12", "--emit", str(table)).returncode == 0
-    out = run_cli("gk", "--table", str(table), "--window", "4:12")
+    assert run_main("growth", "-p", str(pres), "-N", "12", "--emit", str(table)).returncode == 0
+    out = run_main("gk", "--table", str(table), "--window", "4:12")
     assert out.returncode == 0
     assert "window slope in" in out.stderr
 
@@ -761,7 +812,7 @@ def test_cli_gk(tmp_path):
 def test_cli_gk_bad_window_names_the_option(tmp_path, window):
     table = tmp_path / "growth.csv"
     table.write_text("n,dim,exact\n" + "".join(f"{n},{n * n},True\n" for n in range(1, 13)))
-    out = run_cli("gk", "--table", str(table), "--window", window)
+    out = run_main("gk", "--table", str(table), "--window", window)
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr == f"error: --window {window!r} is not lo:hi with integers 1 <= lo < hi\n"
@@ -774,7 +825,7 @@ def test_cli_wgamma(tmp_path):
     a.write_text("field rational\nunital false\ngenerators x:1\n")
     g = tmp_path / "g.map"
     g.write_text("map b -> x\nmap b^2 -> x\nmap b^3 -> x\nmap b^4 -> x\n")
-    out = run_cli(
+    out = run_main(
         "wgamma", "--B", str(b), "--A", str(a), "--gamma", str(g),
         "--NB", "4", "--NA", "4", "-n", "4",
     )
@@ -807,7 +858,7 @@ def test_cli_flag_of_a_vanished_escape_is_kept(tmp_path, command, gamma, expecte
     a.write_text(ESCAPE_A)
     g = tmp_path / "g.map"
     g.write_text(gamma)
-    out = run_cli(
+    out = run_main(
         command[0], "--B", str(b), "--A", str(a), "--gamma", str(g),
         "--NB", "3", "--NA", "2", *command[1:],
     )
@@ -836,7 +887,7 @@ def test_cli_factor_count_below_one_is_an_error(tmp_path, command):
         args = [command[0], "-p", str(b), *command[1:]]
     else:
         args = [command[0], "--B", str(b), "--A", str(a), "--gamma", str(g), *command[1:]]
-    out = run_cli(*args)
+    out = run_main(*args)
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.startswith("error: the factor count must be at least 1")
@@ -845,19 +896,19 @@ def test_cli_factor_count_below_one_is_an_error(tmp_path, command):
 def test_cli_growth_n_defaults_to_N_only_when_absent(tmp_path):
     pres = tmp_path / "free.pres"
     pres.write_text(FREE2)
-    out = run_cli("growth", "-p", str(pres), "-N", "4")
+    out = run_main("growth", "-p", str(pres), "-N", "4")
     assert out.returncode == 0
     assert "# n=4" in out.stdout.splitlines()
 
 
 @pytest.mark.parametrize("bound", [-3, 0, MAX_DENOMINATOR_BOUND + 1, 10**9])
-def test_cli_gs_check_bound_out_of_range_exits_at_once(bound, capsys):
+def test_cli_gs_check_bound_out_of_range_exits_at_once(bound):
     """With no witness the search tests every fraction up to the bound, so
     a bound past the limit is refused before any search."""
     start = time.monotonic()
-    code = cli.main(["gs-check", "-m", "3", "--census", "2:1", "--bound", str(bound)])
-    assert code == 1 and time.monotonic() - start < 1
-    assert capsys.readouterr().err == (
+    out = run_main("gs-check", "-m", "3", "--census", "2:1", "--bound", str(bound))
+    assert out.returncode == 1 and time.monotonic() - start < 1
+    assert out.stderr == (
         f"error: denominator bound {bound} is not between 1 and {MAX_DENOMINATOR_BOUND}\n"
     )
 
@@ -874,17 +925,24 @@ GK_ROWS = "".join(f"{n},{n * n},True\n" for n in range(1, 7))
     ],
     ids=["repeated-n", "missing-column", "bad-exact"],
 )
-def test_cli_gk_reads_its_table_strictly(tmp_path, capsys, table, message):
+def test_cli_gk_reads_its_table_strictly(tmp_path, table, message):
     path = tmp_path / "growth.csv"
     path.write_text(table)
-    assert cli.main(["gk", "--table", str(path), "--window", "1:6"]) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: {message}\n"
+    out = run_main("gk", "--table", str(path), "--window", "1:6")
+    assert out.returncode == 1
+    assert out.stdout == "" and out.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("census", ["2:x", "2", "2:1,", "2:1:3"])
+def test_cli_gs_check_bad_census_names_the_option(census):
+    out = run_main("gs-check", "-m", "2", "--census", census)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == f"error: --census {census!r} is not comma-separated degree:count pairs\n"
 
 
 @pytest.mark.parametrize("t0", ["1/0", "abc"])
 def test_cli_gs_check_bad_t0_names_the_option(t0):
-    out = run_cli("gs-check", "-m", "2", "--t0", t0)
+    out = run_main("gs-check", "-m", "2", "--t0", t0)
     assert out.returncode == 1
     assert out.stderr == f"error: --t0 {t0!r} is not a rational number\n"
 
@@ -905,7 +963,7 @@ def test_cli_bad_character_in_a_gamma_file_names_itself(tmp_path, line, message)
     a.write_text(AX3.replace("z", "s"))
     g = tmp_path / "g.map"
     g.write_text(f"map x -> s\n{line}\n")
-    out = run_cli("wgamma", "--B", str(b), "--A", str(a), "--gamma", str(g), "-n", "1")
+    out = run_main("wgamma", "--B", str(b), "--A", str(a), "--gamma", str(g), "-n", "1")
     assert out.returncode == 1
     assert out.stderr.splitlines()[0] == f"error: line 2: {message}"
 
@@ -924,7 +982,7 @@ def test_cli_presentation_parse_error_names_the_column_of_its_line(tmp_path, tex
     from its first character, not the column within the expression."""
     pres = tmp_path / "p.pres"
     pres.write_text(text)
-    out = run_cli("build", "-p", str(pres), "-N", "3")
+    out = run_main("build", "-p", str(pres), "-N", "3")
     assert out.returncode == 1
     assert out.stderr.splitlines() == [f"error: {message}"]
 
@@ -947,6 +1005,6 @@ def test_cli_gamma_parse_error_names_the_column_of_its_line(tmp_path, line, mess
     a.write_text(AX3.replace("z", "s"))
     g = tmp_path / "g.map"
     g.write_text(f"{line}\n")
-    out = run_cli("wgamma", "--B", str(b), "--A", str(a), "--gamma", str(g), "-n", "1")
+    out = run_main("wgamma", "--B", str(b), "--A", str(a), "--gamma", str(g), "-n", "1")
     assert out.returncode == 1
     assert out.stderr.splitlines() == [f"error: line 1: {message}"]

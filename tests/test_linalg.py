@@ -14,7 +14,6 @@ from wreathkit import (
     Field,
     Presentation,
     TruncatedAlgebra,
-    cli,
     dense_dim_check,
     growth_dims,
     linalg,
@@ -24,7 +23,15 @@ from wreathkit import (
 from wreathkit import io as wio
 from wreathkit.linalg import Echelon, dense_rank
 
-from helpers import assert_raw, dense_from, rationals, reference_dense_dim_check, sample, sparse_only
+from helpers import (
+    assert_raw,
+    dense_from,
+    rationals,
+    reference_dense_dim_check,
+    run_main,
+    sample,
+    sparse_only,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -681,7 +688,7 @@ def load_dense_law(spec):
     return b_alg, a_alg, gamma
 
 
-def test_which_spans_switch(monkeypatch, tmp_path, capsys):
+def test_which_spans_switch(monkeypatch, tmp_path):
     """Rows as dense as the rule asks switch at rank DENSE_MIN_RANK over
     GF(101) and stay sparse over Q and over p = 2^31 - 1.  The build kernels
     of the bench's tri presentation (over its p = 2^31 - 1 and over GF(101),
@@ -715,8 +722,7 @@ def test_which_spans_switch(monkeypatch, tmp_path, capsys):
     jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
     bench_run.write_inputs(11, tmp_path)
     job = jobs["span_bound_n5"]
-    assert cli.main(job.argv + ["--emit", str(tmp_path / "span.csv")]) == 0
-    capsys.readouterr()
+    assert run_main(*job.argv, "--emit", str(tmp_path / "span.csv")).returncode == 0
     assert len(made) >= 2 and {p for p, _ in made} == {101}
     made.clear()
 
@@ -741,15 +747,14 @@ def echelon_streams(monkeypatch, run):
     return list(streams.values())
 
 
-def test_span_bound_spans_pack_as_they_ran_sparse(monkeypatch, tmp_path, capsys):
+def test_span_bound_spans_pack_as_they_ran_sparse(monkeypatch, tmp_path):
     """Every echelon of span-bound on the bench's seed-5 inputs, replayed
     sparse only and under the real switch rule: the same rows, pivots,
     reductions and membership.  The large wreath spans do pack."""
     jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
     bench_run.write_inputs(5, tmp_path)
     argv = jobs["span_bound_n5"].argv + ["--emit", str(tmp_path / "span.csv")]
-    streams = echelon_streams(monkeypatch, lambda: cli.main(argv))
-    capsys.readouterr()
+    streams = echelon_streams(monkeypatch, lambda: run_main(*argv))
     packed_ranks = []
     for field, vecs in streams:
         assert field.characteristic == 101
