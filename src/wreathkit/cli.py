@@ -160,6 +160,12 @@ def _blist(alg, text):
     return [alg.from_free(parse_element(src, alg.alphabet, alg.field)) for src in text.split(";")]
 
 
+def _check_cap(args):
+    """A witness scan reads host words up to --cap, which --NB must cover."""
+    if args.cap is not None and args.cap > args.NB:
+        raise ValueError(f"--cap {args.cap} exceeds --NB {args.NB}")
+
+
 def _emit_witness(args, meta, rep):
     witness = rep.witness.format() if rep.found else ""
     rows = [(rep.found, witness, rep.checked, rep.verified, rep.note)]
@@ -167,6 +173,7 @@ def _emit_witness(args, meta, rep):
 
 
 def cmd_density_witness(args):
+    _check_cap(args)
     b_alg, a_alg, indexing, gamma = _gamma_context(args)
     if gamma is None:
         raise ValueError("a gamma file is required")
@@ -178,6 +185,7 @@ def cmd_density_witness(args):
 
 
 def cmd_shift_witness(args):
+    _check_cap(args)
     b_alg = _load_algebra(args.B, args.NB, args.policy)
     rep = shift_independence_witness(b_alg, _blist(b_alg, args.blist), args.s, args.cap)
     _emit_witness(args, _meta(args, s=args.s), rep)
@@ -240,6 +248,8 @@ def cmd_wreath_eval(args):
 
 
 def cmd_nil_check(args):
+    if args.max_power < 1:
+        raise ValueError(f"--max-power {args.max_power} is below 1")
     b_alg, a_alg, indexing, gamma = _gamma_context(args)
     wa = WreathAlgebra(b_alg, a_alg, indexing)
     e = wio.parse_wreath_expression(args.expr, wa, gamma)

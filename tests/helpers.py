@@ -537,14 +537,13 @@ def reference_span_inclusion(b_host, a_host, gamma, n, with_corner=False):
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),]))")
 
 
-def reference_dense_dim_check(b_host, a_host, gamma, n, generators=None):
+def reference_dense_dim_check(b_host, a_host, gamma, n):
     """The `DenseCheckReport` of `dense_dim_check`, by forming every product
     emb(b_i) R_a emb(b_k) (b_i, b_k representatives of V^n, a of W_n,
     R_a = `_scale_row`) and inserting it into one span, which `dense_dim_check`
     ranks as a tensor product instead."""
-    gens = degree_one_generators(b_host) if generators is None else generators
     wa = WreathAlgebra(b_host, a_host, indexing=gamma.indexing)
-    b_chain = power_chain(b_host, gens, n)
+    b_chain = power_chain(b_host, degree_one_generators(b_host), n)
     ws = weighted_image_spans(gamma, b_chain, a_host, n)
     vn, wn = b_chain[n - 1], ws[n - 1]
     span = WreathSpan(wa)

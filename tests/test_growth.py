@@ -655,17 +655,13 @@ def test_inclusion_rows_match_per_m_rebuild(case):
 
 
 @pytest.mark.parametrize("case", INCLUSION_CASES)
-def test_inclusion_inserts_each_product_once(case, monkeypatch):
-    """The predicted span receives each product once: at weight m, the new
-    representatives of V^m and the products le * mid * ri of weight m whose
-    outer factors are new at their levels, after the initial c and corner.
-
-    With f(0) = 1, f(1) = d_1 and f(i) = d_i - d_{i-1}, that is
-    1 + [corner] + sum_m [f(m) + sum_{i+j+k=m} |M_j| f(i) f(k)], where M_j
-    holds the middles new at level j (|M_0| = 1, |M_j| = dim W_j - dim
-    W_{j-1}) and runs over both middle lists with the corner.  Each case's
-    chain stops growing at or before n, so some f(i) are 0.
-    """
+def test_inclusion_translates_each_representative_once(case, monkeypatch):
+    """The predicted span receives c (and the corner unit), the letters of
+    V^1, each middle once, at the level of W where its a is new, and g e and
+    e g once for each letter g and each representative e of R_(n-1), at the
+    weight after e entered.  With d = dim V^1 that is
+    lists + d + lists * w(n) + 2 d rhs_dim(n - 1) inserts, where lists is 2
+    with the corner and 1 without."""
     b_alg, a_alg, gamma, n, corner = inclusion_case(case)
     adds = []
     add = WreathSpan.add
@@ -675,40 +671,42 @@ def test_inclusion_inserts_each_product_once(case, monkeypatch):
         return add(self, e)
 
     monkeypatch.setattr(WreathSpan, "add", counting_add)
-    span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
+    report = span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
+    monkeypatch.undo()
     rhs = adds[-1]  # the predicted span is made last and fed to the end
     inserts = sum(1 for s in adds if s is rhs)
 
-    chain = power_chain(b_alg, degree_one_generators(b_alg), n)
-    d = [0] + [level.dim for level in chain]
-    f = [1] + [d[i] - d[i - 1] for i in range(1, n + 1)]
-    w = [0] + [level.dim for level in weighted_image_spans(gamma, chain, a_alg, n)]
-    mids = [1] + [w[j] - w[j - 1] for j in range(1, n + 1)]
-    lists = 2 if corner else 1
-    expected = lists + sum(
-        f[m]
-        + sum(
-            lists * mids[j] * f[i] * f[m - i - j]
-            for j in range(m + 1)
-            for i in range(m - j + 1)
-        )
-        for m in range(1, n + 1)
-    )
-    assert 0 in f  # each chain has a level that adds nothing
-    assert inserts == expected
+    gens = degree_one_generators(b_alg)
+    w_n = weighted_image_spans(gamma, power_chain(b_alg, gens, n), a_alg, n)[-1].dim
+    lists, d = (2 if corner else 1), len(gens)
+    assert inserts == lists + d + lists * w_n + 2 * d * report.rows[n - 2][2]
 
 
-def drawn_case(seed, density, b_kills, a_kills):
-    """(b_alg, a_alg, gamma) of a drawn GF(7) case, exact or flagged: without
-    kills the hosts truncate at degree 2, so products of degree 3 escape."""
+def test_inclusion_refuses_a_unipotent_indexing():
+    """A chain of one-letter right translates S L(g) under a unipotent
+    indexing can flag where the product with the whole right factor does
+    not, so the check takes a plain indexing only."""
+    b_alg = killed_above(GF7, ["x", "y"], kill_degree=3, n=3, unital=True)
+    a_alg = make_algebra(GF7, ["z"], ["z^3"], n=3, unital=True)
+    idx = BasisIndexing(b_alg, unipotent=True)
+    gamma = random_gamma(idx, a_alg, random.Random(5), density=0.5)
+    for corner in (False, True):
+        with pytest.raises(ValueError, match="unipotent"):
+            span_inclusion_check(b_alg, a_alg, gamma, 2, with_corner=corner)
+
+
+def drawn_case(seed, density, b_kills, a_kills, field, b_unital):
+    """(b_alg, a_alg, gamma) of a drawn case over field, exact or flagged:
+    without kills the hosts truncate at degree 2, so products of degree 3
+    escape.  B is unital or not; A is unital, as the corner unit needs."""
     if b_kills:
-        b_alg = killed_above(GF7, ["x", "y"], kill_degree=3, n=3, unital=True)
+        b_alg = killed_above(field, ["x", "y"], kill_degree=3, n=3, unital=b_unital)
     else:
-        b_alg = make_algebra(GF7, ["x", "y"], [], n=2, unital=True)
+        b_alg = make_algebra(field, ["x", "y"], [], n=2, unital=b_unital)
     if a_kills:
-        a_alg = make_algebra(GF7, ["z"], ["z^3"], n=3, unital=True)
+        a_alg = make_algebra(field, ["z"], ["z^3"], n=3, unital=True)
     else:
-        a_alg = make_algebra(GF7, ["z"], [], n=2, unital=True)
+        a_alg = make_algebra(field, ["z"], [], n=2, unital=True)
     gamma = random_gamma(BasisIndexing(b_alg), a_alg, random.Random(seed), density=density)
     return b_alg, a_alg, gamma
 
@@ -719,13 +717,17 @@ DRAWN = dict(
     n=st.integers(1, 4),
     b_kills=st.booleans(),
     a_kills=st.booleans(),
+    field=st.sampled_from([GF7, Field.prime(2), Q]),
+    b_unital=st.booleans(),
 )
 
 
 @settings(max_examples=40, deadline=5000)
 @given(corner=st.booleans(), **DRAWN)
-def test_inclusion_matches_per_m_rebuild_on_drawn_cases(seed, density, n, corner, b_kills, a_kills):
-    b_alg, a_alg, gamma = drawn_case(seed, density, b_kills, a_kills)
+def test_inclusion_matches_per_m_rebuild_on_drawn_cases(
+    seed, density, n, corner, b_kills, a_kills, field, b_unital
+):
+    b_alg, a_alg, gamma = drawn_case(seed, density, b_kills, a_kills, field, b_unital)
     report = span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
     rows, exact = reference_span_inclusion(b_alg, a_alg, gamma, n, with_corner=corner)
     assert report.rows == rows
@@ -734,10 +736,12 @@ def test_inclusion_matches_per_m_rebuild_on_drawn_cases(seed, density, n, corner
 
 @settings(max_examples=40, deadline=5000)
 @given(**DRAWN)
-def test_w_chain_matches_per_m_rebuild_on_drawn_cases(seed, density, n, b_kills, a_kills):
+def test_w_chain_matches_per_m_rebuild_on_drawn_cases(
+    seed, density, n, b_kills, a_kills, field, b_unital
+):
     """W grown in one span against W_m rebuilt at every m: the same dimension
     and exactness at every level, and the same subspace."""
-    b_alg, a_alg, gamma = drawn_case(seed, density, b_kills, a_kills)
+    b_alg, a_alg, gamma = drawn_case(seed, density, b_kills, a_kills, field, b_unital)
     chain = power_chain(b_alg, degree_one_generators(b_alg), n)
     ws = weighted_image_spans(gamma, chain, a_alg, n)
     ref = reference_weighted_image_spans(gamma, chain, a_alg, n)

@@ -596,15 +596,18 @@ def subparsers(parser):
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_cli_parser_reads_the_terminal_size_once(monkeypatch, columns):
     """Building the parser reads the terminal size once, and every help text
-    is the one a formatter reading the terminal itself gives."""
+    is the one a formatter reading the terminal itself gives.  The counting
+    stand-in is in place only while the parser is built and read: pytest's
+    own terminal writer calls `shutil.get_terminal_size` too."""
     monkeypatch.setenv("COLUMNS", columns)
     calls = []
     size = shutil.get_terminal_size
-    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
-    parser = cli.build_parser()
-    assert len(calls) == 1
-    helps = [p.format_help() for p in subparsers(parser)]
-    assert len(calls) == 1 and len(helps) == 12
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+        parser = cli.build_parser()
+        assert len(calls) == 1
+        helps = [p.format_help() for p in subparsers(parser)]
+        assert len(calls) == 1 and len(helps) == 12
     for p in subparsers(parser):
         p.formatter_class = argparse.HelpFormatter
     assert [p.format_help() for p in subparsers(parser)] == helps
@@ -796,6 +799,40 @@ def test_cli_density_witness(tmp_path):
     )
     assert out.returncode == 0
     assert "True,b^2" in out.stdout
+
+
+@pytest.mark.parametrize("command", ["density-witness", "shift-witness"])
+def test_cli_cap_above_nb_names_both_options(tmp_path, command):
+    """A scan cap above the host truncation is an error naming --cap and
+    --NB, not the degree the scan first fails to read."""
+    b = tmp_path / "b.pres"
+    b.write_text("field rational\nunital true\ngenerators b:1\n")
+    args = ["--B", str(b), "--NB", "4", "--blist", "b", "--cap", "9"]
+    if command == "density-witness":
+        a = tmp_path / "a.pres"
+        a.write_text(AX3)
+        g = tmp_path / "g.map"
+        g.write_text("map b^3 -> z\n")
+        args += ["--A", str(a), "--NA", "3", "--gamma", str(g), "--a", "z"]
+    out = run_main(command, *args)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: --cap 9 exceeds --NB 4\n"
+
+
+@pytest.mark.parametrize("power", ["0", "-3"])
+def test_cli_nil_check_max_power_below_one_names_the_option(tmp_path, power):
+    b = tmp_path / "b.pres"
+    b.write_text(HULL2)
+    a = tmp_path / "a.pres"
+    a.write_text("field rational\nunital false\ngenerators z:1\nrel z^2\n")
+    out = run_main(
+        "nil-check", "--B", str(b), "--A", str(a), "--NB", "2", "--NA", "2",
+        "--expr", "e(1,1,z)", "--max-power", power,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: --max-power {power} is below 1\n"
 
 
 def test_cli_gk(tmp_path):
