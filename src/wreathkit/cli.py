@@ -80,7 +80,15 @@ def cmd_build(args):
     return EXIT_OK
 
 
+def _check_factor_count(n):
+    """-n counts factors: at least one."""
+    if n < 1:
+        raise ValueError(f"-n {n} is below 1")
+
+
 def cmd_growth(args):
+    if args.n is not None:
+        _check_factor_count(args.n)
     alg = _load_algebra(args.presentation, args.N, args.policy)
     n = args.N if args.n is None else args.n
     dims = growth_dims(alg, degree_one_generators(alg), n)
@@ -90,6 +98,7 @@ def cmd_growth(args):
 
 
 def cmd_wgamma(args):
+    _check_factor_count(args.n)
     b_alg, a_alg, indexing, gamma = _gamma_context(args)
     if gamma is None:
         gamma = GammaMap(indexing, a_alg, {})
@@ -100,6 +109,7 @@ def cmd_wgamma(args):
 
 
 def cmd_span_bound(args):
+    _check_factor_count(args.n)
     b_alg, a_alg, indexing, gamma = _gamma_context(args)
     if gamma is None:
         gamma = GammaMap(indexing, a_alg, {})

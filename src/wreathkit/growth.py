@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
-from .linalg import Echelon, dense_rank, power_levels
+from .linalg import Echelon, _eliminate, dense_rank, power_levels, reduced
 from .quotient import AlgElement, Subspace, TruncatedAlgebra, growth_dims
 from .wreath import BasisIndexing, GammaMap, SMatrix, WreathAlgebra, WreathSpan
 
@@ -222,6 +223,77 @@ class InclusionReport:
         return all(r[3] for r in self.rows) and all(r[5] for r in self.rows)
 
 
+class _Filtration:
+    """A filtration of sparse vectors as one leading-key echelon in insertion
+    order: each row is 1 at its pivot, its greatest key, and reduced against
+    the rows before it only, never back-reduced.  So the rows of levels <= s,
+    the first dims[s], span level s, and reducing against them in order
+    leaves 0 exactly on the vectors of level s."""
+
+    __slots__ = ("field", "rows", "dims")
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []  # (pivot, row)
+        self.dims = []  # dims[s]: the rows of levels <= s
+
+    def residual(self, vec: dict, s=None) -> dict:
+        """vec less its expansion over the rows of levels <= s (all rows when
+        s is None), as a new dict."""
+        p = self.field.characteristic
+        v = reduced(vec, p)
+        for pivot, row in self.rows if s is None else self.rows[: self.dims[s]]:
+            c = v.get(pivot)
+            if c:
+                _eliminate(v, row, c, p)
+        return v
+
+    def level(self, vecs) -> list:
+        """Add vecs as the next level; whether each raised the dimension."""
+        raised = []
+        for vec in vecs:
+            v = self.residual(vec)
+            if v:
+                pivot = max(v)
+                inv = self.field.inv(v[pivot])
+                v = reduced({k: inv * c for k, c in v.items()}, self.field.characteristic)
+                self.rows.append((pivot, v))
+            raised.append(bool(v))
+        self.dims.append(len(self.rows))
+        return raised
+
+
+def _rows(s: SMatrix, na: int) -> dict:
+    """The rows of a matrix, {row index: {(column - 1) * na + A index: raw}}."""
+    rows = {}
+    for (i, j), cell in s.entries.items():
+        row, base = rows.setdefault(i, {}), (j - 1) * na
+        for k, c in cell.items():
+            row[base + k] = c
+    return rows
+
+
+def _in_staircase(e, m: int, v_span, zs: _Filtration, ys: _Filtration, na: int) -> bool:
+    """Whether e = (b, S) lies in V^m (+) sum_i A_i (x) B_(m-i), with zs the A
+    chain and ys the B chain (see `span_inclusion_check`)."""
+    if not v_span.contains(e.b):
+        return False
+    p = zs.field.characteristic
+    rows, start = _rows(e.s, na), 0
+    for i in range(m + 1):
+        for pivot, a in zs.rows[start : zs.dims[i]]:
+            t = rows.pop(pivot, None)
+            if not t:
+                continue
+            if ys.residual(t, m - i):
+                return False
+            for r, c in a.items():
+                if r != pivot:
+                    _eliminate(rows.setdefault(r, {}), t, c, p)
+        start = zs.dims[i]
+    return not any(rows.values())
+
+
 def span_inclusion_check(
     b_host: TruncatedAlgebra,
     a_host: TruncatedAlgebra,
@@ -244,25 +316,46 @@ def span_inclusion_check(
     outside the predicted span, and the check then reports them as not
     included.
 
-    The predicted span R_m at weight m grows from R_0 = F c [+ F e_11(1)]:
-    R_m is R_{m-1}, plus V^1 at m = 1, plus the middles a c [and e_11(a)]
-    for the a new at level m of W, plus g e and e g for each degree-one
-    generator g and each representative e that entered at weight m - 1.
-    That is the span above, by induction on m.  V^i is spanned by the
-    products of at most i generators, so a term of weight m with i >= 1
-    (k >= 1) is g times (times g) a term of weight m - 1, and a term with
-    i = k = 0 is a middle of level m or one of R_{m-1}.  And g R_{m-2} lies
-    in R_{m-1} already, so g R_{m-1} lies in g times what entered at weight
-    m - 1, plus R_{m-1}; likewise on the right.  The generated span only
-    grows too, so a representative of it found in R_m stays found, and the
-    inclusion test resumes at the first representative not yet found.
+    The predicted span R_m at weight m is a staircase of tensor products,
+    never formed.  A middle M (c, a c for a in W_j, [e_11(1), e_11(a)]), of
+    level 0 or j, has b-part 0 and an S-part S_M in row 1 only; emb(b) has
+    S-part 0.  So emb(b) M emb(b') = (0, L(b) S_M L(b')) = (0, z_b (x) y):
+    y = (row 1 of S_M) L(b'), z_b is column 1 of L(b), and `wreath_coords`
+    maps (row, column, A-word) one to one to keys.  Hence
 
-    `exact` True means every rhs_dim is exact: under a plain indexing every
-    product inserted without a flag is the true product (host products and
-    L(b) S flag their escapes, S L(b) loses nothing), so by the induction
-    each R_m is the true span.  Under a unipotent indexing a chain of
-    one-letter right translates S L(g) can flag where the product with the
-    whole right factor does not, so the check refuses that indexing.
+        R_m = V^m (+) sum_{i<=m} A_i (x) B_(m-i),
+
+    A_0 = F e_1 (no left factor), A_i = A_0 + span{z_b : b in V^i}, B_s the
+    span of the y over j + k <= s (k = 0: no right factor); adding A_0 to
+    A_i adds nothing, as A_0 (x) B_(m-i) lies in A_0 (x) B_m.  The A_i grow
+    and the B_(m-i) shrink with i, so for a basis a_q of A_m, a_q new at
+    level(q), A_i (x) B_(m-i) is the sum over level(q) <= i of
+    a_q (x) B_(m-i), inside a_q (x) B_(m-level(q)): R_m's S-parts are the
+    direct sum of the a_q (x) B_(m-level(q)), of dimension
+    sum_i (dim A_i - dim A_(i-1)) dim B_(m-i), and (b, S) is in R_m iff b
+    is in V^m and S = sum_q a_q (x) t_q with t_q in B_(m-level(q)).  The a_q
+    are the rows of a `_Filtration` in level order, 1 at their pivot and 0
+    at the pivots before: t_q is S's row at a_q's pivot less the
+    a_p (x) t_p of p < q, and nothing may be left after level m.
+
+    The chains grow a level a weight.  A_i adds z_b for the b new at level i
+    of V (z is linear in b).  B_s adds the rows of the middles new at level
+    s, and y L(g) for each letter g and each row y new at level s - 1: V^k
+    is spanned by products of at most k letters, y L(b g) = (y L(b)) L(g),
+    and B_(s-2) L(g) lies in B_(s-1).  The generated span only grows too,
+    so a representative found in R_m stays found, and the test resumes at
+    the first one not yet found.
+
+    `exact` is the bit of the product route, which forms every product
+    emb(b) M emb(b') above: one is flagged when b, b' or M is (S_M L(b')
+    loses nothing under a plain indexing), or when b b_1 escapes and
+    S_M != 0, as L(b) S_M reads column 1 of L(b) only then.  Here V^n's and
+    W_n's bits hold the flags of the b, b' and a multiplied, the middles'
+    and y rows' flags those of M and M L(b'), and the escape of b b_1 (b in
+    V^n; the words of its representatives are the words of V^n) counts
+    when c or the corner unit, middles of level 0 at every weight, is
+    nonzero; when c = 0 every a c is 0 too.  Under a unipotent indexing
+    S L(g) can flag where S L(b) does not, so the check refuses it.
     """
     if gamma.indexing.unipotent:
         raise ValueError("span inclusion needs a plain indexing, not a unipotent one")
@@ -279,27 +372,38 @@ def span_inclusion_check(
     corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
     u_chain = power_chain(wa, letters + [c] + corner, n)
 
-    rhs = WreathSpan(wa, [c] + corner)
+    field, na = b_host.field, a_host.total_dim()
+    v_span, zs, ys = Subspace(b_host), _Filtration(field), _Filtration(field)
+
+    def b_level(new):
+        """Add the rows of new as B's next level; the ones that entered."""
+        return list(compress(new, ys.level([_rows(y, na).get(1, {}) for y in new])))
+
+    zs.level([{1: field.one}])  # A_0 = F e_1
+    middles = [e.s for e in [c] + corner]  # the middles of level 0
+    entered = b_level(middles)  # the rows that entered B at the last level
+    # a middle is flagged (y L(g) has y's flag under a plain indexing); some
+    # b b_1 escaped
+    flagged, escaped = any(s.flag for s in middles), False
     rows = []
-    exact = True
-    entered = 0  # rhs's representatives from here on entered at the last weight
-    found = 0  # the first `found` representatives of u_chain[-1] lie in rhs
+    found = 0  # the first `found` representatives of u_chain[-1] lie in R_m
     for m in range(1, n + 1):
-        last, entered = rhs.representatives()[entered:], rhs.dim
-        if m == 1:
-            rhs.extend(letters)
         new_w = _fresh(ws, m)
-        rhs.extend(_scale_row(wa, gamma, a) for a in new_w)
+        middles = [_scale_row(wa, gamma, a).s for a in new_w]
         if with_corner:
-            rhs.extend(wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in new_w)
-        # all left translates first: interleaved with the right ones they made
-        # `span-bound -n 5` on the bench inputs about 4% slower
-        rhs.extend(g * e for e in last for g in letters)
-        rhs.extend(e * g for e in last for g in letters)
+            middles += [wa.matrix_unit(1, 1, a) for a in new_w]
+        flagged = flagged or any(s.flag for s in middles)
+        entered = b_level(middles + [y.rmul_b(g) for y in entered for g in gens])
+        # z_b = b b_1 under the plain indexing; an escape flags, never raises
+        new_v = _fresh(b_chain, m)
+        cols = [b_host._mul_terms(b.terms, {1: field.one}, "truncate") for b in new_v]
+        escaped = escaped or any(esc for _, esc in cols)
+        zs.level([z for z, _ in cols])
+        v_span.extend(new_v)
 
         lhs = u_chain[m - 1]
         reps = lhs.representatives()
-        while found < lhs.dim and rhs.contains(reps[found]):
+        while found < lhs.dim and _in_staircase(reps[found], m, v_span, zs, ys, na):
             found += 1
         included = found == lhs.dim
         bound = g_dims[m - 1]
@@ -310,8 +414,11 @@ def span_inclusion_check(
                     gk = 1 if k == 0 else g_dims[k - 1]
                     wj = 1 if j == 0 else w_dims[j - 1]
                     bound += (1 + len(corner)) * gi * wj * gk
-        rows.append((m, lhs.dim, rhs.dim, included, bound, lhs.dim <= bound))
-        exact = exact and lhs.exact and rhs.exact
+        a_new = [d - e for d, e in zip(zs.dims, [0] + zs.dims)]
+        rhs_dim = v_span.dim + sum(a_new[i] * ys.dims[m - i] for i in range(m + 1))
+        rows.append((m, lhs.dim, rhs_dim, included, bound, lhs.dim <= bound))
+    exact = u_chain[-1].exact and b_chain[-1].exact and ws[-1].exact and not flagged
+    exact = exact and not (escaped and (c.s or corner))
     return InclusionReport(rows, exact)
 
 

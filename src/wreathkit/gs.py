@@ -11,7 +11,9 @@ with phi(0) = 1, the set {phi < 0} meets (0, 1) iff phi(1) < 0, or phi(1) = 0
 and phi has a root strictly inside, or phi(1) > 0 and phi crosses twice.
 
 Witness search scans reduced fractions in (1/m, 1) with denominator up to a
-bound, in increasing value, and returns the smallest satisfying one.
+bound, in increasing value, and returns the smallest satisfying one; a
+candidate's sign is taken in integers, and the `Fraction` value of phi is
+formed for the witness only.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from typing import Optional
 
 # Largest denominator bound the witness search takes.  The search walks the
 # reduced fractions in ascending order and stops at the first witness
-# (`-m 3 --census 2:1` finds 89/233 in 0.04 s).  With no witness it evaluates
-# phi at all of them, about 0.2 * bound**2: about 1 s at this bound for a
-# degree-5 census with m = 3, 0.09 s of it the walk (2-vCPU x86-64 VM,
-# Python 3.11).
+# (`-m 3 --census 2:1` finds 89/233 in 0.04 s).  With no witness it takes
+# the sign of phi at all of them, about 0.2 * bound**2 (50,745 at this bound)
+# in integers (`_cleared_value`): 0.15 s with the walk for a degree-5 census
+# with m = 3, where `Fraction` values took 1.6 s (shared 2-vCPU x86-64 VM,
+# one CPU, Python 3.11).
 MAX_DENOMINATOR_BOUND = 500
 
 
@@ -124,9 +127,10 @@ def count_polynomial(m: int, census: dict) -> list:
 
 
 def _witness_candidates(m: int, bound: int):
-    """Reduced fractions in (1/m, 1) with denominator <= bound, ascending;
-    each p/q in lowest terms is a distinct value.  One ascending walk per
-    denominator q, merged lazily, so a search stops at its first witness.
+    """Reduced fractions p/q in (1/m, 1) with q <= bound, ascending, as
+    pairs (p, q); each p/q in lowest terms is a distinct value.  One
+    ascending walk per denominator q, merged lazily, so a search stops at
+    its first witness.
 
     The walks are merged by the float p / q: two distinct fractions with
     denominators <= bound differ by at least 1 / bound**2, far above the
@@ -141,7 +145,18 @@ def _witness_candidates(m: int, bound: int):
                 yield p / q, p, q
 
     merged = heapq.merge(*(walk(q) for q in range(2, bound + 1)))
-    return (Fraction(p, q) for _, p, q in merged)
+    return ((p, q) for _, p, q in merged)
+
+
+def _cleared_value(coeffs, p: int, q: int) -> int:
+    """q**d * phi(p/q) = sum_k c_k p**k q**(d - k), d = deg phi, by Horner in
+    integers: coeffs are phi's integer coefficients, ascending, and q > 0, so
+    the result has the sign of phi(p/q)."""
+    acc, q_power = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        q_power *= q
+        acc = acc * p + c * q_power
+    return acc
 
 
 def golod_shafarevich_check(
@@ -190,10 +205,11 @@ def golod_shafarevich_check(
             None,
             note="the convex count polynomial is >= 0 on (0, 1); certified by root counting",
         )
-    for t in _witness_candidates(m, denominator_bound):
-        value = _p_eval(phi, t)
-        if value < 0:
-            return GSReport("satisfied", t, value)
+    coeffs = [int(c) for c in phi]  # 1, -m and the census counts
+    for p, q in _witness_candidates(m, denominator_bound):
+        if _cleared_value(coeffs, p, q) < 0:
+            t = Fraction(p, q)
+            return GSReport("satisfied", t, _p_eval(phi, t))
     return GSReport(
         "no-witness-up-to-bound",
         None,

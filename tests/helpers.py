@@ -532,6 +532,57 @@ def reference_span_inclusion(b_host, a_host, gamma, n, with_corner=False):
     return rows, exact
 
 
+def span_bound_job_case(argv):
+    """(b_host, a_host, gamma, n, with_corner) of a `span-bound` argv, loaded
+    as the command line loads them."""
+    args = cli.build_parser().parse_args(argv)
+    b_alg, a_alg, _, gamma = cli._gamma_context(args)
+    return b_alg, a_alg, gamma, args.n, args.corner
+
+
+def translate_span_inclusion(b_host, a_host, gamma, n, with_corner=False):
+    """(rows, exact) of `span_inclusion_check`, with the predicted span R_m
+    grown in one wreath span by one-letter translates: R_m is R_(m-1), plus
+    V^1 at m = 1, plus the middles a c [and e_11(a)] for the a new at level
+    m of W, plus g e and e g for each letter g and each representative e
+    that entered at weight m - 1.  Unlike `reference_span_inclusion` it is
+    fast enough for the bench's n = 5 (906 rows); its V, W and generated
+    chains are the program's.  Plain indexings only: under a unipotent one a
+    chain of translates S L(g) can flag where S L(b) does not."""
+    wa = WreathAlgebra(b_host, a_host, indexing=gamma.indexing)
+    c = wa.from_matrix(wa.gamma_row(gamma))
+    gens = degree_one_generators(b_host)
+    b_chain = power_chain(b_host, gens, n)
+    ws = weighted_image_spans(gamma, b_chain, a_host, n)
+    letters = [wa.embed(g) for g in gens]
+    corner = [wa.from_matrix(wa.matrix_unit(1, 1, a_host.unit()))] if with_corner else []
+    u_chain = power_chain(wa, letters + [c] + corner, n)
+    g = [1] + [level.dim for level in b_chain]
+    w = [1] + [level.dim for level in ws]
+    rhs = WreathSpan(wa, [c] + corner)
+    rows, exact, entered = [], True, 0
+    for m in range(1, n + 1):
+        last, entered = rhs.representatives()[entered:], rhs.dim
+        if m == 1:
+            rhs.extend(letters)
+        new_w = ws[m - 1].reps[w[m - 1] if m > 1 else 0 : w[m]]
+        rhs.extend(_scale_row(wa, gamma, a) for a in new_w)
+        if with_corner:
+            rhs.extend(wa.from_matrix(wa.matrix_unit(1, 1, a)) for a in new_w)
+        rhs.extend(le * e for e in last for le in letters)
+        rhs.extend(e * ri for e in last for ri in letters)
+        lhs = u_chain[m - 1]
+        included = all(rhs.contains(e) for e in lhs.representatives())
+        bound = g[m] + sum(
+            (1 + len(corner)) * g[i] * w[j] * g[k]
+            for i, j, k in product(range(m + 1), repeat=3)
+            if i + j + k <= m
+        )
+        rows.append((m, lhs.dim, rhs.dim, included, bound, lhs.dim <= bound))
+        exact = exact and lhs.exact and rhs.exact
+    return rows, exact
+
+
 # -- the element-by-element expression parser: the one-pass parser's oracle ---
 
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),]))")

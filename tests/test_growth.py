@@ -49,6 +49,8 @@ from helpers import (
     reference_span_inclusion,
     reference_weighted_image_spans,
     run_main,
+    span_bound_job_case,
+    translate_span_inclusion,
 )
 
 Q = Field.rationals()
@@ -655,31 +657,36 @@ def test_inclusion_rows_match_per_m_rebuild(case):
 
 
 @pytest.mark.parametrize("case", INCLUSION_CASES)
-def test_inclusion_translates_each_representative_once(case, monkeypatch):
-    """The predicted span receives c (and the corner unit), the letters of
-    V^1, each middle once, at the level of W where its a is new, and g e and
-    e g once for each letter g and each representative e of R_(n-1), at the
-    weight after e entered.  With d = dim V^1 that is
-    lists + d + lists * w(n) + 2 d rhs_dim(n - 1) inserts, where lists is 2
-    with the corner and 1 without."""
+def test_inclusion_staircase_work(case, monkeypatch):
+    """The A chain takes e_1 at level 0, then the column z_b for each b new
+    at level i of V; the B chain takes the rows of the middles (c and the
+    corner unit at level 0, then one a c [and e_11(a)] for each a new at
+    level s of W), plus d row translates y L(g) for each row y that entered
+    at level s - 1, with d = dim V^1: d dim B_(n-1) translates in all."""
     b_alg, a_alg, gamma, n, corner = inclusion_case(case)
-    adds = []
-    add = WreathSpan.add
+    levels = []  # (filtration, vectors taken) of each level, in order
+    level = growth._Filtration.level
 
-    def counting_add(self, e):
-        adds.append(self)
-        return add(self, e)
+    def recording(self, vecs):
+        levels.append((self, len(vecs)))
+        return level(self, vecs)
 
-    monkeypatch.setattr(WreathSpan, "add", counting_add)
-    report = span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
+    monkeypatch.setattr(growth._Filtration, "level", recording)
+    span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
     monkeypatch.undo()
-    rhs = adds[-1]  # the predicted span is made last and fed to the end
-    inserts = sum(1 for s in adds if s is rhs)
+    (zs, _), (ys, _) = levels[:2]  # A_0, then B_0
 
     gens = degree_one_generators(b_alg)
-    w_n = weighted_image_spans(gamma, power_chain(b_alg, gens, n), a_alg, n)[-1].dim
+    chain = power_chain(b_alg, gens, n)
+    ws = weighted_image_spans(gamma, chain, a_alg, n)
+    v_new = [1] + [chain[i].dim - (chain[i - 1].dim if i else 0) for i in range(n)]
+    assert [k for f, k in levels if f is zs] == v_new
     lists, d = (2 if corner else 1), len(gens)
-    assert inserts == lists + d + lists * w_n + 2 * d * report.rows[n - 2][2]
+    w_new = [1] + [ws[j].dim - (ws[j - 1].dim if j else 0) for j in range(n)]
+    b_new = [e - f for e, f in zip(ys.dims, [0] + ys.dims)]
+    translates = [0] + [d * b_new[s - 1] for s in range(1, n + 1)]
+    assert [k for f, k in levels if f is ys] == [lists * w + t for w, t in zip(w_new, translates)]
+    assert sum(translates) == d * ys.dims[n - 1]
 
 
 def test_inclusion_refuses_a_unipotent_indexing():
@@ -732,6 +739,7 @@ def test_inclusion_matches_per_m_rebuild_on_drawn_cases(
     rows, exact = reference_span_inclusion(b_alg, a_alg, gamma, n, with_corner=corner)
     assert report.rows == rows
     assert report.exact == exact
+    assert translate_span_inclusion(b_alg, a_alg, gamma, n, with_corner=corner) == (rows, exact)
 
 
 @settings(max_examples=40, deadline=5000)
@@ -751,13 +759,30 @@ def test_w_chain_matches_per_m_rebuild_on_drawn_cases(
 
 
 def write_bench_inputs(seed, work):
-    """The benchmark's seeded input files, written into work."""
+    """The benchmark's seeded input files, written into work; returns the
+    wreath-gfp jobs by name."""
     sys.path.insert(0, str(BENCH))
     try:
         import run as bench_run
     finally:
         sys.path.remove(str(BENCH))
     bench_run.write_inputs(seed, work)
+    return {job.name: job for job in bench_run.workload_jobs("wreath-gfp", work)}
+
+
+@pytest.mark.parametrize("seed", [5, 77])
+@pytest.mark.parametrize("job", ["span_bound_n5", "span_bound_corner_n4"])
+def test_inclusion_matches_the_translate_route_on_bench_inputs(seed, job, tmp_path):
+    """At bench scale (906 predicted rows at n = 5, 541 with the corner at
+    n = 4), where the per-m rebuild is too slow, the staircase gives the rows
+    and the bit of the translate route."""
+    jobs = write_bench_inputs(seed, tmp_path)
+    b_alg, a_alg, gamma, n, corner = span_bound_job_case(jobs[job].argv)
+    report = span_inclusion_check(b_alg, a_alg, gamma, n, with_corner=corner)
+    rows, exact = translate_span_inclusion(b_alg, a_alg, gamma, n, with_corner=corner)
+    assert report.rows == rows
+    assert report.exact == exact
+    assert [r[2] for r in rows] == ([14, 62, 208, 541] if corner else [9, 41, 139, 387, 906])
 
 
 def test_w_chain_inserts_each_product_once(tmp_path, monkeypatch):

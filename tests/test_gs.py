@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from wreathkit import census_from_blocks, count_polynomial, golod_shafarevich_check
-from wreathkit.gs import _p_eval, _witness_candidates
+from wreathkit.gs import _cleared_value, _p_eval, _witness_candidates
 
 
 def test_empty_census_satisfiable():
@@ -93,7 +93,23 @@ def test_witness_candidates_are_the_sorted_reduced_fractions():
                 for p in range(1, q)
                 if p * m > q and gcd(p, q) == 1
             )
-            assert list(_witness_candidates(m, bound)) == brute, (m, bound)
+            walked = [Fraction(p, q) for p, q in _witness_candidates(m, bound)]
+            assert walked == brute, (m, bound)
+
+
+@pytest.mark.parametrize(
+    "m, census",
+    [(2, {}), (2, {2: 1}), (3, {2: 1}), (3, {2: 1, 3: 4, 5: 7}), (4, {2: 3, 4: 9}), (5, {7: 200})],
+)
+def test_cleared_value_has_the_sign_of_phi(m, census):
+    """The integer q^d phi(p/q) the witness search tests has the sign of the
+    `Fraction` value phi(p/q), on every candidate up to a small bound."""
+    phi = count_polynomial(m, census)
+    coeffs = [int(c) for c in phi]
+    for p, q in _witness_candidates(m, 40):
+        value, cleared = _p_eval(phi, Fraction(p, q)), _cleared_value(coeffs, p, q)
+        assert (value > 0) - (value < 0) == (cleared > 0) - (cleared < 0), (p, q)
+        assert cleared == value * q ** (len(phi) - 1)
 
 
 def test_witness_search_at_the_largest_bound():

@@ -927,7 +927,7 @@ def test_cli_factor_count_below_one_is_an_error(tmp_path, command):
     out = run_main(*args)
     assert out.returncode == 1
     assert out.stdout == ""
-    assert out.stderr.startswith("error: the factor count must be at least 1")
+    assert out.stderr == f"error: -n {command[-1]} is below 1\n"
 
 
 def test_cli_growth_n_defaults_to_N_only_when_absent(tmp_path):

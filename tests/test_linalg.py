@@ -28,9 +28,10 @@ from helpers import (
     dense_from,
     rationals,
     reference_dense_dim_check,
-    run_main,
     sample,
+    span_bound_job_case,
     sparse_only,
+    translate_span_inclusion,
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -693,7 +694,9 @@ def test_which_spans_switch(monkeypatch, tmp_path):
     GF(101) and stay sparse over Q and over p = 2^31 - 1.  The build kernels
     of the bench's tri presentation (over its p = 2^31 - 1 and over GF(101),
     about 2 keys a row) and a free closure over GF(101) (one key a row) stay
-    sparse; span-bound's wreath spans and the dense-law span switch."""
+    sparse; the two wreath spans of span-bound's translate route
+    (`helpers.translate_span_inclusion`, the oracle of its staircase) and the
+    dense-law span switch."""
     made = record_switches(monkeypatch)
     # 64 rows of 17 nonzeros in 80 columns, one block: density 0.21
     rng = random.Random(5)
@@ -721,8 +724,7 @@ def test_which_spans_switch(monkeypatch, tmp_path):
 
     jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
     bench_run.write_inputs(11, tmp_path)
-    job = jobs["span_bound_n5"]
-    assert run_main(*job.argv, "--emit", str(tmp_path / "span.csv")).returncode == 0
+    translate_span_inclusion(*span_bound_job_case(jobs["span_bound_n5"].argv))
     assert len(made) >= 2 and {p for p, _ in made} == {101}
     made.clear()
 
@@ -748,13 +750,14 @@ def echelon_streams(monkeypatch, run):
 
 
 def test_span_bound_spans_pack_as_they_ran_sparse(monkeypatch, tmp_path):
-    """Every echelon of span-bound on the bench's seed-5 inputs, replayed
-    sparse only and under the real switch rule: the same rows, pivots,
-    reductions and membership.  The large wreath spans do pack."""
+    """Every echelon of span-bound's translate route (the oracle of its
+    staircase, with a 906-row predicted span) on the bench's seed-5 inputs,
+    replayed sparse only and under the real switch rule: the same rows,
+    pivots, reductions and membership.  The large wreath spans do pack."""
     jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
     bench_run.write_inputs(5, tmp_path)
-    argv = jobs["span_bound_n5"].argv + ["--emit", str(tmp_path / "span.csv")]
-    streams = echelon_streams(monkeypatch, lambda: run_main(*argv))
+    case = span_bound_job_case(jobs["span_bound_n5"].argv)
+    streams = echelon_streams(monkeypatch, lambda: translate_span_inclusion(*case))
     packed_ranks = []
     for field, vecs in streams:
         assert field.characteristic == 101
