@@ -196,6 +196,8 @@ def cmd_density_witness(args):
 
 def cmd_shift_witness(args):
     _check_cap(args)
+    if args.s < 0:
+        raise ValueError(f"--s {args.s} is below 0")
     b_alg = _load_algebra(args.B, args.NB, args.policy)
     rep = shift_independence_witness(b_alg, _blist(b_alg, args.blist), args.s, args.cap)
     _emit_witness(args, _meta(args, s=args.s), rep)
@@ -390,7 +392,9 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_shift_witness)
 
-    p = add_parser("sandwich", help="layered presentation and two-letter growth sandwich")
+    p = add_parser(
+        "sandwich", help="two-letter growth sandwich, g_k read in the layered algebra's x-part"
+    )
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--schedule", required=True, help="comma-separated thresholds")
     p.add_argument("--J", help="two-letter presentation file")

@@ -394,9 +394,9 @@ def span_inclusion_check(
             middles += [wa.matrix_unit(1, 1, a) for a in new_w]
         flagged = flagged or any(s.flag for s in middles)
         entered = b_level(middles + [y.rmul_b(g) for y in entered for g in gens])
-        # z_b = b b_1 under the plain indexing; an escape flags, never raises
+        # z_b = b b_1; an escape flags, never raises
         new_v = _fresh(b_chain, m)
-        cols = [b_host._mul_terms(b.terms, {1: field.one}, "truncate") for b in new_v]
+        cols = [gamma.indexing.product_column(b, 1) for b in new_v]
         escaped = escaped or any(esc for _, esc in cols)
         zs.level([z for z, _ in cols])
         v_span.extend(new_v)
@@ -467,8 +467,8 @@ def dense_dim_check(
     embedded = [wa.embed(b) for b in vn.representatives()]
     y_span = WreathSpan(wa, [row * emb_k for row in middles for emb_k in embedded])
     z_ech, z_flag, s_nonzero = Echelon(b_host.field), False, any(row.s for row in middles)
-    for emb_i in embedded:
-        z, escaped = wa.indexing.product_column(emb_i.b, 1)
+    for b in vn.representatives():
+        z, escaped = wa.indexing.product_column(b, 1)
         z_ech.insert(z)
         z_flag = z_flag or (s_nonzero and escaped)
     dim, bound = z_ech.dim * y_span.dim, vn.dim * vn.dim * wn.dim

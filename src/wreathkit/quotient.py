@@ -511,6 +511,8 @@ class TruncatedAlgebra:
 
     def _indices(self, d: int) -> range:
         """The basis indices of degree d."""
+        if d < 0:
+            raise ValueError(f"degree {d} is below 0")
         if d == 0:
             return range(self._unit, self._unit + self.unital)
         if d > self.truncation_degree:

@@ -12,9 +12,10 @@ b_i (x) entry -- i.e. columns are inputs, rows are outputs.  Multiplication:
     (b1, S1) * (b2, S2)  =  (b1*b2,  L(b1) S2  +  S1 L(b2)  +  S1 S2)
 
 where L(b) is the scalar matrix of left multiplication by b on the basis.
-L(b) is never multiplied out afresh: `BasisIndexing` reads column j of L(w),
-for a host basis word w, from the host's word-pair product w*b_j, the one
-table of host products; L(b) follows from those columns by linearity.  The
+L(b) is never multiplied out afresh: `BasisIndexing` reads column j of L(b)
+at each call as a sum of the host's word-pair products w*t, for the words w
+of b and t of b_j, from the one table of host products; only the rows of
+L(w), which the right action reads, are kept, transposed once per word.  The
 indices are the host's own basis indices, so host terms are coordinates as
 they stand and `wreath_coords` is offset arithmetic on them.
 S1 L(b2) is always exact within the truncation, since S1 vanishes on every
@@ -46,14 +47,16 @@ class BasisIndexing:
     the word w_i.
     """
 
-    __slots__ = ("host", "unipotent", "_tables")
+    __slots__ = ("host", "unipotent", "_rows")
 
     def __init__(self, host: TruncatedAlgebra, unipotent: bool = False):
         if unipotent and not host.unital:
             raise ValueError("a unipotent indexing needs a unital host")
         self.host = host
         self.unipotent = unipotent
-        self._tables = {}  # host basis index -> _LeftAction, filled on first use
+        # host basis index w -> (rows of L(w), whether some w*b_j escaped),
+        # built on first use by `_row_table`
+        self._rows = {}
 
     def __len__(self):
         return self.host.total_dim()
@@ -77,61 +80,56 @@ class BasisIndexing:
             e = host.unit() + e
         return e
 
-    def left_action(self, w: int) -> "_LeftAction":
-        """The table of x -> w*x on this basis, for a host basis index w.
-
-        Column j is w*b_j by linearity over b_j's host words t: a sum of the
-        host's word-pair products (w, t).  Under the plain indexing b_j is the
-        word j, and the column is that `_pair_cache` entry itself; the
-        unipotent indexing changes its coordinates.  Built on first use, it
-        serves every later left multiplication by an element with w among
-        its terms.
-        """
-        table = self._tables.get(w)
-        if table is None:
-            host = self.host
-            p = host.field.characteristic
-            cols, escaped, rows = [None], [False], {}
-            for j in range(1, len(self) + 1):
-                b_j = self.basis_element(j).terms
-                parts = [(c, host._word_pair_product(w, t)) for t, c in b_j.items()]
-                escaped.append(any(vec is _ESCAPED for _, vec in parts))
-                vec = self.element_coords(AlgElement(host, combine(parts, p)))
-                cols.append(vec)
-                for i, c in vec.items():
-                    rows.setdefault(i, {})[j] = c
-            table = self._tables[w] = _LeftAction(cols, escaped, rows, any(escaped))
-        return table
-
     def product_column(self, b: AlgElement, j: int):
         """Coordinates of b*b_j, and whether that product escaped the truncation.
 
-        By linearity over b's terms; the escape flag is the OR of its words'
-        flags, as `_mul_terms` flags per word pair.  The coordinates may be a
-        table's own dict: read them, never mutate them.
+        The sum of the host's word-pair products (w, t) over the words w of
+        b and the words t of b_j: the word j under the plain indexing, the
+        unit and w_j under the unipotent one.  It escaped when some part did,
+        as `_mul_terms` flags per word pair.  Under the plain indexing a
+        one-word b gets that `_pair_cache` entry itself: read the
+        coordinates, never mutate them.
         """
-        parts, escaped = [], False
-        for w, c in b.terms.items():
-            table = self.left_action(w)
-            parts.append((c, table.cols[j]))
-            escaped = escaped or table.escaped[j]
-        return combine(parts, self.host.field.characteristic), escaped
+        host = self.host
+        pair = host._word_pair_product
+        words = (1, j) if self.unipotent and j != 1 else (j,)
+        parts = [(c, pair(w, t)) for w, c in b.terms.items() for t in words]
+        terms = combine(parts, host.field.characteristic)
+        escaped = any(vec is _ESCAPED for _, vec in parts)
+        return self.element_coords(AlgElement(host, terms)), escaped
+
+    def _row_table(self, w: int):
+        """(rows, escaped) for a host basis index w: rows[k] is row k of L(w),
+        {j: coefficient of basis vector k in w*b_j}, and escaped whether some
+        w*b_j escaped the truncation.  Built from `product_column` on first
+        use, the only table an indexing keeps."""
+        table = self._rows.get(w)
+        if table is None:
+            word = AlgElement(self.host, {w: self.host.field.one})
+            rows, escaped = {}, False
+            for j in range(1, len(self) + 1):
+                col, esc = self.product_column(word, j)
+                escaped = escaped or esc
+                for i, c in col.items():
+                    rows.setdefault(i, {})[j] = c
+            table = self._rows[w] = (rows, escaped)
+        return table
 
     def product_row(self, b: AlgElement, k: int) -> dict:
         """Row k of L(b), as {j: coefficient of basis vector k in b*b_j}.
 
-        Like `product_column`, the result may be a table's own dict.
+        The result may be a row table's own dict: read it, never mutate it.
         """
         parts = []
         for w, c in b.terms.items():
-            row = self.left_action(w).rows.get(k)
+            row = self._row_table(w)[0].get(k)
             if row:
                 parts.append((c, row))
         return combine(parts, self.host.field.characteristic)
 
     def escapes(self, b: AlgElement) -> bool:
         """Whether b*b_j escapes the truncation for some basis index j."""
-        return any(self.left_action(w).any_escaped for w in b.terms)
+        return any(self._row_table(w)[1] for w in b.terms)
 
     def element_coords(self, e: AlgElement) -> dict:
         """Coordinates of an element in this basis, as {index: raw}; under the
@@ -143,24 +141,6 @@ class BasisIndexing:
         coords = {i: c for i, c in e.terms.items() if i != 1}
         coords[1] = e.terms.get(1, 0) - sum(coords.values())
         return reduced(coords, self.host.field.characteristic)
-
-
-class _LeftAction:
-    """Left multiplication by one host basis word w, tabulated on a basis.
-
-    cols[j] is the coordinate dict {i: c} of w*b_j and escaped[j] whether
-    that product left the truncation (index 0 is unused); rows[k] is
-    {j: c} for the j whose product has coordinate c at k, i.e. row k of
-    L(w); any_escaped is the OR of escaped.
-    """
-
-    __slots__ = ("cols", "escaped", "rows", "any_escaped")
-
-    def __init__(self, cols, escaped, rows, any_escaped):
-        self.cols = cols
-        self.escaped = escaped
-        self.rows = rows
-        self.any_escaped = any_escaped
 
 
 def _cell_sums(parts, p: int) -> dict:

@@ -381,8 +381,8 @@ def all_pairs_mul_terms(alg, a, b, policy):
 
 # -- reference host multiplication ---------------------------------------------
 # Left multiplication recomputed from scratch by multiplying with every basis
-# element b_j, with no tables: the oracle for `BasisIndexing.left_action` and
-# everything that reads it.
+# element b_j, with no tables: the oracle for `BasisIndexing.product_column`,
+# `product_row` and everything that reads them.
 
 
 def reference_product(b, indexing, j):

@@ -72,8 +72,9 @@ def test_wreath_gfp_jobs_pass_their_checks(tmp_path):
     """The wreath-gfp workload has no golden rows, and `bench/child.py`
     imports kernel names of its own (`growth._scale_row`, `power_chain`,
     `weighted_image_spans`, `wreath.wreath_coords`).  One seed's inputs,
-    one dense-law draw with its numpy rank oracle, and the wgamma,
-    nil-check and wreath-eval jobs pass the checks the benchmark applies."""
+    one dense-law draw with its numpy rank oracle, and the span-bound,
+    wgamma, nil-check and wreath-eval jobs pass the checks the benchmark
+    applies."""
     sys.path.insert(0, str(BENCH))
     try:
         import child
@@ -91,7 +92,7 @@ def test_wreath_gfp_jobs_pass_their_checks(tmp_path):
     assert child._dense_oracle(objects, dense.dense["n"]) == rep.lhs_dim
 
     outputs = {}
-    for name in ("wgamma_n4", "nil_check", "wreath_eval"):
+    for name in ("span_bound_n5", "span_bound_corner_n4", "wgamma_n4", "nil_check", "wreath_eval"):
         job = jobs[name]
         argv = list(job.argv)
         if job.emit:

@@ -406,6 +406,12 @@ def test_shift_witness_single_element():
     assert rep.found and rep.witness.min_degree() >= 2
 
 
+def test_shift_witness_s_below_zero_is_an_error():
+    b_alg = make_algebra(Q, ["x", "y"], [], n=3)
+    with pytest.raises(ValueError, match="degree -3 is below 0"):
+        shift_independence_witness(b_alg, [b_alg.gen("x"), b_alg.gen("y")], -3)
+
+
 def test_shift_witness_exhausted_when_powers_vanish():
     b_alg = make_algebra(Q, ["x"], ["x^2"], n=3)
     rep = shift_independence_witness(b_alg, [b_alg.gen("x")], 2)

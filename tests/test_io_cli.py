@@ -786,6 +786,16 @@ def test_cli_shift_witness(tmp_path):
     assert "True,x," in out.stdout
 
 
+def test_cli_shift_witness_s_below_zero_is_an_error(tmp_path):
+    """A negative --s is refused before any host word is scanned."""
+    b = tmp_path / "b.pres"
+    b.write_text(FREE2)
+    out = run_main("shift-witness", "--B", str(b), "--NB", "3", "--blist", "x;y", "--s", "-3")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: --s -3 is below 0\n"
+
+
 def test_cli_density_witness(tmp_path):
     b = tmp_path / "b.pres"
     b.write_text("field rational\nunital true\ngenerators b:1\n")

@@ -1,11 +1,13 @@
-"""Differential tests: the tabulated left action against direct multiplication.
+"""Differential tests: the left action read from the pair cache against
+direct multiplication.
 
-`BasisIndexing.left_action` reads w*b_j from the host's word-pair products
-once per host basis word w; `product_column`, `product_row`, `escapes`,
-`SMatrix.lmul_b`/`rmul_b` and `WreathElement.apply` read those tables.  The
-references in helpers.py multiply by every basis element instead.  Entries
-and every flag must agree, on the call that fills a table and on later calls
-that only read it.
+`BasisIndexing.product_column` sums the host's word-pair products w*t over
+the words w of b and t of b_j at each call; `product_row` and `escapes` read
+the one table an indexing keeps, the rows of L(w) for each host basis word w
+with their escape bit, built from the same reads.  `SMatrix.lmul_b`/`rmul_b`
+and `WreathElement.apply` read those.  The references in helpers.py multiply
+by every basis element instead.  Entries and every flag must agree, on the
+call that fills a row table and on later calls that only read it.
 """
 
 import random
@@ -124,7 +126,17 @@ def test_tables_match_direct_multiplication(field, host, unipotent):
     wa = WreathAlgebra(b_host, a_host, idx)
     elements = _host_elements(b_host, rng)
     matrices = _matrices(wa, rng)
-    assert not idx._tables
+    n = len(idx)
+    # columns are summed from the pair cache at each call, never tabulated
+    for b in elements:
+        for j in range(1, n + 1):
+            idx.product_column(b, j)
+        for s in matrices:
+            s.lmul_b(b)
+        if not (b_host.unital and 1 in b.terms):
+            for j in range(1, n + 1):
+                wa.element(b=b, s=matrices[0]).apply(j)
+    assert not idx._rows
     for _ in ("fill", "hit"):
         for b in elements:
             _same_left_action(idx, b)
@@ -135,9 +147,16 @@ def test_tables_match_direct_multiplication(field, host, unipotent):
                 continue  # a wreath b-part has no unit component
             for s in matrices[:3]:
                 e = wa.element(b=b, s=s)
-                for j in range(1, len(idx) + 1):
+                for j in range(1, n + 1):
                     assert e.apply(j) == reference_apply(e, j)
-    assert set(idx._tables) <= set(range(1, len(idx) + 1))
+    assert set(idx._rows) <= set(range(1, n + 1))
+    if not unipotent:  # a one-word b's column is the pair-cache entry itself
+        degree, unit = b_host._degree, b_host._unit
+        for w in range(1, n + 1):
+            b = AlgElement(b_host, {w: field.one})
+            for j in range(1, n + 1):
+                if unit not in (w, j) and degree[w] + degree[j] <= b_host.truncation_degree:
+                    assert idx.product_column(b, j)[0] is b_host._pair_cache[w][j]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -157,13 +176,13 @@ def test_column_one_loss_under_unipotent_indexing(field):
             assert col1.rmul_b(x).flag is unipotent
             assert reference_rmul_b(col1, x).flag is unipotent
             assert not col2.rmul_b(x).flag and not reference_rmul_b(col2, x).flag
-        assert idx.escapes(x) and idx.left_action(next(iter(x.terms))).any_escaped
+        assert idx.escapes(x) and idx._row_table(next(iter(x.terms)))[1]
 
 
 def test_killed_host_never_escapes():
     b_host = HOSTS["killed-unital"](Field.prime(101))
     idx = BasisIndexing(b_host, unipotent=True)
     for w in range(1, len(idx) + 1):
-        assert not idx.left_action(w).any_escaped
+        assert not idx._row_table(w)[1]
     x = b_host.gen("x")
     assert not idx.escapes(x) and not reference_left_mult_matrix(x, idx)[1]

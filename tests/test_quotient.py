@@ -556,6 +556,19 @@ def test_unital_hull():
     assert alg.total_dim() == 3
 
 
+@pytest.mark.parametrize("unital", [False, True])
+def test_degree_below_zero_is_an_error(unital):
+    """A negative degree names no basis words; it is not read from the top
+    of the truncation."""
+    alg = make_algebra(Q, ["x", "y"], [], n=3, unital=unital)
+    for d in (-1, -2, -3):
+        with pytest.raises(ValueError, match=f"degree {d} is below 0"):
+            alg.graded_dim(d)
+        with pytest.raises(ValueError, match=f"degree {d} is below 0"):
+            alg.degree_basis(d)
+    assert alg.graded_dim(0) == int(unital)
+
+
 def test_unit_rejected_without_hull():
     alg = make_algebra(Q, ["x"], [], n=3)
     with pytest.raises(ValueError):
@@ -901,8 +914,8 @@ def test_pair_cache_holds_products_inside_the_truncation_only():
     assert all(degree[u] + degree[v] <= 3 for u, vs in a_alg._pair_cache.items() for v in vs)
 
     for w in range(2, len(idx) + 1):
-        idx.left_action(w)
-    assert idx.left_action(len(idx)).any_escaped
+        idx._row_table(w)
+    assert idx._row_table(len(idx))[1]
     assert not any(vec is _ESCAPED for vs in b_alg._pair_cache.values() for vec in vs.values())
 
 
