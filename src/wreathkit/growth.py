@@ -12,12 +12,10 @@ exact integer arithmetic (`exact_log_interval`) and loads no mpmath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Optional
 
-from .linalg import Echelon, _eliminate, dense_rank, power_levels, reduced
+from .linalg import Echelon, FrozenRecord, Record, _eliminate, dense_rank, power_levels, reduced
 from .quotient import AlgElement, Subspace, TruncatedAlgebra, growth_dims
 from .wreath import BasisIndexing, GammaMap, SMatrix, WreathAlgebra, WreathSpan
 
@@ -25,12 +23,10 @@ from .wreath import BasisIndexing, GammaMap, SMatrix, WreathAlgebra, WreathSpan
 # -- growth tables ---------------------------------------------------------
 
 
-@dataclass
-class GrowthTable:
+class GrowthTable(Record):
     """Dimension per number of factors, with per-entry exactness bits."""
 
-    label: str
-    entries: dict  # n -> (dim, exact)
+    __slots__ = ("label", "entries")  # entries: n -> (dim, exact)
 
     def dims(self):
         return [self.entries[n][0] for n in sorted(self.entries)]
@@ -92,7 +88,7 @@ class FiltrationSchedule:
             return 0
         return self.thresholds[k - 1]
 
-    def window_for(self, n: int) -> Optional[int]:
+    def window_for(self, n: int) -> int | None:
         """Largest k with n_k <= n, or None when n < n_1."""
         k = None
         for i, t in enumerate(self.thresholds, start=1):
@@ -213,10 +209,8 @@ def w_gamma_table(
 # -- span inclusion and dimension bounds -------------------------------------
 
 
-@dataclass
-class InclusionReport:
-    rows: list  # (n, dim_lhs, dim_rhs, included, bound, bound_ok)
-    exact: bool
+class InclusionReport(Record):
+    __slots__ = ("rows", "exact")  # rows: (n, dim_lhs, dim_rhs, included, bound, bound_ok)
 
     @property
     def ok(self):
@@ -428,15 +422,8 @@ def _scale_row(wa: WreathAlgebra, gamma: GammaMap, a: AlgElement):
     return wa.from_matrix(SMatrix(wa.indexing, wa.a_host, entries))
 
 
-@dataclass
-class DenseCheckReport:
-    lhs_dim: int
-    product_bound: int
-    v_dim: int
-    w_dim: int
-    leq: bool
-    equality: bool
-    exact: bool
+class DenseCheckReport(Record):
+    __slots__ = ("lhs_dim", "product_bound", "v_dim", "w_dim", "leq", "equality", "exact")
 
 
 def dense_dim_check(
@@ -479,13 +466,9 @@ def dense_dim_check(
 # -- witness searches --------------------------------------------------------
 
 
-@dataclass
-class WitnessReport:
-    found: bool
-    witness: Optional[AlgElement]
-    checked: int
-    verified: bool = False
-    note: str = ""
+class WitnessReport(Record):
+    __slots__ = ("found", "witness", "checked", "verified", "note")  # witness: AlgElement | None
+    _defaults = {"verified": False, "note": ""}
 
 
 def _candidate_elements(host: TruncatedAlgebra, min_degree: int, degree_cap: int, pair_coeffs):
@@ -565,7 +548,7 @@ def shift_independence_witness(
     b_host: TruncatedAlgebra,
     b_list,
     s: int,
-    degree_cap: Optional[int] = None,
+    degree_cap: int | None = None,
     pair_coeffs=None,
 ) -> WitnessReport:
     """Find b among products of at least s factors keeping b_1 b, ..., b_n b
@@ -590,12 +573,10 @@ def shift_independence_witness(
 # -- slow-growth gamma construction ------------------------------------------
 
 
-@dataclass
-class SlowGammaReport:
-    gamma: GammaMap
-    assignments: list  # (k, chosen word, image word count)
-    table: GrowthTable
-    bound_rows: list  # (n, w, exponent denominator data, within_bound)
+class SlowGammaReport(Record):
+    __slots__ = ("gamma", "assignments", "table", "bound_rows")
+    # assignments: (k, chosen word, image word count)
+    # bound_rows: (n, w, exponent denominator data, within_bound)
 
 
 def build_slow_gamma(
@@ -603,7 +584,7 @@ def build_slow_gamma(
     b_host: TruncatedAlgebra,
     schedule: FiltrationSchedule,
     d: Fraction,
-    n_max: Optional[int] = None,
+    n_max: int | None = None,
 ) -> SlowGammaReport:
     """Construct a map whose weighted image span grows like the coefficient
     algebra's own growth: the deglex-greatest new basis word at each
@@ -658,10 +639,8 @@ def build_slow_gamma(
 # -- Gelfand-Kirillov window estimates ----------------------------------------
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    lo: Fraction
-    hi: Fraction
+class RatInterval(FrozenRecord):
+    __slots__ = ("lo", "hi")  # Fraction bounds, lo <= hi
 
     def __add__(self, other):
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
@@ -783,15 +762,11 @@ def log_interval(x, digits: int = 60) -> RatInterval:
     return RatInterval(f - pad, f + pad)
 
 
-@dataclass
-class GKEstimate:
-    slope_lo: Fraction
-    slope_hi: Fraction
-    window: tuple
-    residual_hi: Fraction
-    points: int
-    superpolynomial: bool
-    note: str = ""
+class GKEstimate(Record):
+    __slots__ = (
+        "slope_lo", "slope_hi", "window", "residual_hi", "points", "superpolynomial", "note"
+    )
+    _defaults = {"note": ""}
 
     @property
     def slope(self) -> Fraction:

@@ -18,10 +18,10 @@ formed for the witness only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+
+from .linalg import Record
 
 # Largest denominator bound the witness search takes.  The search walks the
 # reduced fractions in ascending order and stops at the first witness
@@ -33,12 +33,10 @@ from typing import Optional
 MAX_DENOMINATOR_BOUND = 500
 
 
-@dataclass
-class GSReport:
-    status: str  # satisfied | not-satisfied-at-t0 | unsatisfiable | no-witness-up-to-bound
-    t0: Optional[Fraction]
-    value: Optional[Fraction]
-    note: str = ""
+class GSReport(Record):
+    # status: satisfied | not-satisfied-at-t0 | unsatisfiable | no-witness-up-to-bound
+    __slots__ = ("status", "t0", "value", "note")  # t0, value: Fraction | None
+    _defaults = {"note": ""}
 
     @property
     def satisfied(self) -> bool:
@@ -162,7 +160,7 @@ def _cleared_value(coeffs, p: int, q: int) -> int:
 def golod_shafarevich_check(
     m: int,
     census: dict,
-    t0: Optional[Fraction] = None,
+    t0: Fraction | None = None,
     denominator_bound: int = 5,
 ) -> GSReport:
     """Decide the relation-count condition, or evaluate it at a given t0.

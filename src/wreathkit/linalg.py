@@ -89,7 +89,6 @@ first-column pivoting) used to cross-check ranks.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_right
 
 from .scalars import Field
@@ -395,15 +394,65 @@ def closure(span: Span, step, rounds=None):
     return history
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class Level:
+class Record:
+    """A result record.  Its fields are the subclass's `__slots__`, in order,
+    and `_defaults` gives the trailing ones that may be left out.  The
+    fields are passed by position or by name; `==` compares records of one
+    class field by field, and the repr shows every field by name."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # every field by position skips the dicts
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes each field of {names} once")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record that refuses assignment once built, hashed by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class Level(FrozenRecord):
     """A level of a filtration grown in one span: the span of the first `dim`
     of the span's representatives, with the span's bit at that point.  All
-    levels of a filtration read the span's one list; none copies it."""
+    levels of a filtration read the span's one list, `reps`; none copies it,
+    and the repr leaves it out.  A level equals only itself."""
 
-    dim: int
-    exact: bool
-    reps: list = dataclasses.field(repr=False)
+    __slots__ = ("dim", "exact", "reps")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __repr__(self):
+        return f"Level(dim={self.dim}, exact={self.exact})"
 
     def representatives(self):
         return self.reps[: self.dim]

@@ -550,9 +550,8 @@ class TruncatedAlgebra:
             raise ValueError("degree out of range")
         return self.alphabet.word_count(d) - self.graded_dim(d)
 
-    def total_dim(self, up_to=None) -> int:
-        up_to = self.truncation_degree if up_to is None else up_to
-        return self._first[up_to + 1] - 1
+    def total_dim(self) -> int:
+        return self._first[-1] - 1
 
     def basis_words(self):
         """All basis words by index: degree-major deglex, the unit word first if unital."""

@@ -19,13 +19,12 @@ as faithful: no.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from math import comb
-from typing import Optional
 
 from .freealg import FreeElement
 from .growth import FiltrationSchedule, growth_dims
+from .linalg import Record
 from .quotient import Presentation, TruncatedAlgebra
 from .scalars import Field
 from .words import Alphabet
@@ -89,7 +88,7 @@ def build_layered_presentation(
     k_max: int,
     schedule: FiltrationSchedule,
     j_relations,
-    truncation_degree: Optional[int] = None,
+    truncation_degree: int | None = None,
     power_word_cap: int = 200_000,
 ) -> Presentation:
     """Assemble the layered presentation on x_1..x_k, y_1..y_k.
@@ -165,7 +164,7 @@ def x_part_presentation(
     k_max: int,
     schedule: FiltrationSchedule,
     j_relations,
-    truncation_degree: Optional[int] = None,
+    truncation_degree: int | None = None,
     power_word_cap: int = 200_000,
 ) -> Presentation:
     """The x-part X of the layered algebra, presented on x_1..x_kmax alone.
@@ -238,24 +237,13 @@ def _power_generators(xi, others, power, top):
                 yield tuple(xi if p in places else next(rest) for p in range(d))
 
 
-@dataclass
-class SandwichRow:
-    n: int
-    k: int
-    f: int
-    g: int
-    lower_ok: Optional[bool]
-    upper_ok: Optional[bool]
-    exact: bool
-    note: str = ""
+class SandwichRow(Record):
+    __slots__ = ("n", "k", "f", "g", "lower_ok", "upper_ok", "exact", "note")  # *_ok: bool | None
+    _defaults = {"note": ""}
 
 
-@dataclass
-class SandwichReport:
-    rows: list
-    faithful: bool
-    faithful_rows: list
-    exact: bool
+class SandwichReport(Record):
+    __slots__ = ("rows", "faithful", "faithful_rows", "exact")
 
     @property
     def ok(self):

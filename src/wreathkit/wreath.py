@@ -29,9 +29,7 @@ power the generation check for the matrix-unit closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linalg import Span, closure, combine, reduced
+from .linalg import Record, Span, closure, combine, reduced
 from .quotient import _ESCAPED, AlgElement, Subspace, TruncatedAlgebra
 from .scalars import FieldMismatchError
 from .words import Word
@@ -547,10 +545,10 @@ def unit_row_projection(s: SMatrix, target: int = 1) -> AlgElement:
     return s.entry(target, 1)
 
 
-@dataclass
-class NilpotencyReport:
-    verdict: str  # nilpotent | not-nilpotent-within-bound | inconclusive-overflow
-    index: int = 0
+class NilpotencyReport(Record):
+    # verdict: nilpotent | not-nilpotent-within-bound | inconclusive-overflow
+    __slots__ = ("verdict", "index")
+    _defaults = {"index": 0}
 
     @property
     def nilpotent(self):
@@ -591,12 +589,8 @@ def unipotent_inverse(b: AlgElement) -> AlgElement:
     return out.scale(inv_alpha)
 
 
-@dataclass
-class EmbedReport:
-    ok: bool
-    cases_checked: int
-    failures: list
-    cube_vanishes: bool
+class EmbedReport(Record):
+    __slots__ = ("ok", "cases_checked", "failures", "cube_vanishes")
 
 
 def nilpotent_host_embedding_check(a_host: TruncatedAlgebra) -> EmbedReport:
@@ -634,12 +628,8 @@ def nilpotent_host_embedding_check(a_host: TruncatedAlgebra) -> EmbedReport:
     return EmbedReport(not failures and cube_zero, count, failures, cube_zero)
 
 
-@dataclass
-class GenerationReport:
-    ok: bool
-    generated_dim: int
-    targets_checked: int
-    missing: list
+class GenerationReport(Record):
+    __slots__ = ("ok", "generated_dim", "targets_checked", "missing")
 
 
 def matrix_unit_generation_check(

@@ -579,6 +579,32 @@ def test_gk_requires_enough_exact_points():
         gk_estimate(table, (1, 4))
 
 
+def test_records_compare_by_field_and_frozen_ones_hash():
+    """A result record takes its fields by position or name, each once, with
+    defaults for the trailing ones; `==` and the repr go field by field, and
+    a plain record is unhashable.  `RatInterval`, a frozen record, refuses
+    assignment and deletion and hashes by its fields."""
+    rep = growth.WitnessReport(False, None, 3, note="x")
+    assert rep == growth.WitnessReport(found=False, witness=None, checked=3, verified=False,
+                                       note="x")
+    assert rep != growth.WitnessReport(False, None, 4, note="x")
+    assert repr(rep) == (
+        "WitnessReport(found=False, witness=None, checked=3, verified=False, note='x')"
+    )
+    for args, kwargs in [((1, 2, 3, 4, 5, 6), {}), ((1, 2, 3), {"found": 1}), ((1,), {}),
+                         ((1, 2, 3), {"bogus": 1})]:
+        with pytest.raises(TypeError):
+            growth.WitnessReport(*args, **kwargs)
+    with pytest.raises(TypeError):
+        hash(rep)
+    iv = growth.RatInterval(Fraction(1), Fraction(2))
+    assert {iv, growth.RatInterval(Fraction(1), Fraction(2))} == {iv}
+    with pytest.raises(AttributeError):
+        iv.lo = Fraction(0)
+    with pytest.raises(AttributeError):
+        del iv.hi
+
+
 def test_log_interval_encloses():
     # log 2 = 0.6931471805599453...
     iv = log_interval(Fraction(2))

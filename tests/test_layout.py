@@ -13,7 +13,10 @@ exactly the ones in `PROCESS_TESTS`.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +39,7 @@ PROCESS_TESTS = {
     "test_io_cli.py::test_python_dash_m_package_runs_the_cli",
     "test_io_cli.py::test_cli_import_leaves_mpmath_out",
     "test_io_cli.py::test_cli_sandwich_leaves_mpmath_out",
+    "test_layout.py::test_cli_import_leaves_the_record_machinery_out",
 }
 
 
@@ -92,3 +96,19 @@ def test_only_the_process_tests_start_an_interpreter():
         if starts_a_process(node)
     }
     assert sorted(found) == sorted(PROCESS_TESTS)
+
+
+def test_cli_import_leaves_the_record_machinery_out():
+    """Every CLI call imports `wreathkit.cli`.  Its result records are
+    `__slots__` classes, so the import loads none of `dataclasses`, the
+    `inspect` it pulls in, or `typing`.  `-S` leaves `site` out, since a
+    `.pth` file of the installation may import any of them on its own."""
+    code = (
+        "import sys, wreathkit.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0 and out.stdout == "[]\n", out.stderr

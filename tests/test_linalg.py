@@ -735,12 +735,14 @@ def test_which_spans_switch(monkeypatch, tmp_path):
 
 def echelon_streams(monkeypatch, run):
     """The vectors inserted into each `Echelon` while run() runs, by echelon
-    in order of its first insert: (field, [vector, ...])."""
+    in order of its first insert: (field, [vector, ...]).  The streams are
+    keyed by the echelon itself, which keeps it alive: keyed by `id()`, a
+    freed echelon's id could pass to the next one and merge two streams."""
     streams = {}
     insert = Echelon.insert
 
     def recording(self, vec):
-        streams.setdefault(id(self), (self.field, []))[1].append(dict(vec))
+        streams.setdefault(self, (self.field, []))[1].append(dict(vec))
         return insert(self, vec)
 
     with monkeypatch.context() as mp:

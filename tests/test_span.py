@@ -8,7 +8,6 @@ product of at most n generators, enumerated directly, and is inexact as soon
 as one of those products is flagged.
 """
 
-import dataclasses
 import random
 from itertools import product
 
@@ -144,7 +143,7 @@ def test_levels_read_one_list():
     alg = make_algebra(Q, ["x", "y"], [], n=3)
     chain = power_chain(alg, [alg.gen("x"), alg.gen("y")], 3)
     assert repr(chain[0]) == "Level(dim=2, exact=True)"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         chain[0].dim = 3
     span = Subspace(alg, [alg.gen("x")])
     level = span.level(False)
