@@ -56,6 +56,14 @@ def _emit(args, meta, columns, rows):
         print(wio.format_csv(meta, columns, rows), end="")
 
 
+def _check_degrees(args):
+    """Truncation degrees, -N, --NB and --NA, are at least 1."""
+    for flag in ("-N", "--NB", "--NA"):
+        value = getattr(args, flag.lstrip("-"), None)
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} {value} is below 1")
+
+
 def _load_algebra(path, n, policy):
     return TruncatedAlgebra(wio.load_presentation(path), n, policy)
 
@@ -431,6 +439,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        _check_degrees(args)
         code = args.func(args)
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

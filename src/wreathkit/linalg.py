@@ -25,26 +25,23 @@ right factors `growth.dense_dim_check` ranks are 60 rows on 280 keys, 0.6
 nonzero: a sparse row operation costs 170 dict updates there.  When the rank
 reaches `DENSE_MIN_RANK` = 16, and again at every power of two above, `insert`
 checks that the rows average at least `DENSE_MIN_FILL` (8) nonzeros and that
-nonzeros * 8 >= their block area: the sum over the blocks of connected support
-of the rows of (rows in the block) * (keys in the block), the area the packed
-blocks below would hold.  The blocks are found at the check only, by merging
-the rows' supports.  Once both hold, the rows become packed ints for good.
-Block fills (nonzeros over block area) on the bench's seed-5 inputs: the
-dense-law right factors 0.60 at rank 16, one block; span-bound's two large
-wreath spans 0.75 and 1.0 at rank 16, and 0.38-0.80 at rank 32-512, where
-their fill of rank * every column is 0.004-0.048.  So both switch at rank 16.
-The floor on row length keeps one- and two-key rows sparse, though their
-blocks are full: free-algebra closures (one key a row) and the build kernels
-of `x*y - 2*y*x` over GF(101) (two).  Q and larger p always stay sparse.
+nonzeros * 8 >= rank * columns, the columns being the distinct keys of the
+rows: the area one packed store would take.  Once both hold, the rows become
+packed ints for good.  Fills (nonzeros over rank * columns) at rank 16 on the
+bench's seed-5 inputs: the dense-law right factors 0.60 over 280 columns,
+which switch; span-bound's generated span 0.062 over 920, which stays
+sparse.  The floor on row length keeps short rows sparse however full their
+few columns are: the 16-row W span of wgamma and span-bound (85 nonzeros on
+39 columns, fill 0.136, 5.3 a row), free-algebra closures (one key a row)
+and the build kernels of `x*y - 2*y*x` over GF(101) (two).  Q and larger p
+always stay sparse.
 
-In the dense mode (`packed.PackedRows`, imported on the first switch) the
-rows fall into blocks of disjoint support, and each block numbers its own
-keys: a key gets a column slot in its block the first time an insert sees
-it, and a row is one int holding slot i of its block in bits w*i ..
-w*i + w - 1, so v += m * row is one big-int multiply-add done in C, as wide
-as the block and not as every column seen.  The slot width w is 32 bits
-when 4096 multiply-adds of (p - 1)^2 fit in one (p <= 1024; about 4*10^5
-for p = 101), else 64.  Slots hold nonnegative ints congruent to the
+In the dense mode (`packed.PackedRows`, imported on the first switch) each
+key gets a column slot the first time an insert sees it, and a row is one
+int holding slot i in bits w*i .. w*i + w - 1, so v += m * row is one
+big-int multiply-add done in C.  The slot width w is 32 bits when 4096
+multiply-adds of (p - 1)^2 fit in one (p <= 1024; about 4*10^5 for
+p = 101), else 64.  Slots hold nonnegative ints congruent to the
 coefficients mod p; subtracting c * row is adding (p - c) * row.  Each row
 keeps an upper bound on its slots, and an operation that could take a slot
 past 2^w - 1 first renormalises its operand (unpack mod p, repack).  A step
@@ -53,22 +50,8 @@ so renormalising always makes room, and a slot first needs it after
 thousands of steps.  Rows stay reduced-echelon mod p, so `reduce`
 subtracts (input coefficient at a pivot) * (its row) for each pivot key of
 the input, no row changing another pivot's coefficient, and unpacks the sum
-mod p once per block; a key no block holds passes through.  Back-reduction
-reads one slot of each row of the new pivot's block with a greater pivot.
-
-The blocks are the connected components of the supports placed so far, kept
-as a union-find with small-to-large merges: the switch places the rows one
-by one, and a residual whose support meets several blocks merges them into
-the one with most keys first.  A merge gives the moved keys the slots after
-the target's, in their order, so each moved row is shifted up, its slot
-values and bound unchanged.  This is exact: a block's rows hold only that
-block's keys, so the rows of other blocks hold neither a new pivot (nothing
-to back-reduce there) nor any key of another block's part of an input (each
-block reduces its part alone), and reduced-echelon rows of disjoint blocks
-form together a reduced-echelon set.  So the rows, the pivots, the residuals
-and the rank are the ones a single store would give.  The 360 dense-law
-products emb(b_i) R_a emb(b_k) fall into 6 blocks of 280 keys, one per left
-factor: a tensor product, which `dense_dim_check` ranks factor by factor.
+mod p once; a key without a slot passes through.  Back-reduction reads one
+slot of each row with a greater pivot, the rows the sparse mode visits.
 
 Either way the rows live in one dict, pivot key -> row (a sparse dict, or a
 packed int), in insertion order, beside the ascending list of pivot keys.
@@ -95,7 +78,7 @@ from .scalars import Field
 
 # The dense GF(p) mode (see the module docstring).
 DENSE_MIN_RANK = 16  # checked when the rank reaches 16, 32, 64, ...
-DENSE_MIN_FILL = 8  # dense once rows average 8 nonzeros and nonzeros * 8 >= block area
+DENSE_MIN_FILL = 8  # dense once rows average 8 nonzeros and nonzeros * 8 >= rank * columns
 DENSE_P_LIMIT = 1 << 16  # only p below this: (p - 1)^2 < 2^32 per step
 
 
@@ -167,29 +150,12 @@ def _eliminate(v: dict, row: dict, c, p: int) -> None:
 
 def _dense_enough(rows) -> bool:
     """Whether the rows average `DENSE_MIN_FILL` nonzeros and fill at least
-    1 / `DENSE_MIN_FILL` of the area their packed blocks would take: the sum
-    over the blocks of connected support of rows * columns."""
+    1 / `DENSE_MIN_FILL` of rank * columns (columns: the distinct keys of the
+    rows), the area one packed store would take."""
     nonzeros = sum(map(len, rows))
     if nonzeros < DENSE_MIN_FILL * len(rows):
         return False
-    block_of = {}  # key -> its block [row count, keys], merged small into large
-    for row in rows:
-        met = {id(b): b for b in map(block_of.get, row) if b is not None}
-        if met:
-            block = max(met.values(), key=lambda b: len(b[1]))
-            for other in met.values():
-                if other is not block:
-                    block[0] += other[0]
-                    block[1] += other[1]
-                    block_of.update(dict.fromkeys(other[1], block))
-        else:
-            block = [0, []]
-        block[0] += 1
-        new = [k for k in row if k not in block_of]
-        block[1] += new
-        block_of.update(dict.fromkeys(new, block))
-    blocks = {id(b): b for b in block_of.values()}.values()
-    return nonzeros * DENSE_MIN_FILL >= sum(n * len(keys) for n, keys in blocks)
+    return nonzeros * DENSE_MIN_FILL >= len(rows) * len(set().union(*rows))
 
 
 class Echelon:
@@ -260,7 +226,7 @@ class Echelon:
         else:
             at = bisect_right(order, pivot)
         if self._packed is not None:
-            self._packed.append(v, pivot, 1 if lead == 1 else f.inv(lead))
+            self._packed.append(v, pivot, 1 if lead == 1 else f.inv(lead), order[at:])
         else:
             if lead == 1:
                 row = v  # already normalized: inv * c would be c

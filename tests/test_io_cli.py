@@ -913,6 +913,27 @@ def test_cli_flag_of_a_vanished_escape_is_kept(tmp_path, command, gamma, expecte
     assert any(line.startswith(expected) for line in out.stdout.splitlines())
 
 
+def assert_below_one_refused(tmp_path, command):
+    """command, run on small host, coefficient and gamma files where it
+    reads them, exits 1 with one line naming its last option and value."""
+    b = tmp_path / "b.pres"
+    b.write_text(HULL2)
+    a = tmp_path / "a.pres"
+    a.write_text(AX3)
+    g = tmp_path / "g.map"
+    g.write_text("map x -> z\n")
+    if command[0] in ("build", "growth"):
+        args = [command[0], "-p", str(b), *command[1:]]
+    elif command[0] == "sandwich":
+        args = command
+    else:
+        args = [command[0], "--B", str(b), "--A", str(a), "--gamma", str(g), *command[1:]]
+    out = run_main(*args)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: {command[-2]} {command[-1]} is below 1\n"
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -924,20 +945,23 @@ def test_cli_flag_of_a_vanished_escape_is_kept(tmp_path, command, gamma, expecte
     ids=["growth-negative", "growth-zero", "wgamma-zero", "span-bound-zero"],
 )
 def test_cli_factor_count_below_one_is_an_error(tmp_path, command):
-    b = tmp_path / "b.pres"
-    b.write_text(HULL2)
-    a = tmp_path / "a.pres"
-    a.write_text(AX3)
-    g = tmp_path / "g.map"
-    g.write_text("map x -> z\n")
-    if command[0] == "growth":
-        args = [command[0], "-p", str(b), *command[1:]]
-    else:
-        args = [command[0], "--B", str(b), "--A", str(a), "--gamma", str(g), *command[1:]]
-    out = run_main(*args)
-    assert out.returncode == 1
-    assert out.stdout == ""
-    assert out.stderr == f"error: -n {command[-1]} is below 1\n"
+    assert_below_one_refused(tmp_path, command)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["build", "-N", "0"],
+        ["growth", "-N", "-3"],
+        ["wgamma", "-n", "2", "--NB", "0"],
+        ["span-bound", "-n", "2", "--NA", "0"],
+        ["sandwich", "--kmax", "2", "--schedule", "2,4", "-N", "0"],
+    ],
+    ids=["build-zero", "growth-negative", "wgamma-NB-zero", "span-bound-NA-zero", "sandwich-zero"],
+)
+def test_cli_truncation_degree_below_one_is_an_error(tmp_path, command):
+    """A truncation degree below 1 is refused with its option named."""
+    assert_below_one_refused(tmp_path, command)
 
 
 def test_cli_growth_n_defaults_to_N_only_when_absent(tmp_path):

@@ -19,6 +19,7 @@ from wreathkit import (
     linalg,
     packed,
     parse_element,
+    span_inclusion_check,
 )
 from wreathkit import io as wio
 from wreathkit.linalg import Echelon, dense_rank
@@ -28,10 +29,10 @@ from helpers import (
     dense_from,
     rationals,
     reference_dense_dim_check,
+    run_main,
     sample,
     span_bound_job_case,
     sparse_only,
-    translate_span_inclusion,
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -423,19 +424,16 @@ def test_dense_switch_under_the_real_rule(field, order):
 
 
 def assert_slots_bounded(e):
-    """Every packed row's slots within its bound, within the slot bound, and
-    every row's keys in its pivot's block."""
+    """Every packed row's slots within its bound, within the slot bound."""
     pk = e._packed
     for k, x in pk.rows.items():
-        block = pk.block_of[k]
-        assert max(block._slots(x), default=0) <= pk.bounds[k] <= pk.slot_max
-        assert all(pk.block_of[key] is block for key in block.unpack(x))
+        assert max(pk._slots(x), default=0) <= pk.bounds[k] <= pk.slot_max
 
 
 def test_slot_renormalisation_near_the_p_limit():
     """With p just under DENSE_P_LIMIT and the slot bound cut to 2^36, a few
     steps pass the bound: rows and reduce sums are renormalised, every slot
-    of every block stays within its row's bound, no sum that is unpacked
+    of every row stays within its row's bound, no sum that is unpacked
     passes the bound, and the results equal the sparse run's."""
     field = Field.prime(65521)
     assert field.characteristic < linalg.DENSE_P_LIMIT
@@ -449,20 +447,20 @@ def test_slot_renormalisation_near_the_p_limit():
             sparse.insert(v)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(packed._SLOT_MAX, 64, (1 << 36) - 1)
-        renormalize = packed.Block.renormalize
+        renormalize = packed.PackedRows.renormalize
 
-        def recorded(block, x):
+        def recorded(pk, x):
             renormalised.append(any(x is row for row in dense._packed.rows.values()))
-            return renormalize(block, x)
+            return renormalize(pk, x)
 
-        mp.setattr(packed.Block, "renormalize", recorded)
-        unpack = packed.Block.unpack
+        mp.setattr(packed.PackedRows, "renormalize", recorded)
+        unpack = packed.PackedRows.unpack
 
-        def bounded(block, x):
-            assert max(block._slots(x), default=0) <= packed._SLOT_MAX[block.bits]
-            return unpack(block, x)
+        def bounded(pk, x):
+            assert max(pk._slots(x), default=0) <= packed._SLOT_MAX[pk.bits]
+            return unpack(pk, x)
 
-        mp.setattr(packed.Block, "unpack", bounded)
+        mp.setattr(packed.PackedRows, "unpack", bounded)
         with dense_from(4):
             dense = Echelon(field)
             for v in vecs:
@@ -490,19 +488,19 @@ def test_32_bit_slots_cross_the_slot_bound():
     renormalised = []  # True for a stored row, False for a reduce sum
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(packed._SLOT_MAX, 32, (1 << 16) - 1)
-        renormalize, unpack = packed.Block.renormalize, packed.Block.unpack
+        renormalize, unpack = packed.PackedRows.renormalize, packed.PackedRows.unpack
 
-        def recorded(block, x):
+        def recorded(pk, x):
             renormalised.append(any(x is row for row in dense._packed.rows.values()))
-            return renormalize(block, x)
+            return renormalize(pk, x)
 
-        def bounded(block, x):
-            assert block.bits == 32
-            assert max(block._slots(x), default=0) <= (1 << 16) - 1
-            return unpack(block, x)
+        def bounded(pk, x):
+            assert pk.bits == 32
+            assert max(pk._slots(x), default=0) <= (1 << 16) - 1
+            return unpack(pk, x)
 
-        mp.setattr(packed.Block, "renormalize", recorded)
-        mp.setattr(packed.Block, "unpack", bounded)
+        mp.setattr(packed.PackedRows, "renormalize", recorded)
+        mp.setattr(packed.PackedRows, "unpack", bounded)
         with dense_from(4):
             dense = Echelon(field)
             for v in vecs:
@@ -517,12 +515,7 @@ def test_32_bit_slots_cross_the_slot_bound():
     assert True in renormalised and False in renormalised
 
 
-# -- the blocks of the dense mode: rows of disjoint support packed apart -----------
-
-
-def blocks(pk):
-    """The distinct blocks of the packed store pk."""
-    return list({id(b): b for b in pk.block_of.values()}.values())
+# -- block-diagonal streams: rows of disjoint support, then rows that bridge them --
 
 
 def insert_both(field, sparse, dense, vecs, done):
@@ -567,84 +560,29 @@ def block_diagonal(draw):
         if draw(st.booleans()):
             keys.append(size + i)
         bridges.append({k: draw(coeff) for k in keys})
-    return field, nblocks, size, diag, bridges
+    return field, size, diag, bridges
 
 
 @DIFF
 @given(block_diagonal(), st.sampled_from([1, 2, 4]))
 def test_blocks_match_sparse(case, switch_rank):
-    """Block-diagonal vectors pack into blocks that never mix two planted
-    blocks; vectors bridging 2 or 3 blocks merge them.  Throughout, the
-    packed echelon has the sparse run's rows, pivots, reductions,
-    membership and `pivot_rows()` order, and `dense_rank`'s rank."""
-    field, nblocks, size, diag, bridges = case
+    """Block-diagonal vectors, then vectors bridging 2 or 3 blocks, some
+    through a key the store has no slot for yet.  Throughout, the packed
+    echelon has the sparse run's rows, pivots, reductions, membership and
+    `pivot_rows()` order, and `dense_rank`'s rank."""
+    field, size, diag, bridges = case
     sparse, dense = insert_modes(field, diag, switch_rank)
-    for block in blocks(dense._packed):
-        assert len({k % nblocks for k in block.keys}) == 1
-        assert block.pivots == sorted(block.pivots)
     assert_slots_bounded(dense)
     insert_both(field, sparse, dense, bridges, diag)
     vecs = diag + bridges
     assert_same_echelon(sparse, dense, probes(field, range(size + 4)) + vecs)
-    for block in blocks(dense._packed):
-        assert block.pivots == sorted(k for k in pivot_keys(dense) if k in block.slot)
 
 
-def test_merge_moves_rows_near_the_slot_bound():
-    """With p just under DENSE_P_LIMIT and the slot bound cut to 2^34, two
-    planted blocks (even and odd keys) back-reduce their rows close to the
-    bound; a bridging vector merges them, the rows it moves keep their
-    slots and bounds, and later back-reduction of the merged block
-    renormalises them.  Results equal the sparse run's and `dense_rank`'s."""
-    field = Field.prime(65521)
-    p = field.characteristic
-    assert packed.slot_bits(p) == 64
-    rng = random.Random(7)
-
-    def planted(keys, tops, width):
-        vecs = []
-        for top in tops:
-            own = [k for k in keys if k < top]
-            below = rng.sample(own, min(width, len(own)))
-            vecs.append({top: rng.randrange(1, p), **{k: rng.randrange(-p, 2 * p) for k in below}})
-        return vecs
-
-    even = planted(range(0, 40, 2), range(38, 8, -2), 12)
-    odd = planted(range(1, 24, 2), range(23, 5, -2), 8)
-    diag = sorted(even + odd, key=max, reverse=True)
-    after = [{41: 1, 2: 5, 3: 1}] + planted(range(9), range(8, 3, -1), 4)
-    moved = []  # the largest bound of the rows each merge moves, over the slot bound
-    moved_rows, renormalised = set(), []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(packed._SLOT_MAX, 64, (1 << 34) - 1)
-        merge, renormalize = packed.PackedRows._merge, packed.Block.renormalize
-
-        def recorded(pk, block, other):
-            moved.append(max(pk.bounds[k] for k in other.pivots) / pk.slot_max)
-            moved_rows.update(other.pivots)
-            return merge(pk, block, other)
-
-        def recorded_renormalize(block, x):
-            if moved_rows:  # after the merge, so `dense` is bound
-                rows = dense._packed.rows
-                renormalised.extend(k for k in moved_rows if rows[k] is x)
-            return renormalize(block, x)
-
-        mp.setattr(packed.PackedRows, "_merge", recorded)
-        mp.setattr(packed.Block, "renormalize", recorded_renormalize)
-        sparse, dense = insert_modes(field, diag, 4)
-        assert not moved and len(blocks(dense._packed)) == 2
-        insert_both(field, sparse, dense, after, diag)
-        assert len(blocks(dense._packed)) == 1
-        assert_same_echelon(sparse, dense, probes(field, range(42)) + diag + after)
-    assert len(moved) == 1 and moved[0] > 0.5 and renormalised
-
-
-def test_dense_law_span_packs_into_six_blocks(tmp_path):
+def test_dense_law_span_packs_into_one_store(tmp_path):
     """The dense-law span of the bench's seed-5 draw 0, all its products
-    formed, is 360 vectors on 1,680 columns: one block of 60 rows and 280
-    keys per left factor.  `dense_dim_check` ranks it as a tensor product,
-    and its own span is one such block, the right factors' span."""
+    formed, is 360 vectors on 1,680 columns, which the oracle packs into
+    one store.  `dense_dim_check` ranks it as a tensor product and packs
+    one span, the right factors': one store of 60 rows on 280 keys."""
     made = []
     init = packed.PackedRows.__init__
 
@@ -659,11 +597,11 @@ def test_dense_law_span_packs_into_six_blocks(tmp_path):
         mp.setattr(packed.PackedRows, "__init__", recorded)
         reference = reference_dense_dim_check(*load_dense_law(spec), spec["n"])
         assert reference.lhs_dim == 360 and len(made) == 1
-        assert sorted((len(b.keys), len(b.pivots)) for b in blocks(made[0])) == [(280, 60)] * 6
+        assert (len(made[0].keys), len(made[0].rows)) == (1680, 360)
         made.clear()
         assert dense_dim_check(*load_dense_law(spec), spec["n"]) == reference
     assert len(made) == 1
-    assert [(len(b.keys), len(b.pivots)) for b in blocks(made[0])] == [(280, 60)]
+    assert (len(made[0].keys), len(made[0].rows)) == (280, 60)
 
 
 def record_switches(monkeypatch):
@@ -694,11 +632,11 @@ def test_which_spans_switch(monkeypatch, tmp_path):
     GF(101) and stay sparse over Q and over p = 2^31 - 1.  The build kernels
     of the bench's tri presentation (over its p = 2^31 - 1 and over GF(101),
     about 2 keys a row) and a free closure over GF(101) (one key a row) stay
-    sparse; the two wreath spans of span-bound's translate route
-    (`helpers.translate_span_inclusion`, the oracle of its staircase) and the
-    dense-law span switch."""
+    sparse.  The bench's span-bound and wgamma runs switch nothing (so they
+    never import `packed`); the dense law switches its right factors' span
+    once, at rank DENSE_MIN_RANK."""
     made = record_switches(monkeypatch)
-    # 64 rows of 17 nonzeros in 80 columns, one block: density 0.21
+    # 64 rows of 17 nonzeros in 80 columns: density 0.21
     rng = random.Random(5)
     rows = [
         {16 + i: 1, **{k: rng.randrange(1, 50) for k in range(16)}}
@@ -724,9 +662,10 @@ def test_which_spans_switch(monkeypatch, tmp_path):
 
     jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
     bench_run.write_inputs(11, tmp_path)
-    translate_span_inclusion(*span_bound_job_case(jobs["span_bound_n5"].argv))
-    assert len(made) >= 2 and {p for p, _ in made} == {101}
-    made.clear()
+    for name in ("span_bound_n5", "span_bound_corner_n4", "wgamma_n4"):
+        out = run_main(*jobs[name].argv)
+        assert out.returncode == 0 and out.stdout
+    assert not made
 
     spec = jobs["dense_law_0"].dense
     assert dense_dim_check(*load_dense_law(spec), spec["n"]).equality
@@ -752,14 +691,16 @@ def echelon_streams(monkeypatch, run):
 
 
 def test_span_bound_spans_pack_as_they_ran_sparse(monkeypatch, tmp_path):
-    """Every echelon of span-bound's translate route (the oracle of its
-    staircase, with a 906-row predicted span) on the bench's seed-5 inputs,
-    replayed sparse only and under the real switch rule: the same rows,
-    pivots, reductions and membership.  The large wreath spans do pack."""
+    """Every echelon of span-bound's route (`span_inclusion_check`) on the
+    bench's seed-5 inputs, replayed sparse only and packed from rank 16
+    however sparse: the same rows, pivots, reductions and membership.  The
+    generated span (rank 235) packs."""
     jobs = {job.name: job for job in bench_run.workload_jobs("wreath-gfp", tmp_path)}
     bench_run.write_inputs(5, tmp_path)
-    case = span_bound_job_case(jobs["span_bound_n5"].argv)
-    streams = echelon_streams(monkeypatch, lambda: translate_span_inclusion(*case))
+    b_host, a_host, gamma, n, corner = span_bound_job_case(jobs["span_bound_n5"].argv)
+    streams = echelon_streams(
+        monkeypatch, lambda: span_inclusion_check(b_host, a_host, gamma, n, with_corner=corner)
+    )
     packed_ranks = []
     for field, vecs in streams:
         assert field.characteristic == 101
@@ -767,11 +708,12 @@ def test_span_bound_spans_pack_as_they_ran_sparse(monkeypatch, tmp_path):
             sparse = Echelon(field)
             for v in vecs:
                 sparse.insert(v)
-        dense = Echelon(field)
-        for v in vecs:
-            dense.insert(v)
+        with dense_from(16):
+            dense = Echelon(field)
+            for v in vecs:
+                dense.insert(v)
         if is_packed(dense):
             packed_ranks.append(dense.dim)
             assert_slots_bounded(dense)
         assert_same_echelon(sparse, dense, vecs)
-    assert len(packed_ranks) >= 2 and max(packed_ranks) >= 512
+    assert max(packed_ranks) >= 200
